@@ -1,17 +1,14 @@
-//! Criterion bench of parallel PPO checking: `check_all_parallel` across
-//! worker counts vs the serial `check_all`, on fig16-shaped synthetic
-//! traces.
+//! Criterion bench of parallel PPO checking: a one-batch `IncrementalChecker`
+//! fold of a whole fig16-shaped synthetic trace at 1/2/4/8 workers.
 //!
-//! Measures the end-to-end path (parallel per-category index build + the
-//! three invariant passes as pool jobs), which is what the report pipeline
-//! uses, plus the pool-on-prebuilt-index variant that isolates the checking
-//! passes from the index build. Worker count 1 documents the degenerate
-//! serial-on-calling-thread fallback's overhead.
+//! The fold shards each batch's pair sweeps across a scoped worker pool and
+//! concatenates the results in job order, so every worker count yields the
+//! identical violation list; worker count 1 is the serial fold on the
+//! calling thread (what `check_all` runs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nearpm_bench::synthetic::{synthetic_undo_log_trace, SyntheticTraceSpec};
-use nearpm_ppo::pool::WorkerPool;
-use nearpm_ppo::{check_all, check_all_indexed_parallel, check_all_parallel, TraceIndex};
+use nearpm_ppo::IncrementalChecker;
 
 fn bench_check_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("check_parallel");
@@ -19,22 +16,16 @@ fn bench_check_parallel(c: &mut Criterion) {
 
     for &events in &[50_000usize, 200_000] {
         let trace = synthetic_undo_log_trace(SyntheticTraceSpec::fig16(events));
-        group.bench_with_input(BenchmarkId::new("serial", events), &trace, |b, t| {
-            b.iter(|| check_all(t).len())
-        });
         for &workers in &[1usize, 2, 4, 8] {
             group.bench_with_input(
-                BenchmarkId::new(format!("parallel_w{workers}"), events),
-                &trace,
-                |b, t| b.iter(|| check_all_parallel(t, workers).len()),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("passes_only_w{workers}"), events),
+                BenchmarkId::new(format!("fold_w{workers}"), events),
                 &trace,
                 |b, t| {
-                    let idx = TraceIndex::new(t);
-                    let pool = WorkerPool::new(workers);
-                    b.iter(|| check_all_indexed_parallel(&idx, &pool).len())
+                    b.iter(|| {
+                        let mut fold = IncrementalChecker::new();
+                        fold.set_workers(workers);
+                        fold.check(t).len()
+                    })
                 },
             );
         }

@@ -1,14 +1,14 @@
-//! Criterion bench of the PPO checkers: indexed single-pass implementation
-//! vs the naive nested-scan oracle, on fig16-shaped synthetic traces.
+//! Criterion bench of the PPO checker: `check_all` (a one-batch incremental
+//! fold) vs the naive nested-scan oracle, on fig16-shaped synthetic traces.
 //!
 //! The naive oracle is only run at small sizes (its cost grows
-//! quadratically); the indexed checkers are benched up to fig16 scale. The
+//! quadratically); the fold is benched up to fig16 scale. The
 //! `ppo_check_smoke` binary performs the head-to-head ≥100k-event comparison.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nearpm_bench::synthetic::{synthetic_undo_log_trace, SyntheticTraceSpec};
+use nearpm_ppo::check_all;
 use nearpm_ppo::invariants::oracle;
-use nearpm_ppo::{check_all, check_all_indexed, TraceIndex};
 
 fn bench_ppo_check(c: &mut Criterion) {
     let mut group = c.benchmark_group("ppo_check");
@@ -16,15 +16,8 @@ fn bench_ppo_check(c: &mut Criterion) {
 
     for &events in &[10_000usize, 50_000, 100_000] {
         let trace = synthetic_undo_log_trace(SyntheticTraceSpec::fig16(events));
-        group.bench_with_input(BenchmarkId::new("indexed", events), &trace, |b, t| {
+        group.bench_with_input(BenchmarkId::new("fold", events), &trace, |b, t| {
             b.iter(|| check_all(t).len())
-        });
-        group.bench_with_input(BenchmarkId::new("index_build", events), &trace, |b, t| {
-            b.iter(|| TraceIndex::new(t).failure_ts())
-        });
-        group.bench_with_input(BenchmarkId::new("query_only", events), &trace, |b, t| {
-            let idx = TraceIndex::new(t);
-            b.iter(|| check_all_indexed(&idx).len())
         });
     }
 

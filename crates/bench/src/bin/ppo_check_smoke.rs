@@ -1,21 +1,31 @@
-//! fig16-scale PPO checker smoke test: indexed vs naive, head to head.
+//! fig16-scale PPO checker smoke test: `check_all` vs naive, head to head.
 //!
 //! Builds a synthetic trace with the shape of a fig16 end-to-end run
-//! (≥100k events), runs the naive oracle once and the indexed checkers
-//! several times, verifies both report the identical violation list, and
-//! asserts the indexed implementation is at least 10× faster. Exits nonzero
-//! on any mismatch or if the speedup target is missed. `--json out.json`
-//! additionally writes a flat machine-readable record (event count, wall
-//! times, speedup) so the perf trajectory can be tracked across changes.
+//! (≥100k events) and checks it in two legs:
+//!
+//! * **clean** — the trace as generated, which verifies clean;
+//! * **perturbed** — the same trace re-recorded with deterministic
+//!   timestamp flips (`perturbed_undo_log_trace`) that break Invariants 1
+//!   and 3, so the comparison also covers violation reporting at scale.
+//!
+//! Each leg runs the naive oracle once and `check_all` (a one-batch
+//! incremental fold) several times, verifies both report the identical
+//! violation list, and asserts the fold is at least 10× faster. Exits
+//! nonzero on any mismatch or if a speedup target is missed. `--json
+//! out.json` additionally writes a flat machine-readable record (event
+//! count, wall times, speedups, violation counts) so the perf trajectory
+//! can be tracked across changes.
 //!
 //! Run with: `cargo run --release -p nearpm-bench --bin ppo_check_smoke`
 
 use std::time::{Duration, Instant};
 
 use nearpm_bench::json::JsonObject;
-use nearpm_bench::synthetic::{synthetic_undo_log_trace, SyntheticTraceSpec};
-use nearpm_ppo::check_all;
+use nearpm_bench::synthetic::{
+    perturbed_undo_log_trace, synthetic_undo_log_trace, SyntheticTraceSpec,
+};
 use nearpm_ppo::invariants::oracle;
+use nearpm_ppo::{check_all, PpoViolation, Trace};
 
 const TARGET_EVENTS: usize = 120_000;
 const REQUIRED_SPEEDUP: f64 = 10.0;
@@ -47,6 +57,44 @@ fn json_path() -> Option<String> {
     json
 }
 
+/// One leg's outcome: the fold's best-of-5 time, the oracle's time, and the
+/// (identical) violation list.
+struct Leg {
+    fold_best: Duration,
+    naive_time: Duration,
+    violations: Vec<PpoViolation>,
+}
+
+impl Leg {
+    fn speedup(&self) -> f64 {
+        self.naive_time.as_secs_f64() / self.fold_best.as_secs_f64().max(1e-9)
+    }
+}
+
+/// Checks `trace` with the fold (several runs, keeping the fastest — the
+/// steady-state figure) and once with the naive oracle (the slow side by
+/// construction), and asserts both report the identical violation list.
+fn run_leg(name: &str, trace: &Trace) -> Leg {
+    let mut fold_best = Duration::MAX;
+    let mut violations = Vec::new();
+    for _ in 0..5 {
+        let (v, d) = time(|| check_all(trace));
+        fold_best = fold_best.min(d);
+        violations = v;
+    }
+    let (naive_violations, naive_time) = time(|| oracle::check_all(trace));
+    println!("{name}: check_all {fold_best:?} (best of 5), naive {naive_time:?}");
+    assert_eq!(
+        violations, naive_violations,
+        "{name} leg: check_all and the naive oracle disagree at fig16 scale"
+    );
+    Leg {
+        fold_best,
+        naive_time,
+        violations,
+    }
+}
+
 fn main() {
     let json = json_path();
     println!("== PPO checker smoke test (fig16 scale) ==");
@@ -58,41 +106,53 @@ fn main() {
         "trace too small for the acceptance bar"
     );
 
-    // Indexed: several runs, keep the fastest (steady-state figure).
-    let mut indexed_best = Duration::MAX;
-    let mut indexed_violations = Vec::new();
-    for _ in 0..5 {
-        let (v, d) = time(|| check_all(&trace));
-        indexed_best = indexed_best.min(d);
-        indexed_violations = v;
-    }
-
-    // Naive oracle: one run (it is the slow side by construction).
-    let (naive_violations, naive_time) = time(|| oracle::check_all(&trace));
-
-    println!("indexed check_all:  {indexed_best:?} (best of 5)");
-    println!("naive   check_all:  {naive_time:?}");
-    assert_eq!(
-        indexed_violations, naive_violations,
-        "indexed and naive checkers disagree at fig16 scale"
-    );
+    let clean = run_leg("clean", &trace);
     assert!(
-        indexed_violations.is_empty(),
-        "synthetic trace unexpectedly has violations: {indexed_violations:?}"
+        clean.violations.is_empty(),
+        "synthetic trace unexpectedly has violations: {:?}",
+        clean.violations
     );
 
-    let speedup = naive_time.as_secs_f64() / indexed_best.as_secs_f64().max(1e-9);
-    println!("speedup: {speedup:.1}x (required: ≥{REQUIRED_SPEEDUP:.0}x)");
+    let (perturbed_trace, perturb_time) = time(|| perturbed_undo_log_trace(&trace));
+    drop(trace);
+    let perturbed = run_leg("perturbed", &perturbed_trace);
+    let count =
+        |pred: fn(&PpoViolation) -> bool| perturbed.violations.iter().filter(|v| pred(v)).count();
+    let shared = count(|v| matches!(v, PpoViolation::SharedOrderViolation { .. }));
+    let unpersisted = count(|v| matches!(v, PpoViolation::UnpersistedBeforeSync { .. }));
+    println!(
+        "perturbed: {} violations ({shared} shared-order, {unpersisted} unpersisted-before-sync)",
+        perturbed.violations.len()
+    );
+    assert!(shared > 0, "perturbed leg produced no SharedOrderViolation");
+    assert!(
+        unpersisted > 0,
+        "perturbed leg produced no UnpersistedBeforeSync"
+    );
+
+    let (speedup, perturbed_speedup) = (clean.speedup(), perturbed.speedup());
+    println!("speedup: clean {speedup:.1}x, perturbed {perturbed_speedup:.1}x (required: ≥{REQUIRED_SPEEDUP:.0}x)");
 
     if let Some(path) = &json {
         let record = JsonObject::new()
             .str("bench", "ppo_check_smoke")
-            .int("events", trace.len() as u64)
+            .int("events", perturbed_trace.len() as u64)
             .num("generate_seconds", gen_time.as_secs_f64())
-            .num("indexed_seconds", indexed_best.as_secs_f64())
-            .num("naive_seconds", naive_time.as_secs_f64())
+            .num("indexed_seconds", clean.fold_best.as_secs_f64())
+            .num("naive_seconds", clean.naive_time.as_secs_f64())
             .num("speedup", speedup)
-            .num("required_speedup", REQUIRED_SPEEDUP);
+            .num("required_speedup", REQUIRED_SPEEDUP)
+            .obj(
+                "perturbed",
+                JsonObject::new()
+                    .num("perturb_seconds", perturb_time.as_secs_f64())
+                    .num("fold_seconds", perturbed.fold_best.as_secs_f64())
+                    .num("naive_seconds", perturbed.naive_time.as_secs_f64())
+                    .num("speedup", perturbed_speedup)
+                    .int("violations", perturbed.violations.len() as u64)
+                    .int("shared_order_violations", shared as u64)
+                    .int("unpersisted_before_sync", unpersisted as u64),
+            );
         record.write_to(path).unwrap_or_else(|e| {
             eprintln!("FAIL: cannot write {path}: {e}");
             std::process::exit(1);
@@ -100,9 +160,9 @@ fn main() {
         println!("wrote {path}");
     }
 
-    if speedup < REQUIRED_SPEEDUP {
+    if speedup < REQUIRED_SPEEDUP || perturbed_speedup < REQUIRED_SPEEDUP {
         eprintln!("FAIL: speedup below target");
         std::process::exit(1);
     }
-    println!("OK: identical violation output, ≥{REQUIRED_SPEEDUP:.0}x speedup");
+    println!("OK: identical violation output on both legs, ≥{REQUIRED_SPEEDUP:.0}x speedup");
 }

@@ -22,9 +22,9 @@
 //! strict prefix of the final run against an oracle that rescans that
 //! prefix from scratch, a large invocation doubles as the prefix-replay
 //! test for the whole observe path. After the run, the final trace is
-//! handed to the parallel checker at several worker counts (including the
-//! degenerate 1) and every violation list must be identical to the serial
-//! checker's.
+//! folded from scratch in one batch at several worker counts (including the
+//! degenerate 1): every violation list and relaxed-persist count must equal
+//! the report's, and the count must equal the naive oracle's.
 //!
 //! A second leg then drives the **same** deterministic run with streaming
 //! trace compaction on (and the checker's worker pool engaged), sampling at
@@ -43,7 +43,8 @@ use std::time::{Duration, Instant};
 
 use nearpm_bench::json::JsonObject;
 use nearpm_bench::synthetic::{drive_fig20_system, drive_fig20_system_configured};
-use nearpm_ppo::{check_all, check_all_parallel, relaxed_persist_count};
+use nearpm_ppo::invariants::oracle;
+use nearpm_ppo::IncrementalChecker;
 
 const THREADS: usize = 16;
 const DEFAULT_TARGET_EVENTS: usize = 120_000;
@@ -62,7 +63,7 @@ const BASE_SAMPLES: usize = 128;
 /// still catches an accidental O(n)-per-sample regression on the
 /// incremental path).
 const BASE_REQUIRED_SPEEDUP: f64 = 10.0;
-const PARALLEL_WORKERS: [usize; 3] = [1, 2, 4];
+const FOLD_WORKERS: [usize; 3] = [1, 2, 4];
 /// Worker count the compaction leg hands the incremental checker — the
 /// parallel fold must stay report-equal to the serial fold inside a live
 /// sampled run, not just on detached traces.
@@ -176,7 +177,7 @@ fn main() {
     assert!(samples_taken >= samples / 2, "sampling cadence broken");
 
     // Final end-of-run report, also both ways (keeping the trace for the
-    // parallel-checker differential below).
+    // one-batch fold differential below).
     let t1 = Instant::now();
     let final_oracle = sys.report_oracle();
     oracle_time += t1.elapsed();
@@ -186,31 +187,35 @@ fn main() {
     assert_eq!(final_report, final_oracle, "final report diverged");
     drop(sys); // the compaction leg below builds its own 10M-event system
 
-    // The parallel checker must produce byte-identical violation lists to
-    // the serial one on the full final trace, at every worker count.
-    let t2 = Instant::now();
-    let serial_violations = check_all(&trace);
-    let serial_check = t2.elapsed();
-    assert_eq!(
-        serial_violations, final_report.ppo_violations,
-        "standalone serial check diverged from the report"
-    );
-    let mut parallel_json = JsonObject::new();
-    for workers in PARALLEL_WORKERS {
-        let t3 = Instant::now();
-        let parallel_violations = check_all_parallel(&trace, workers);
-        let par_check = t3.elapsed();
+    // A from-scratch one-batch fold of the full final trace must reproduce
+    // the report's violation list and relaxed-persist count byte for byte,
+    // at every worker count.
+    let mut fold_json = JsonObject::new();
+    for workers in FOLD_WORKERS {
+        let t2 = Instant::now();
+        let mut fold = IncrementalChecker::new();
+        fold.set_workers(workers);
+        let violations = fold.check(&trace);
+        let fold_check = t2.elapsed();
         assert_eq!(
-            parallel_violations, serial_violations,
-            "parallel checker ({workers} workers) diverged from serial"
+            violations, final_report.ppo_violations,
+            "one-batch fold ({workers} workers) diverged from the report"
         );
-        println!("check_all_parallel({workers}): {par_check:?} (serial: {serial_check:?})");
-        parallel_json = parallel_json.num(&workers.to_string(), par_check.as_secs_f64());
+        assert_eq!(
+            fold.relaxed_persist_count(&trace),
+            final_report.relaxed_persists,
+            "one-batch fold ({workers} workers) relaxed_persists diverged from the report"
+        );
+        println!("one-batch fold, {workers} worker(s): {fold_check:?}");
+        fold_json = fold_json.num(&workers.to_string(), fold_check.as_secs_f64());
     }
+    let t3 = Instant::now();
+    let oracle_relaxed = oracle::relaxed_persist_count(&trace);
+    let relaxed_check = t3.elapsed();
+    println!("oracle relaxed_persist_count: {relaxed_check:?}");
     assert_eq!(
-        final_report.relaxed_persists,
-        relaxed_persist_count(&trace),
-        "incremental relaxed_persists diverged from the rescanning count"
+        final_report.relaxed_persists, oracle_relaxed,
+        "incremental relaxed_persists diverged from the naive oracle's count"
     );
     let total_events = trace.len();
     drop(trace);
@@ -282,8 +287,8 @@ fn main() {
             .num("oracle_seconds", oracle_time.as_secs_f64())
             .num("speedup", speedup)
             .num("required_speedup", required_speedup)
-            .num("serial_check_seconds", serial_check.as_secs_f64())
-            .obj("parallel_check_seconds", parallel_json)
+            .obj("fold_check_seconds", fold_json)
+            .num("oracle_relaxed_seconds", relaxed_check.as_secs_f64())
             .obj(
                 "compaction",
                 JsonObject::new()

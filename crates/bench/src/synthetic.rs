@@ -3,15 +3,17 @@
 //! The checker benchmarks need traces with the *shape* of a fig16 end-to-end
 //! run (per-transaction offload → NDP read → NDP log write/persist → CPU
 //! update/persist, with occasional multi-device syncs and a crash/recovery
-//! tail) but with a controllable event count, so that the indexed checkers
-//! can be compared against the naive oracles at 100k+ events. The scheduler
+//! tail) but with a controllable event count, so that the incremental
+//! checker can be compared against the naive oracles at 100k+ events. The scheduler
 //! benchmarks similarly need task graphs with the shape of a fig18 run
 //! (offloaded undo-log transactions overlapping CPU work across two devices)
 //! at a controllable task count. Generation is fully deterministic — no RNG
 //! — so benchmark runs are reproducible.
 
+use std::collections::HashMap;
+
 use nearpm_core::{AddrRange, ExecMode, NearPmOp, NearPmSystem, SystemConfig};
-use nearpm_ppo::{Agent, EventKind, Interval, Sharing, Trace};
+use nearpm_ppo::{Agent, EventKind, Interval, ProcId, Sharing, Trace};
 use nearpm_sim::schedule::oracle;
 use nearpm_sim::{Region, Resource, Schedule, SimDuration, SimTime, TaskGraph};
 
@@ -50,9 +52,10 @@ impl SyntheticTraceSpec {
 }
 
 /// Generates a PPO-clean trace with the transaction shape of the fig16
-/// end-to-end workloads. The trace verifies cleanly under both the indexed
-/// checkers and the naive oracles, so benchmark comparisons measure checking
-/// speed, not violation-reporting throughput.
+/// end-to-end workloads. The trace verifies cleanly under both `check_all`
+/// and the naive oracles, so benchmark comparisons measure checking speed,
+/// not violation-reporting throughput ([`perturbed_undo_log_trace`] adds
+/// the violations).
 pub fn synthetic_undo_log_trace(spec: SyntheticTraceSpec) -> Trace {
     let mut t = Trace::new(spec.devices);
     let mut ts: u64 = 100;
@@ -142,6 +145,56 @@ pub fn synthetic_undo_log_trace(spec: SyntheticTraceSpec) -> Trace {
             None,
             ts + 10 + i,
         );
+    }
+    t
+}
+
+/// Re-records `clean` — a trace from [`synthetic_undo_log_trace`] — with
+/// deterministic timestamp perturbations that break PPO, so the checkers can
+/// be compared on violation reporting at scale, not just on clean traces.
+/// Event order, agents, intervals, and ids are unchanged; only timestamps
+/// move:
+///
+/// * every 97th transaction's CPU update is stamped just before its NDP
+///   read of the same object (Invariant 1: a `SharedOrderViolation`);
+/// * transactions 3, 11, 19, … that record a proc-scoped sync have their
+///   log persist stamped just after that sync (Invariant 3: an
+///   `UnpersistedBeforeSync`).
+pub fn perturbed_undo_log_trace(clean: &Trace) -> Trace {
+    let sync_ts: HashMap<ProcId, u64> = clean
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::Sync)
+        .filter_map(|e| Some((e.proc?, e.timestamp_ps)))
+        .collect();
+    let devices = clean
+        .events()
+        .iter()
+        .filter_map(|e| match e.agent {
+            Agent::Ndp(d) => Some(d + 1),
+            Agent::Cpu => None,
+        })
+        .max()
+        .unwrap_or(1);
+    let mut t = Trace::new(devices);
+    let mut txn: Option<u64> = None;
+    let mut ndp_read_ts = 0;
+    for e in clean.events() {
+        let mut ts = e.timestamp_ps;
+        match (e.agent, e.kind) {
+            (Agent::Cpu, EventKind::Offload) => txn = Some(txn.map_or(0, |n| n + 1)),
+            (Agent::Ndp(_), EventKind::Read) => ndp_read_ts = ts,
+            (Agent::Cpu, EventKind::Write) if txn.is_some_and(|n| n % 97 == 96) => {
+                ts = ndp_read_ts.saturating_sub(1);
+            }
+            (Agent::Ndp(_), EventKind::Persist) if txn.is_some_and(|n| n % 8 == 3) => {
+                if let Some(&sync) = e.proc.and_then(|p| sync_ts.get(&p)) {
+                    ts = sync + 1;
+                }
+            }
+            _ => {}
+        }
+        t.record(e.agent, e.kind, e.interval, e.sharing, e.proc, e.sync, ts);
     }
     t
 }
@@ -426,7 +479,7 @@ fn analysis_windows(horizon: SimTime) -> Vec<(SimTime, SimTime)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nearpm_ppo::{check_all, invariants::oracle};
+    use nearpm_ppo::{check_all, invariants::oracle, PpoViolation};
 
     #[test]
     fn synthetic_trace_hits_target_size_and_is_clean() {
@@ -442,5 +495,27 @@ mod tests {
     fn synthetic_trace_agrees_with_oracle_at_modest_scale() {
         let t = synthetic_undo_log_trace(SyntheticTraceSpec::fig16(4_000));
         assert_eq!(check_all(&t), oracle::check_all(&t));
+    }
+
+    #[test]
+    fn perturbed_trace_breaks_ordering_and_sync_and_agrees_with_oracle() {
+        let clean = synthetic_undo_log_trace(SyntheticTraceSpec::fig16(4_000));
+        let t = perturbed_undo_log_trace(&clean);
+        assert_eq!(t.len(), clean.len());
+        let violations = check_all(&t);
+        assert_eq!(violations, oracle::check_all(&t));
+        let count = |pred: fn(&PpoViolation) -> bool| violations.iter().filter(|v| pred(v)).count();
+        // One ordering violation per 97 transactions, and one sync violation
+        // for each of the synced transactions 3, 11, 19, 27.
+        let txns = t
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::Offload)
+            .count();
+        let shared = count(|v| matches!(v, PpoViolation::SharedOrderViolation { .. }));
+        let unpersisted = count(|v| matches!(v, PpoViolation::UnpersistedBeforeSync { .. }));
+        assert_eq!(shared, txns / 97);
+        assert_eq!(unpersisted, 4);
+        assert_eq!(violations.len(), shared + unpersisted, "{violations:?}");
     }
 }

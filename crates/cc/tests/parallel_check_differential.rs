@@ -1,21 +1,21 @@
-//! System-level differential gate for parallel PPO checking.
+//! System-level differential gate for PPO checking.
 //!
-//! The ppo crate already proves `check_all_parallel == check_all == oracle`
-//! on randomized adversarial traces; this test closes the loop at the other
-//! end of the stack: the traces the four crash-consistency mechanisms
+//! The ppo crate already proves the incremental fold equal to the naive
+//! oracle on randomized adversarial traces; this test closes the loop at the
+//! other end of the stack: the traces the four crash-consistency mechanisms
 //! (undo logging, redo logging, checkpointing, shadow paging) actually
 //! produce through the full `NearPmSystem` — in every execution mode, from
 //! the serial CPU baseline to the pipelined NearPM MD front-end, including
 //! a crash/recovery segment — must yield **identical violation lists** from
-//! the serial indexed checker, the scoped-thread-pool parallel checker at
-//! several worker counts (including the degenerate 1), and the naive
-//! rescanning oracle. The report's incrementally maintained
-//! `relaxed_persists` column is held to the same standard.
+//! the system's report, a one-batch fold of the whole trace at several
+//! worker counts (including the degenerate 1), and the naive rescanning
+//! oracle. The report's incrementally maintained `relaxed_persists` column
+//! is held to the same standard.
 
 use nearpm_cc::{Checkpoint, RedoLog, ShadowPaging, UndoLog};
-use nearpm_core::{ExecMode, NearPmSystem, PoolId, Region, SystemConfig, VirtAddr};
+use nearpm_core::{ExecMode, NearPmSystem, PoolId, Region, RunReport, SystemConfig, VirtAddr};
 use nearpm_ppo::invariants::oracle;
-use nearpm_ppo::{check_all, check_all_parallel, relaxed_persist_count, Trace};
+use nearpm_ppo::{IncrementalChecker, Trace};
 
 const WORKERS: [usize; 3] = [1, 2, 4];
 
@@ -25,29 +25,33 @@ fn setup(mode: ExecMode) -> (NearPmSystem, PoolId) {
     (sys, pool)
 }
 
-/// Asserts the three checker implementations agree on `trace` and that the
-/// system's incremental relaxed-persist column matches the rescanning
-/// answers.
-fn assert_checkers_agree(trace: &Trace, relaxed_from_report: usize, context: &str) {
-    let serial = check_all(trace);
+/// Asserts the report, the one-batch fold at every worker count, and the
+/// naive oracle agree on `trace`, violation lists and relaxed-persist
+/// counts alike.
+fn assert_checkers_agree(trace: &Trace, report: &RunReport, context: &str) {
     let naive = oracle::check_all(trace);
-    assert_eq!(serial, naive, "serial vs oracle diverged: {context}");
+    assert_eq!(
+        report.ppo_violations, naive,
+        "report vs oracle diverged: {context}"
+    );
     for workers in WORKERS {
+        let mut fold = IncrementalChecker::new();
+        fold.set_workers(workers);
         assert_eq!(
-            check_all_parallel(trace, workers),
-            serial,
-            "parallel ({workers} workers) vs serial diverged: {context}"
+            fold.check(trace),
+            report.ppo_violations,
+            "one-batch fold ({workers} workers) vs report diverged: {context}"
+        );
+        assert_eq!(
+            fold.relaxed_persist_count(trace),
+            report.relaxed_persists,
+            "one-batch fold ({workers} workers) vs report relaxed_persists: {context}"
         );
     }
-    let relaxed = relaxed_persist_count(trace);
     assert_eq!(
-        relaxed_from_report, relaxed,
-        "report's incremental relaxed_persists vs indexed rescan: {context}"
-    );
-    assert_eq!(
-        relaxed,
+        report.relaxed_persists,
         oracle::relaxed_persist_count(trace),
-        "indexed vs oracle relaxed_persist_count: {context}"
+        "report's incremental relaxed_persists vs oracle: {context}"
     );
 }
 
@@ -78,7 +82,7 @@ fn undo_log_traces_check_identically_in_all_modes() {
         undo.recover(&mut sys).unwrap();
         let (report, trace) = sys.report_with_trace();
         assert!(report.ppo_violations.is_empty(), "{mode:?}");
-        assert_checkers_agree(&trace, report.relaxed_persists, &format!("undo {mode:?}"));
+        assert_checkers_agree(&trace, &report, &format!("undo {mode:?}"));
     }
 }
 
@@ -97,7 +101,7 @@ fn redo_log_traces_check_identically_in_all_modes() {
         redo.commit(&mut sys).unwrap();
         let (report, trace) = sys.report_with_trace();
         assert!(report.ppo_violations.is_empty(), "{mode:?}");
-        assert_checkers_agree(&trace, report.relaxed_persists, &format!("redo {mode:?}"));
+        assert_checkers_agree(&trace, &report, &format!("redo {mode:?}"));
     }
 }
 
@@ -120,7 +124,7 @@ fn checkpoint_traces_check_identically_in_all_modes() {
         ckpt.recover(&mut sys).unwrap();
         let (report, trace) = sys.report_with_trace();
         assert!(report.ppo_violations.is_empty(), "{mode:?}");
-        assert_checkers_agree(&trace, report.relaxed_persists, &format!("ckpt {mode:?}"));
+        assert_checkers_agree(&trace, &report, &format!("ckpt {mode:?}"));
     }
 }
 
@@ -136,6 +140,6 @@ fn shadow_paging_traces_check_identically_in_all_modes() {
         shadow.update(&mut sys, 1, 0, &[7u8; 16]).unwrap();
         let (report, trace) = sys.report_with_trace();
         assert!(report.ppo_violations.is_empty(), "{mode:?}");
-        assert_checkers_agree(&trace, report.relaxed_persists, &format!("shadow {mode:?}"));
+        assert_checkers_agree(&trace, &report, &format!("shadow {mode:?}"));
     }
 }

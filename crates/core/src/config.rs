@@ -1,6 +1,5 @@
 //! System configuration: execution modes and platform parameters.
 
-use nearpm_device::DispatchPolicy;
 use nearpm_pm::MediaConfig;
 use nearpm_sim::{LatencyModel, Topology};
 
@@ -74,8 +73,6 @@ pub struct SystemConfig {
     pub cpu_threads: usize,
     /// Latency/bandwidth model.
     pub latency: LatencyModel,
-    /// Unit-assignment policy of every device's dispatcher.
-    pub dispatch: DispatchPolicy,
     /// Parallel decode lanes in every device's front-end (1 in the
     /// prototype; 2 removes the decode bottleneck heavy multi-client loads
     /// hit at high unit counts).
@@ -112,7 +109,6 @@ impl SystemConfig {
             interleave_granularity: 4096,
             cpu_threads: 1,
             latency: LatencyModel::default(),
-            dispatch: DispatchPolicy::default(),
             decode_lanes: 1,
             media: MediaConfig::default(),
             checker_workers: 1,
@@ -174,13 +170,6 @@ impl SystemConfig {
     /// Overrides the latency model.
     pub fn with_latency(mut self, latency: LatencyModel) -> Self {
         self.latency = latency;
-        self
-    }
-
-    /// Overrides the unit-assignment policy (earliest-available by default;
-    /// round-robin retained for regression comparisons).
-    pub fn with_dispatch(mut self, dispatch: DispatchPolicy) -> Self {
-        self.dispatch = dispatch;
         self
     }
 

@@ -43,7 +43,7 @@ pub use system::{LatencySummary, NearPmSystem, OffloadHandle, RunReport, MANIFES
 pub use trace::TraceBuilder;
 
 // Re-export the types callers need to drive the system.
-pub use nearpm_device::{DispatchPolicy, NearPmOp, ThreadId};
+pub use nearpm_device::{NearPmOp, ThreadId};
 pub use nearpm_pm::{AddrRange, MediaConfig, MediaKind, PhysAddr, PoolId, VirtAddr};
 pub use nearpm_ppo::Sharing;
 pub use nearpm_sim::{LatencyModel, Region, SimDuration};

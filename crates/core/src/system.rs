@@ -301,7 +301,6 @@ impl NearPmSystem {
                     id,
                     units: config.units_per_device,
                     fifo_depth: config.fifo_depth,
-                    dispatch: config.dispatch,
                     decode_lanes: config.decode_lanes,
                 })
             })
@@ -1558,8 +1557,10 @@ impl NearPmSystem {
 
     /// The retained O(n)-per-call recompute path: re-aggregates the whole
     /// task list into a fresh schedule/timeline
-    /// (`nearpm_sim::schedule::oracle::aggregate`) and re-checks the whole
-    /// trace against a freshly built index (`nearpm_ppo::check_all`).
+    /// (`nearpm_sim::schedule::oracle::aggregate`) and folds the whole trace
+    /// once through a fresh `IncrementalChecker` (what `nearpm_ppo::check_all`
+    /// does), reading both the violation list and the relaxed-persist count
+    /// off that one checker.
     /// Differential tests assert the result equals [`NearPmSystem::report`]
     /// at every prefix of a run; the `report_smoke` gate and the
     /// `report_incremental` bench measure the incremental path against it.
@@ -1574,6 +1575,7 @@ impl NearPmSystem {
         let ndp_unit_utilization = self.unit_utilization(schedule.timeline());
         let (ndp_bytes_moved, ndp_requests, fifo_high_watermark, fifo_stall_time, fifo_stalls) =
             self.device_report_fields();
+        let mut checker = nearpm_ppo::IncrementalChecker::new();
         RunReport {
             mode: self.config.mode,
             makespan: schedule.makespan(),
@@ -1582,8 +1584,8 @@ impl NearPmSystem {
             region_time,
             cpu_ndp_overlap: schedule.cpu_ndp_overlap(),
             overlap_fraction: schedule.overlap_fraction(),
-            ppo_violations: nearpm_ppo::check_all(self.trace.trace()),
-            relaxed_persists: nearpm_ppo::relaxed_persist_count(self.trace.trace()),
+            ppo_violations: checker.check(self.trace.trace()),
+            relaxed_persists: checker.relaxed_persist_count(self.trace.trace()),
             trace_events: self.trace.len(),
             ndp_bytes_moved,
             ndp_requests,

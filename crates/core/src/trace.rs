@@ -1,4 +1,4 @@
-//! Incremental PPO trace construction and cached checking.
+//! Incremental PPO trace construction and checking.
 //!
 //! Functional effects are applied while the task graph is being built. Since
 //! the graph maintains every task's start/finish time incrementally (see
@@ -6,18 +6,17 @@
 //! record time — the finish time of the task they are tied to — instead of
 //! being resolved in a separate pass after scheduling. The [`TraceBuilder`]
 //! therefore owns a concrete [`nearpm_ppo::Trace`] that only ever grows, and
-//! a cached [`IncrementalTraceIndex`] that folds in exactly the events
-//! appended since the last check. Multi-`report()` runs (the fig18–20
-//! sweeps) stop rebuilding the checker index from scratch each time.
+//! an [`IncrementalChecker`] that folds in exactly the events appended since
+//! the last check, so multi-`report()` runs (the fig18–20 sweeps, sampled
+//! runs) check each event once instead of re-checking the whole trace.
 
 use nearpm_ppo::{
-    check_all_cached, Agent, EventKind, IncrementalChecker, Interval, PpoViolation, ProcId,
-    Sharing, SyncId, Trace,
+    Agent, EventKind, IncrementalChecker, Interval, PpoViolation, ProcId, Sharing, SyncId, Trace,
 };
 use nearpm_sim::{TaskGraph, TaskId};
 
-/// Accumulates PPO events during graph construction and checks them against
-/// a cached violation-level incremental checker.
+/// Accumulates PPO events during graph construction and checks them with a
+/// violation-level incremental checker.
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
     trace: Trace,
@@ -81,23 +80,23 @@ impl TraceBuilder {
         &self.trace
     }
 
-    /// Runs the PPO checkers, folding only the events recorded since the
-    /// previous call into the cached incremental checker — repeated clean
-    /// checks of a growing trace cost O(new events · log n) end to end.
+    /// Checks the PPO invariants, folding only the events recorded since the
+    /// previous call into the incremental checker — repeated clean checks of
+    /// a growing trace cost O(new events · log n) end to end.
     pub fn check(&mut self) -> Vec<PpoViolation> {
-        check_all_cached(&self.trace, &mut self.checker)
+        self.checker.check(&self.trace)
     }
 
-    /// Number of events already folded into the cached checker.
+    /// Number of events already folded into the checker.
     pub fn indexed_events(&self) -> usize {
         self.checker.consumed()
     }
 
     /// Number of NDP persists to NDP-managed addresses that PPO allowed to
     /// be delayed past CPU program order (Invariant 2's relaxation),
-    /// maintained incrementally alongside the cached checker — the same
-    /// answer as `nearpm_ppo::relaxed_persist_count` without rescanning the
-    /// trace.
+    /// maintained incrementally by the checker — the same answer as the
+    /// naive `nearpm_ppo::invariants::oracle::relaxed_persist_count` without
+    /// rescanning the trace.
     pub fn relaxed_persist_count(&mut self) -> usize {
         self.checker.relaxed_persist_count(&self.trace)
     }
@@ -109,7 +108,7 @@ impl TraceBuilder {
         self.checker.set_workers(workers);
     }
 
-    /// Retires every event the cached checker has folded and can never
+    /// Retires every event the checker has folded and can never
     /// reference again (see `IncrementalChecker::pinned_floor`), evicting
     /// them from the live trace into its sealed summary. Returns how many
     /// events were evicted. Callers must not run whole-trace oracles
@@ -130,7 +129,7 @@ impl TraceBuilder {
         self.trace.retired()
     }
 
-    /// Clears the trace and invalidates the cached checker index.
+    /// Clears the trace and drops the checker's folded state.
     pub fn reset(&mut self) {
         self.trace.clear();
         self.checker.reset();

@@ -26,20 +26,6 @@ use crate::inflight::{InFlightEntry, InFlightTable};
 use crate::request::{MicroOp, NearPmRequest, RequestId, ThreadId};
 use crate::unit::{NearPmUnit, UnitStats};
 
-/// How the dispatcher assigns decoded requests to execution units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchPolicy {
-    /// Pick the unit whose busy-interval timeline frees first (ties broken
-    /// by unit index, so dispatch stays deterministic). With mixed-size
-    /// primitives this keeps long DMA copies from queueing behind each
-    /// other while sibling units idle.
-    #[default]
-    EarliestAvailable,
-    /// Blind round-robin over the units (the pre-timeline policy, retained
-    /// for regression comparisons and the dispatch benchmarks).
-    RoundRobin,
-}
-
 /// Static configuration of one NearPM device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceConfig {
@@ -49,8 +35,6 @@ pub struct DeviceConfig {
     pub units: usize,
     /// Request-FIFO depth (32 in the prototype).
     pub fifo_depth: usize,
-    /// Unit-assignment policy.
-    pub dispatch: DispatchPolicy,
     /// Parallel decode lanes in the front-end (1 in the prototype). Lane 0
     /// is the classic dispatcher resource; extra lanes let decode of
     /// independent requests overlap when many clients contend one device.
@@ -65,15 +49,8 @@ impl DeviceConfig {
             id,
             units: 4,
             fifo_depth: crate::fifo::DEFAULT_FIFO_DEPTH,
-            dispatch: DispatchPolicy::default(),
             decode_lanes: 1,
         }
-    }
-
-    /// Overrides the unit-assignment policy.
-    pub fn with_dispatch(mut self, dispatch: DispatchPolicy) -> Self {
-        self.dispatch = dispatch;
-        self
     }
 
     /// Overrides the number of decode lanes (at least 1).
@@ -178,7 +155,6 @@ pub struct NearPmDevice {
     map: AddressMappingTable,
     inflight: InFlightTable,
     units: Vec<NearPmUnit>,
-    next_unit: usize,
     stats: DeviceStats,
 }
 
@@ -194,7 +170,6 @@ impl NearPmDevice {
             units: (0..config.units)
                 .map(|u| NearPmUnit::new(config.id, u))
                 .collect(),
-            next_unit: 0,
             stats: DeviceStats::default(),
         }
     }
@@ -539,22 +514,14 @@ impl NearPmDevice {
         // Step 6a: hand the request to a unit. Earliest-available dispatch
         // ranks units by when both the unit and its issue queue free (read
         // from the incrementally maintained schedule; ties break toward the
-        // lowest index, so assignment stays deterministic); round-robin is
-        // retained as the legacy comparison policy.
-        let unit_index = match self.config.dispatch {
-            DispatchPolicy::EarliestAvailable => (0..self.units.len())
-                .min_by_key(|&u| {
-                    let unit_free = self.units[u].busy_until(graph);
-                    let queue_free = graph.resource_available(self.units[u].issue_queue());
-                    (unit_free.max(queue_free), u)
-                })
-                .expect("a device has at least one unit"),
-            DispatchPolicy::RoundRobin => {
-                let u = self.next_unit % self.units.len();
-                self.next_unit = self.next_unit.wrapping_add(1);
-                u
-            }
-        };
+        // lowest index, so assignment stays deterministic).
+        let unit_index = (0..self.units.len())
+            .min_by_key(|&u| {
+                let unit_free = self.units[u].busy_until(graph);
+                let queue_free = graph.resource_available(self.units[u].issue_queue());
+                (unit_free.max(queue_free), u)
+            })
+            .expect("a device has at least one unit");
 
         let mut issue_stage_deps = vec![decode];
         issue_stage_deps.extend_from_slice(&conflict_deps);
@@ -634,16 +601,9 @@ impl NearPmDevice {
         );
 
         // The pre-pipelining unit choice ranked by unit availability alone.
-        let unit_index = match self.config.dispatch {
-            DispatchPolicy::EarliestAvailable => (0..self.units.len())
-                .min_by_key(|&u| (self.units[u].busy_until(graph), u))
-                .expect("a device has at least one unit"),
-            DispatchPolicy::RoundRobin => {
-                let u = self.next_unit % self.units.len();
-                self.next_unit = self.next_unit.wrapping_add(1);
-                u
-            }
-        };
+        let unit_index = (0..self.units.len())
+            .min_by_key(|&u| (self.units[u].busy_until(graph), u))
+            .expect("a device has at least one unit");
 
         let finish = self.run_program(unit_index, &program, space, graph, model, dispatch);
         let bytes = self.track_request(id, &request, &reads, &writes, finish);
@@ -931,45 +891,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             next.unit, 1,
-            "unit 1 frees first; round-robin would have picked unit 0"
-        );
-    }
-
-    /// Satellite regression: on a mixed-size primitive workload,
-    /// earliest-available dispatch must strictly beat blind round-robin on
-    /// makespan (round-robin ties long DMA copies to one unit while the
-    /// others idle).
-    #[test]
-    fn earliest_available_beats_round_robin_makespan_on_mixed_sizes() {
-        let run = |policy: DispatchPolicy| {
-            let mut dev = NearPmDevice::new(DeviceConfig::prototype(0).with_dispatch(policy));
-            let mut space = PmSpace::single(4 << 20);
-            dev.register_pool(PoolId(0), VirtAddr(0x1000_0000), PhysAddr(0), 4 << 20);
-            let mut graph = TaskGraph::new();
-            let model = LatencyModel::default();
-            // Alternating long (16 kB) and short (64 B) copies: round-robin
-            // pins every other long copy onto the same two units.
-            for i in 0..12u64 {
-                let len = if i % 2 == 0 { 16 << 10 } else { 64 };
-                let req = NearPmRequest::new(
-                    PoolId(0),
-                    ThreadId(0),
-                    NearPmOp::ShadowCopy {
-                        src: VirtAddr(0x1000_0000 + i * 0x2_0000),
-                        dst: VirtAddr(0x1000_0000 + i * 0x2_0000 + 0x1_0000),
-                        len,
-                    },
-                );
-                dev.submit(req, &mut space, &mut graph, &model, &[])
-                    .unwrap();
-            }
-            Schedule::compute(&graph).makespan()
-        };
-        let earliest = run(DispatchPolicy::EarliestAvailable);
-        let round_robin = run(DispatchPolicy::RoundRobin);
-        assert!(
-            earliest < round_robin,
-            "earliest-available ({earliest}) must strictly beat round-robin ({round_robin})"
+            "unit 1 frees first; unit 0 is still busy with the large copy"
         );
     }
 
@@ -1060,7 +982,6 @@ mod tests {
             id: 0,
             units: 4,
             fifo_depth: 2,
-            dispatch: DispatchPolicy::default(),
             decode_lanes: 1,
         };
         let mut dev = NearPmDevice::new(config);
@@ -1163,7 +1084,6 @@ mod tests {
                 id: 0,
                 units,
                 fifo_depth: crate::fifo::DEFAULT_FIFO_DEPTH,
-                dispatch: DispatchPolicy::default(),
                 decode_lanes: 1,
             };
             let mut dev = NearPmDevice::new(config);

@@ -13,9 +13,9 @@
 //! * persistence-domain snapshot/restore of the front-end structures plus
 //!   FIFO replay, modelling the hardware recovery procedure.
 //!
-//! Multi-device coordination (duplicated commands, the Figure-12 state
-//! machine, delayed synchronization) is orchestrated by `nearpm-core` using
-//! the state machines from `nearpm-ppo`.
+//! Multi-device coordination (duplicated commands, delayed synchronization)
+//! is orchestrated by `nearpm-core`, which records every device access in
+//! the `nearpm-ppo` trace the PPO checker verifies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,8 +30,7 @@ pub mod unit;
 
 pub use address_map::{AddressMappingTable, TranslateError};
 pub use device::{
-    DeviceConfig, DeviceError, DevicePersistentState, DeviceStats, DispatchPolicy, ExecutedRequest,
-    NearPmDevice,
+    DeviceConfig, DeviceError, DevicePersistentState, DeviceStats, ExecutedRequest, NearPmDevice,
 };
 pub use fifo::{FifoFull, RequestFifo, DEFAULT_FIFO_DEPTH};
 pub use inflight::{InFlightEntry, InFlightTable};

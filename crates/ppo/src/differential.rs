@@ -1,18 +1,18 @@
-//! Differential tests: indexed checkers vs the naive oracles.
+//! Differential tests: the incremental fold vs the naive oracles.
 //!
 //! Generates randomized traces — adversarial ones, with overlapping
 //! intervals, colliding timestamps, missing offloads, zero-length intervals,
-//! multiple failures, and all event kinds — and asserts that the indexed
-//! single-pass checkers report *exactly* the same violation lists (same
-//! contents, same order) as the original nested-scan oracles.
+//! multiple failures, and all event kinds — and asserts that the fold
+//! reports *exactly* the same violation lists (same contents, same order)
+//! as the original nested-scan oracles: whole trace at once, at every
+//! prefix of a batched replay, and at every worker count.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::event::{Agent, EventKind, Interval, ProcId, Sharing, SyncId, Trace};
 use crate::incremental::IncrementalChecker;
-use crate::index::IncrementalTraceIndex;
-use crate::invariants::{self, oracle};
+use crate::invariants::{self, oracle, PpoViolation};
 
 /// Shape parameters of one random trace.
 struct TraceShape {
@@ -111,69 +111,71 @@ fn random_trace(rng: &mut StdRng, shape: &TraceShape) -> Trace {
     t
 }
 
+/// The violations of `all` in one invariant class, in order: ordering
+/// (Invariants 1/2 including `MissingOffload`), sync (Invariant 3), or
+/// recovery (Invariant 4) — the per-class lists the naive oracle emits.
+fn of_class(all: &[PpoViolation], class: fn(&PpoViolation) -> bool) -> Vec<PpoViolation> {
+    all.iter().filter(|v| class(v)).cloned().collect()
+}
+
+fn is_ordering(v: &PpoViolation) -> bool {
+    matches!(
+        v,
+        PpoViolation::SharedOrderViolation { .. } | PpoViolation::MissingOffload { .. }
+    )
+}
+
+fn is_sync(v: &PpoViolation) -> bool {
+    matches!(v, PpoViolation::UnpersistedBeforeSync { .. })
+}
+
+fn is_recovery(v: &PpoViolation) -> bool {
+    matches!(v, PpoViolation::RecoveryReadUnpersisted { .. })
+}
+
 fn assert_checkers_agree(t: &Trace, seed: u64) {
+    let all = invariants::check_all(t);
     assert_eq!(
-        invariants::check_cpu_ndp_ordering(t),
+        of_class(&all, is_ordering),
         oracle::check_cpu_ndp_ordering(t),
         "cpu/ndp ordering diverged (seed {seed})"
     );
     assert_eq!(
-        invariants::check_sync_persistence(t),
+        of_class(&all, is_sync),
         oracle::check_sync_persistence(t),
         "sync persistence diverged (seed {seed})"
     );
     assert_eq!(
-        invariants::check_recovery_reads(t),
+        of_class(&all, is_recovery),
         oracle::check_recovery_reads(t),
         "recovery reads diverged (seed {seed})"
     );
-    assert_eq!(
-        invariants::check_all(t),
-        oracle::check_all(t),
-        "check_all diverged (seed {seed})"
-    );
-    assert_eq!(
-        invariants::relaxed_persist_count(t),
-        oracle::relaxed_persist_count(t),
-        "relaxed persist count diverged (seed {seed})"
-    );
-    // The parallel checker must produce the *identical* violation list (same
-    // contents, same order) at every worker count, including the degenerate
-    // single-worker pool.
+    let naive = oracle::check_all(t);
+    assert_eq!(all, naive, "check_all diverged (seed {seed})");
+    // The one-batch fold must produce the *identical* violation list (same
+    // contents, same order) and relaxed-persist count at every worker
+    // count, including the degenerate single-worker pool — whole trace at
+    // once and on the no-new-events fast path.
+    let naive_relaxed = oracle::relaxed_persist_count(t);
     for workers in [1, 2, 4] {
+        let mut checker = IncrementalChecker::new();
+        checker.set_workers(workers);
         assert_eq!(
-            invariants::check_all_parallel(t, workers),
-            oracle::check_all(t),
-            "parallel check_all diverged (seed {seed}, workers {workers})"
+            checker.check(t),
+            naive,
+            "fold diverged (seed {seed}, workers {workers})"
+        );
+        assert_eq!(
+            checker.check(t),
+            naive,
+            "re-checked fold diverged (seed {seed}, workers {workers})"
+        );
+        assert_eq!(
+            checker.relaxed_persist_count(t),
+            naive_relaxed,
+            "relaxed persist count diverged (seed {seed}, workers {workers})"
         );
     }
-    // The cached incremental index must agree when fed the whole trace at
-    // once...
-    let mut cache = IncrementalTraceIndex::new();
-    assert_eq!(
-        invariants::check_all_with_index_cache(t, &mut cache),
-        oracle::check_all(t),
-        "index-cached check_all diverged (seed {seed})"
-    );
-    // ...and when re-checked without new events (fully cached path).
-    assert_eq!(
-        invariants::check_all_with_index_cache(t, &mut cache),
-        oracle::check_all(t),
-        "re-checked index-cached check_all diverged (seed {seed})"
-    );
-    // The violation-level incremental checker must agree as well, whole
-    // trace at once and on the no-new-events fast path.
-    let mut checker = IncrementalChecker::new();
-    assert_eq!(
-        invariants::check_all_cached(t, &mut checker),
-        oracle::check_all(t),
-        "incremental checker diverged (seed {seed})"
-    );
-    assert_eq!(
-        invariants::check_all_cached(t, &mut checker),
-        oracle::check_all(t),
-        "re-checked incremental checker diverged (seed {seed})"
-    );
 }
 
 #[test]
@@ -193,9 +195,10 @@ fn random_traces_do_exercise_violations() {
             failure_prob: 0.5,
         };
         let t = random_trace(&mut rng, &shape);
-        ordering += invariants::check_cpu_ndp_ordering(&t).len();
-        sync_v += invariants::check_sync_persistence(&t).len();
-        recovery += invariants::check_recovery_reads(&t).len();
+        let all = invariants::check_all(&t);
+        ordering += of_class(&all, is_ordering).len();
+        sync_v += of_class(&all, is_sync).len();
+        recovery += of_class(&all, is_recovery).len();
     }
     assert!(
         ordering > 50,
@@ -247,7 +250,7 @@ fn indexed_checkers_match_oracles_on_dense_overlap_traces() {
 #[test]
 fn incrementally_extended_index_matches_full_rebuild_at_every_prefix() {
     // Replay random traces into a second trace in random-sized batches,
-    // checking with the cached incremental index after every batch and
+    // checking with the incremental checker after every batch and
     // comparing against a from-scratch check of the same prefix. This
     // exercises failure events arriving in later batches than the writes
     // they bound, level collapses in the logarithmic index, and the
@@ -264,7 +267,6 @@ fn incrementally_extended_index_matches_full_rebuild_at_every_prefix() {
         };
         let t = random_trace(&mut rng, &shape);
         let mut replay = Trace::new(shape.devices);
-        let mut cache = IncrementalTraceIndex::new();
         let mut checker = IncrementalChecker::new();
         let mut i = 0;
         while i < t.len() {
@@ -282,18 +284,13 @@ fn incrementally_extended_index_matches_full_rebuild_at_every_prefix() {
             }
             i += batch;
             let full = invariants::check_all(&replay);
-            assert_eq!(
-                invariants::check_all_with_index_cache(&replay, &mut cache),
-                full,
-                "index-cache prefix of {i} events diverged (seed {seed})"
-            );
             // The violation-level checker must equal a from-scratch check at
             // *every* prefix: late offloads un-parking MissingOffload
             // verdicts, late CPU accesses violating old NDP events, late
             // persists clearing old sync violations, and failure events
             // arriving after the writes/reads they judge all land here.
             assert_eq!(
-                invariants::check_all_cached(&replay, &mut checker),
+                checker.check(&replay),
                 full,
                 "incremental-checker prefix of {i} events diverged (seed {seed})"
             );
@@ -303,15 +300,14 @@ fn incrementally_extended_index_matches_full_rebuild_at_every_prefix() {
                 "oracle prefix (seed {seed})"
             );
             // The incrementally maintained relaxed-persist count must match
-            // the two-pass recompute at every prefix (late CPU accesses
-            // lowering the threshold retroactively count old persists here).
+            // the naive rescan at every prefix (late CPU accesses lowering
+            // the threshold retroactively count old persists here).
             assert_eq!(
                 checker.relaxed_persist_count(&replay),
-                invariants::relaxed_persist_count(&replay),
+                oracle::relaxed_persist_count(&replay),
                 "relaxed-count prefix of {i} events diverged (seed {seed})"
             );
         }
-        assert_eq!(cache.consumed(), t.len());
         assert_eq!(checker.consumed(), t.len());
     }
 }
@@ -322,7 +318,7 @@ fn parallel_fold_matches_serial_fold_at_random_batch_splits_and_worker_counts() 
     // across a worker pool must leave the folded violation list
     // element-for-element equal to the serial fold — at every batch split,
     // at every worker count (including workers > batch size), and equal to
-    // a bulk `check_all` of the same prefix. Odd seeds append the offload
+    // the naive oracle on the same prefix. Odd seeds append the offload
     // records *after* the main event stream so MissingOffload verdicts park
     // across many batches and un-park late (the adversarial case for the
     // parked state both folds must mutate identically).
@@ -391,15 +387,15 @@ fn parallel_fold_matches_serial_fold_at_random_batch_splits_and_worker_counts() 
                     );
                 }
                 i += batch;
-                let bulk = invariants::check_all(replay);
-                let serial_fold = invariants::check_all_cached(replay, serial);
+                let naive = oracle::check_all(replay);
+                let serial_fold = serial.check(replay);
                 assert_eq!(
-                    serial_fold, bulk,
-                    "serial fold diverged from bulk check at prefix {i} (seed {seed})"
+                    serial_fold, naive,
+                    "serial fold diverged from the oracle at prefix {i} (seed {seed})"
                 );
                 for (c, &w) in parallel.iter_mut().zip(&worker_counts) {
                     assert_eq!(
-                        invariants::check_all_cached(replay, c),
+                        c.check(replay),
                         serial_fold,
                         "parallel fold ({w} workers) diverged at prefix {i} (seed {seed})"
                     );
@@ -446,20 +442,12 @@ fn cached_index_detects_trace_reset() {
     };
     let t = random_trace(&mut rng, &shape);
     let mut replay = t.clone();
-    let mut cache = IncrementalTraceIndex::new();
     let mut checker = IncrementalChecker::new();
-    assert_eq!(
-        invariants::check_all_with_index_cache(&replay, &mut cache),
-        invariants::check_all(&t)
-    );
-    assert_eq!(
-        invariants::check_all_cached(&replay, &mut checker),
-        invariants::check_all(&t)
-    );
-    let consumed_before_reset = cache.consumed();
+    assert_eq!(checker.check(&replay), oracle::check_all(&t));
+    let consumed_before_reset = checker.consumed();
     // Reset the trace and regrow it *past* its previous length with
     // different events before the next check: the generation bump must make
-    // the cache rebuild — a length check alone would keep the stale prefix.
+    // the checker rebuild — a length check alone would keep the stale prefix.
     replay.clear();
     assert!(replay.is_empty());
     let t2 = random_trace(
@@ -481,19 +469,14 @@ fn cached_index_detects_trace_reset() {
             e.timestamp_ps,
         );
     }
+    assert_eq!(checker.check(&replay), oracle::check_all(&replay));
     assert_eq!(
-        invariants::check_all_with_index_cache(&replay, &mut cache),
-        invariants::check_all(&replay)
+        checker.relaxed_persist_count(&replay),
+        oracle::relaxed_persist_count(&replay)
     );
-    assert_eq!(
-        invariants::check_all_cached(&replay, &mut checker),
-        invariants::check_all(&replay)
-    );
-    // An empty cleared trace also resets the caches.
+    // An empty cleared trace also resets the checker.
     replay.clear();
-    invariants::check_all_with_index_cache(&replay, &mut cache);
-    assert_eq!(cache.consumed(), 0);
-    assert!(invariants::check_all_cached(&replay, &mut checker).is_empty());
+    assert!(checker.check(&replay).is_empty());
     assert_eq!(checker.consumed(), 0);
 }
 

@@ -14,8 +14,9 @@
 //! * a **timestamp** in simulated time and a per-agent **program-order
 //!   index**.
 //!
-//! The checkers in [`crate::invariants`] consume such traces and verify the
-//! four PPO invariants from Section 4 of the paper.
+//! The checker ([`crate::IncrementalChecker`], [`crate::check_all`])
+//! consumes such traces and verifies the four PPO invariants from Section 4
+//! of the paper.
 
 use std::fmt;
 
@@ -132,22 +133,6 @@ pub struct PpoEvent {
     pub program_order: u64,
 }
 
-impl PpoEvent {
-    /// Builder-style constructor for a control event with no interval.
-    pub fn control(agent: Agent, kind: EventKind, timestamp_ps: u64, program_order: u64) -> Self {
-        PpoEvent {
-            agent,
-            kind,
-            interval: Interval::new(0, 0),
-            sharing: Sharing::Shared,
-            proc: None,
-            sync: None,
-            timestamp_ps,
-            program_order,
-        }
-    }
-}
-
 /// Sealed summary of a retired trace prefix: per-kind event counts and
 /// aggregate byte volume, folded in as events are evicted by
 /// [`Trace::retire_through`]. The counts are exact — a compacting run's
@@ -221,8 +206,8 @@ pub struct Trace {
     /// Timestamp of the first recorded failure event (cached so
     /// `failure_time` is O(1) instead of a scan).
     first_failure: Option<u64>,
-    /// Bumped by [`Trace::clear`] so cached indexes can detect a reset even
-    /// when the trace has regrown past its previous length.
+    /// Bumped by [`Trace::clear`] so the incremental checker can detect a
+    /// reset even when the trace has regrown past its previous length.
     generation: u64,
     /// Number of events evicted from the front of the live vector.
     retired: usize,
@@ -240,10 +225,9 @@ impl Trace {
     }
 
     /// Clears all events and counters, returning the trace to its freshly
-    /// constructed state and advancing its generation. Any cached index
-    /// built over the trace is invalidated (see
-    /// `IncrementalTraceIndex::extend_from`, which detects the generation
-    /// change and rebuilds).
+    /// constructed state and advancing its generation. An
+    /// [`crate::IncrementalChecker`] that folded the old trace sees the
+    /// generation change on its next check and rebuilds from scratch.
     pub fn clear(&mut self) {
         let devices = self.program_order_ndp.len();
         let generation = self.generation.wrapping_add(1);
@@ -400,13 +384,6 @@ impl Trace {
         );
     }
 
-    /// Live events issued by one agent, in program order (retired events are
-    /// not included; the oracle checkers that use this are never run on
-    /// compacted traces).
-    pub fn by_agent(&self, agent: Agent) -> Vec<&PpoEvent> {
-        self.events.iter().filter(|e| e.agent == agent).collect()
-    }
-
     /// The timestamp of the first failure event, if one was recorded.
     pub fn failure_time(&self) -> Option<u64> {
         self.first_failure
@@ -459,13 +436,16 @@ mod tests {
             None,
             30,
         );
-        let cpu = t.by_agent(Agent::Cpu);
-        assert_eq!(cpu.len(), 2);
-        assert_eq!(cpu[0].program_order, 0);
-        assert_eq!(cpu[1].program_order, 1);
-        let ndp = t.by_agent(Agent::Ndp(0));
-        assert_eq!(ndp[0].program_order, 0);
-        assert!(t.by_agent(Agent::Ndp(1)).is_empty());
+        let by_agent = |agent: Agent| -> Vec<u64> {
+            t.events()
+                .iter()
+                .filter(|e| e.agent == agent)
+                .map(|e| e.program_order)
+                .collect()
+        };
+        assert_eq!(by_agent(Agent::Cpu), vec![0, 1]);
+        assert_eq!(by_agent(Agent::Ndp(0)), vec![0]);
+        assert!(by_agent(Agent::Ndp(1)).is_empty());
     }
 
     #[test]

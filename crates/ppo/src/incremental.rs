@@ -1,16 +1,15 @@
-//! Violation-level incremental PPO checking.
+//! Violation-level incremental PPO checking — the crate's one checker.
 //!
-//! The cached index of PR 2 ([`IncrementalTraceIndex`]) made *index
-//! maintenance* incremental, but every `check` still re-walked all NDP
-//! accesses, all writes, and all recovery reads — a clean re-check of a
-//! grown trace cost O(n log n) even when only a handful of events were new.
-//! [`IncrementalChecker`] closes the loop: it tracks which **pairs** each
-//! invariant has already compared and folds only the events appended since
-//! the previous check, in both directions:
+//! [`IncrementalChecker`] tracks which **pairs** each invariant has already
+//! compared and folds only the events appended since the previous check, so
+//! a clean re-check of a grown trace costs O(new events · log² n) instead of
+//! a re-walk of every NDP access, write, and recovery read. A whole-trace
+//! check ([`crate::check_all`]) is the same fold with the trace as one batch.
+//! The fold works in both directions:
 //!
 //! * **Invariants 1/2 (shared-address ordering)** — a new NDP access is
-//!   compared against every comparable CPU access via the cached CPU
-//!   interval indexes, and a new CPU access is compared against every
+//!   compared against every comparable CPU access via the CPU interval
+//!   indexes, and a new CPU access is compared against every
 //!   *older* NDP access via mirrored NDP-side indexes (a late CPU access
 //!   can violate an old NDP event). NDP accesses whose procedure has no
 //!   offload yet are parked with a `MissingOffload` verdict and re-checked
@@ -20,7 +19,7 @@
 //!   predates every new CPU access in program order, so a violation needs
 //!   an overlapping NDP timestamp above the CPU one), and the NDP→CPU sweep
 //!   uses the violation-pruned index walk
-//!   ([`IncrementalTraceIndex::for_each_comparable_cpu_order_violation`])
+//!   ([`FoldIndex::for_each_comparable_cpu_order_violation`])
 //!   that proves subtrees clean from per-node aux/value bounds. Zipfian
 //!   working sets make pair counts quadratic in the trace length; the
 //!   screens keep the fold O(new events · log² n) regardless.
@@ -63,22 +62,22 @@
 //!   order**. Jobs only read index state frozen for the batch, so the
 //!   folded violation list is element-for-element equal to the serial fold
 //!   at every batch split and worker count; `workers <= 1` (the default)
-//!   runs the exact serial loops and remains the differential oracle.
+//!   runs the sweeps on the calling thread.
 //!
-//! Violations are held in ordered maps keyed the way the oracles emit them
-//! — (NDP event, CPU event) for ordering, (sync, write) for
+//! Violations are held in ordered maps keyed the way the naive oracles emit
+//! them — (NDP event, CPU event) for ordering, (sync, write) for
 //! synchronization, read index for recovery — so [`IncrementalChecker::check`]
-//! returns a list **exactly equal** to `check_all` / `invariants::oracle`
-//! over the current trace, at every prefix, for O(new events · log n) work
-//! per call. Differential tests replay random traces in random batch sizes
-//! and assert equality at every prefix; trace resets are detected via the
-//! trace's generation counter exactly like the index cache.
+//! returns a list **exactly equal** to `invariants::oracle::check_all` over
+//! the current trace, at every prefix, for O(new events · log n) work per
+//! call. Differential tests replay random traces in random batch sizes and
+//! assert equality at every prefix; trace resets are detected via the
+//! trace's generation counter.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::Bound;
 
 use crate::event::{Agent, EventKind, Interval, PpoEvent, ProcId, Sharing, Trace};
-use crate::index::{IncrementalIntervalIndex, IncrementalTraceIndex, Item, PpoIndexQueries};
+use crate::index::{FoldIndex, IncrementalIntervalIndex, Item};
 use crate::invariants::PpoViolation;
 use crate::pool::WorkerPool;
 
@@ -145,9 +144,10 @@ type CpuWork = (u32, EventKind, Interval, u64, u64);
 /// from-scratch [`crate::check_all`] would.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalChecker {
-    /// The cached per-category interval indexes (CPU shared accesses,
-    /// per-agent persists, all writes/persists, offload table, failure).
-    index: IncrementalTraceIndex,
+    /// The per-category interval indexes over every folded event (CPU
+    /// shared accesses, per-agent persists, all writes/persists, offload
+    /// table, failure), extended with each batch.
+    index: FoldIndex,
     /// Events already folded into the checker.
     consumed: usize,
     /// Trace generation the state was built from (reset detection).
@@ -200,8 +200,8 @@ pub struct IncrementalChecker {
 
     // --- Relaxed-persist counter ---
     /// Earliest timestamp of a CPU read/write with program order > 0 — the
-    /// threshold [`crate::relaxed_persist_count`] compares every NDP-managed
-    /// persist against. Only ever decreases as events are folded.
+    /// threshold every NDP-managed persist is compared against. Only ever
+    /// decreases as events are folded.
     rpc_min_cpu_ts: Option<u64>,
     /// Multiset of NDP-managed NDP persist timestamps, so a decrease of the
     /// threshold can count exactly the persists that newly pass it (each
@@ -224,8 +224,8 @@ impl IncrementalChecker {
     }
 
     /// Sets the worker count for the batch pair sweeps. `workers <= 1`
-    /// selects the serial fold (the differential oracle); any count
-    /// produces the identical violation list.
+    /// selects the serial fold; any count produces the identical violation
+    /// list.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers;
     }
@@ -264,11 +264,12 @@ impl IncrementalChecker {
         floor
     }
 
-    /// Runs all invariant checkers over `trace`, folding only the events
+    /// Checks all four invariants over `trace`, folding only the events
     /// appended since the previous call, and returns the full violation
-    /// list for the *current* trace — element-for-element equal to
-    /// [`crate::check_all`]. Detects a trace reset (shrink or generation
-    /// change) and rebuilds from scratch.
+    /// list for the *current* trace — element-for-element equal to a
+    /// one-batch fold ([`crate::check_all`]) and to the naive oracle.
+    /// Detects a trace reset (shrink or generation change) and rebuilds
+    /// from scratch.
     pub fn check(&mut self, trace: &Trace) -> Vec<PpoViolation> {
         self.sync_with(trace);
         self.ordering
@@ -280,10 +281,11 @@ impl IncrementalChecker {
     }
 
     /// The trace's relaxed-persist count — NDP persists to NDP-managed
-    /// addresses delayed past the earliest CPU access — maintained
-    /// incrementally alongside the invariant state: equal to
-    /// [`crate::relaxed_persist_count`] over the current trace, for O(new
-    /// events · log n) work per call instead of a full O(n) recompute.
+    /// addresses delayed past the earliest CPU access (program order > 0),
+    /// the relaxation PPO explicitly allows — maintained incrementally
+    /// alongside the invariant state: equal to the naive
+    /// `invariants::oracle::relaxed_persist_count` over the current trace,
+    /// for O(new events · log n) work per call.
     pub fn relaxed_persist_count(&mut self, trace: &Trace) -> usize {
         self.sync_with(trace);
         self.rpc_count
@@ -416,7 +418,7 @@ impl IncrementalChecker {
         }
 
         // Step B — fold the batch into every index.
-        self.index.extend_from(trace);
+        self.index.extend(&events[base..], lo);
         let mut ndp_reads: Vec<Item> = Vec::new();
         let mut ndp_writes: Vec<Item> = Vec::new();
         let mut ndp_persists: Vec<Item> = Vec::new();
@@ -710,7 +712,7 @@ where
 /// walk — interval, timestamp, and procedure id all travel with the
 /// [`Item`] — so no event is fetched from the trace.
 fn evaluate_cpu_chunk(
-    index: &IncrementalTraceIndex,
+    index: &FoldIndex,
     ndp_reads: &IncrementalIntervalIndex,
     ndp_writes: &IncrementalIntervalIndex,
     ndp_persists: &IncrementalIntervalIndex,
@@ -785,7 +787,7 @@ fn evaluate_cpu_chunk(
 /// are resolved once up front and the verdicts stream straight out of the
 /// item walk, with the CPU side's interval, timestamp, and program order
 /// carried by the [`Item`] itself: no `events[]` fetch per pair.
-fn evaluate_ndp_access(index: &IncrementalTraceIndex, fact: &AccessFact) -> NdpOutcome {
+fn evaluate_ndp_access(index: &FoldIndex, fact: &AccessFact) -> NdpOutcome {
     let Some(proc) = fact.proc else {
         return NdpOutcome::Skip;
     };

@@ -1,23 +1,25 @@
-//! One-pass event index over a [`Trace`].
+//! The interval indexes the incremental PPO checker folds each batch into.
 //!
 //! The naive PPO checkers re-scan the whole event list for every sync, every
 //! recovery read, and every CPU/NDP access pair, which is O(n²)–O(n³) in the
-//! trace length — fig16-scale runs spend more time *verifying* the trace than
-//! producing it. [`TraceIndex`] is built once in O(n log n) and answers the
-//! checkers' questions as indexed queries:
+//! trace length — fig16-scale runs would spend more time *verifying* the
+//! trace than producing it. [`FoldIndex`] keeps the facts the fold needs as
+//! indexed queries, extended batch by batch:
 //!
-//! * **interval overlap** — which shared CPU accesses of a given kind overlap
-//!   this NDP access? ([`IntervalIndex::for_each_overlap`])
-//! * **interval existence** — did *any* write / persist of this range land
-//!   before the failure? ([`IntervalIndex::any_overlap`])
+//! * **order violations** — which shared CPU accesses of a comparable kind
+//!   overlap this NDP access *and* contradict its procedure's offload order?
+//!   ([`FoldIndex::for_each_comparable_cpu_order_violation`])
 //! * **earliest covering persist** — what is the earliest timestamp at which
 //!   some persist overlapping this write completed?
-//!   ([`IntervalIndex::min_value_overlapping`])
+//!   ([`IntervalIndex::min_value_overlapping`]); over all writes / persists
+//!   the same query answers "was this range written / persisted no later
+//!   than the failure?"
 //! * **offload table** — the CPU program-order index of the offload event of
-//!   each NDP procedure ([`TraceIndex::offload_po`]).
+//!   each NDP procedure ([`FoldIndex::offload_po`]).
 //!
-//! All structures are static: the trace is immutable once recorded, so the
-//! index sorts events by interval start and layers a merge-sort tree on top.
+//! [`IntervalIndex`] is static: it sorts items by interval start and layers
+//! a merge-sort tree on top; [`IncrementalIntervalIndex`] makes it
+//! appendable as a logarithmic stack of static levels.
 //! Each node stores its max interval end for pruning, min/max bounds over
 //! the items' `aux` payload, and a **compressed end-sorted run** — one entry
 //! per distinct interval end carrying the suffix min/max of the associated
@@ -36,8 +38,7 @@
 
 use std::collections::HashMap;
 
-use crate::event::{Agent, EventKind, Interval, PpoEvent, ProcId, Trace};
-use crate::pool::WorkerPool;
+use crate::event::{Agent, EventKind, Interval, PpoEvent, ProcId, Sharing};
 
 /// One indexed interval with an attached value (usually a timestamp), an
 /// auxiliary payload, and the index of the originating event in the trace.
@@ -71,7 +72,7 @@ impl Item {
 /// entries re-sorted by end with suffix minima of `value` (for earliest-
 /// covering-persist queries).
 #[derive(Debug, Clone, Default)]
-pub struct IntervalIndex {
+pub(crate) struct IntervalIndex {
     items: Vec<Item>,
     /// Per segment-tree node `i` covering `ranges[i]`: entries sorted by
     /// interval end, paired with the minimum and maximum `value` of the
@@ -93,17 +94,10 @@ pub struct IntervalIndex {
 const LEAF_SIZE: usize = 16;
 
 impl IntervalIndex {
-    /// Builds an index over `(interval, value, event-id)` triples. Zero-length
-    /// intervals are dropped: they can never overlap anything.
-    fn build(mut items: Vec<Item>) -> Self {
-        items.retain(|it| it.end > it.start);
-        items.sort_unstable_by_key(|it| (it.start, it.id));
-        Self::build_presorted(items)
-    }
-
     /// Builds an index over items already sorted by `(start, id)` with
-    /// zero-length intervals removed — the incremental index merges its
-    /// levels' sorted item lists and must not pay a full re-sort per merge.
+    /// zero-length intervals removed (they can never overlap anything) — the
+    /// incremental index merges its levels' sorted item lists and must not
+    /// pay a full re-sort per merge.
     fn build_presorted(items: Vec<Item>) -> Self {
         debug_assert!(items
             .windows(2)
@@ -199,7 +193,7 @@ impl IntervalIndex {
     }
 
     /// Number of indexed intervals.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.items.len()
     }
 
@@ -209,29 +203,18 @@ impl IntervalIndex {
         self.items
     }
 
-    /// True if nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// First position whose start is `>= bound` (the start condition
     /// `start < query.end` selects the prefix `[0, prefix_end)`).
     fn prefix_end(&self, bound: u64) -> usize {
         self.items.partition_point(|it| it.start < bound)
     }
 
-    /// Calls `f` with the event id of every indexed interval overlapping
-    /// `query`. Ids are produced in interval-start-sorted order, *not* trace
-    /// order — callers that need trace order must collect and sort.
-    pub fn for_each_overlap<F: FnMut(u32)>(&self, query: Interval, mut f: F) {
-        self.for_each_overlap_item(query, |it| f(it.id));
-    }
-
-    /// Calls `f` with every indexed [`Item`] overlapping `query` (same walk
-    /// as [`IntervalIndex::for_each_overlap`], but the full item — interval,
-    /// value, and aux payload — streams out, so the incremental checker can
-    /// evaluate pairs without re-fetching events from the trace).
-    pub(crate) fn for_each_overlap_item<F: FnMut(&Item)>(&self, query: Interval, mut f: F) {
+    /// Calls `f` with every indexed [`Item`] overlapping `query` — the full
+    /// item (interval, value, and aux payload) streams out, so the
+    /// incremental checker can evaluate pairs without re-fetching events
+    /// from the trace. Items come in interval-start-sorted order, *not*
+    /// trace order.
+    fn for_each_overlap_item<F: FnMut(&Item)>(&self, query: Interval, mut f: F) {
         if query.len == 0 || self.items.is_empty() {
             return;
         }
@@ -262,38 +245,10 @@ impl IntervalIndex {
         }
     }
 
-    /// True if any indexed interval overlaps `query`.
-    pub fn any_overlap(&self, query: Interval) -> bool {
-        if query.len == 0 || self.items.is_empty() {
-            return false;
-        }
-        let prefix = self.prefix_end(query.end());
-        if prefix == 0 {
-            return false;
-        }
-        self.walk_any(self.root.unwrap(), prefix, query.start)
-    }
-
-    fn walk_any(&self, node: usize, prefix: usize, qs: u64) -> bool {
-        let (lo, hi) = self.node_range[node];
-        if lo >= prefix || self.node_max_end[node] <= qs {
-            return false;
-        }
-        if hi <= prefix {
-            // Whole node satisfies the start condition; max-end pruning above
-            // already proved some entry has end > qs.
-            return true;
-        }
-        match self.node_children[node] {
-            Some((l, r)) => self.walk_any(l, prefix, qs) || self.walk_any(r, prefix, qs),
-            None => self.items[lo..hi.min(prefix)].iter().any(|it| it.end > qs),
-        }
-    }
-
     /// Minimum `value` over all indexed intervals overlapping `query`
     /// (`None` if nothing overlaps). With persist timestamps as values this
     /// answers "when was this range first covered by a persist".
-    pub fn min_value_overlapping(&self, query: Interval) -> Option<u64> {
+    fn min_value_overlapping(&self, query: Interval) -> Option<u64> {
         if query.len == 0 || self.items.is_empty() {
             return None;
         }
@@ -335,7 +290,7 @@ impl IntervalIndex {
     /// this as a "could any overlapping item be timestamped after `t`"
     /// screen (`max > t`), and an empty overlap set answers that exactly
     /// like an all-`0` one.
-    pub(crate) fn max_value_overlapping(&self, query: Interval) -> u64 {
+    fn max_value_overlapping(&self, query: Interval) -> u64 {
         if query.len == 0 || self.items.is_empty() {
             return 0;
         }
@@ -383,7 +338,7 @@ impl IntervalIndex {
     /// plain overlap enumeration is Θ(hits) — the difference between linear
     /// and quadratic total checking on traces that hammer a small working
     /// set.
-    pub(crate) fn for_each_overlap_order_violation<F: FnMut(&Item)>(
+    fn for_each_overlap_order_violation<F: FnMut(&Item)>(
         &self,
         query: Interval,
         off_po: u64,
@@ -512,7 +467,7 @@ fn merge_compressed_runs(l: &[(u64, u64, u64)], r: &[(u64, u64, u64)]) -> Vec<(u
 /// amortized O(log n) per item, and a query fans out over at most O(log n)
 /// levels.
 #[derive(Debug, Clone, Default)]
-pub struct IncrementalIntervalIndex {
+pub(crate) struct IncrementalIntervalIndex {
     levels: Vec<IntervalIndex>,
 }
 
@@ -552,27 +507,10 @@ impl IncrementalIntervalIndex {
         self.levels.push(IntervalIndex::build_presorted(items));
     }
 
-    /// Total number of indexed intervals across all levels.
-    pub fn len(&self) -> usize {
-        self.levels.iter().map(|l| l.len()).sum()
-    }
-
-    /// True if nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.levels.is_empty()
-    }
-
-    /// Number of static levels currently held (O(log n)).
-    pub fn level_count(&self) -> usize {
-        self.levels.len()
-    }
-
     /// Calls `f` with the event id of every indexed interval overlapping
     /// `query`, fanning out over the levels (no cross-level order).
-    pub fn for_each_overlap<F: FnMut(u32)>(&self, query: Interval, mut f: F) {
-        for level in &self.levels {
-            level.for_each_overlap(query, &mut f);
-        }
+    pub(crate) fn for_each_overlap<F: FnMut(u32)>(&self, query: Interval, mut f: F) {
+        self.for_each_overlap_item(query, |it| f(it.id));
     }
 
     /// Calls `f` with every indexed [`Item`] overlapping `query`, fanning
@@ -583,13 +521,8 @@ impl IncrementalIntervalIndex {
         }
     }
 
-    /// True if any indexed interval overlaps `query`.
-    pub fn any_overlap(&self, query: Interval) -> bool {
-        self.levels.iter().any(|l| l.any_overlap(query))
-    }
-
     /// Minimum value over all indexed intervals overlapping `query`.
-    pub fn min_value_overlapping(&self, query: Interval) -> Option<u64> {
+    pub(crate) fn min_value_overlapping(&self, query: Interval) -> Option<u64> {
         self.levels
             .iter()
             .filter_map(|l| l.min_value_overlapping(query))
@@ -609,7 +542,7 @@ impl IncrementalIntervalIndex {
     /// Calls `f` with exactly the overlapping items violating the shared-
     /// ordering predicate, fanning the pruned walk out over the levels (see
     /// [`IntervalIndex::for_each_overlap_order_violation`]).
-    pub(crate) fn for_each_overlap_order_violation<F: FnMut(&Item)>(
+    fn for_each_overlap_order_violation<F: FnMut(&Item)>(
         &self,
         query: Interval,
         off_po: u64,
@@ -622,117 +555,35 @@ impl IncrementalIntervalIndex {
     }
 }
 
-/// Per-NDP-agent view used by the synchronization checker.
-#[derive(Debug, Clone, Default)]
-pub struct AgentIndex {
-    /// All persists of this agent, valued by timestamp.
-    pub persists: IntervalIndex,
-}
-
-/// The index queries the PPO invariant checkers need, abstracted over the
-/// build-once [`TraceIndex`] and the append-friendly
-/// [`IncrementalTraceIndex`].
-pub trait PpoIndexQueries {
-    /// CPU program-order index of the offload event of `proc`, if recorded.
-    fn offload_po(&self, proc: ProcId) -> Option<u64>;
-    /// Timestamp of the first failure event, if any.
-    fn failure_ts(&self) -> Option<u64>;
-    /// Earliest timestamp at which some persist by `agent` overlapping
-    /// `interval` completed.
-    fn earliest_persist_by(&self, agent: Agent, interval: Interval) -> Option<u64>;
-    /// Calls `f` (in trace order) with every *shared* CPU access in `events`
-    /// whose kind is comparable to an NDP access of kind `ndp_kind` and
-    /// whose interval overlaps `interval`.
-    fn for_each_comparable_cpu_access<F: FnMut(&PpoEvent)>(
-        &self,
-        events: &[PpoEvent],
-        ndp_kind: EventKind,
-        interval: Interval,
-        f: F,
-    );
-    /// True if any write with a timestamp no later than the failure overlaps
-    /// `interval`.
-    fn written_before_failure(&self, interval: Interval) -> bool;
-    /// True if any persist with a timestamp no later than the failure
-    /// overlaps `interval`.
-    fn persisted_before_failure(&self, interval: Interval) -> bool;
-}
-
-/// An incrementally extendable [`TraceIndex`] equivalent.
+/// The indexes [`crate::IncrementalChecker`] reads on behalf of every
+/// invariant, over all events folded so far: the offload table, the first
+/// failure, the shared CPU accesses per comparable kind, every NDP agent's
+/// persists, and all writes / persists. The checker feeds it each batch it
+/// folds and drops it wholesale on a trace reset.
 ///
-/// The system trace grows monotonically between `report()` calls; rebuilding
-/// the whole index for every report makes multi-report sweeps (fig18–20)
-/// quadratic in the total event count. This structure consumes only the
-/// events appended since the last `extend_from` call, maintaining every
-/// per-category index as an [`IncrementalIntervalIndex`]. The
-/// before-failure existence queries are answered from *timestamp-valued*
-/// indexes over all writes/persists (`min overlapping timestamp <= failure`),
-/// which — unlike the static index's pre-filtered variant — stays correct
+/// Items are valued by timestamp and carry the CPU program order in `aux`.
+/// The before-failure existence queries read the all-writes / all-persists
+/// indexes (`min overlapping timestamp <= failure`), which stays correct
 /// when the failure event arrives in a later batch than the writes it
 /// bounds.
-///
-/// If the underlying trace was reset (`Trace::clear` bumps a generation
-/// counter, and a shrink is caught directly), the cache detects it and
-/// rebuilds from scratch.
 #[derive(Debug, Clone, Default)]
-pub struct IncrementalTraceIndex {
-    consumed: usize,
-    /// Generation of the trace the cached state was built from.
-    generation: u64,
+pub(crate) struct FoldIndex {
     offload_po: HashMap<ProcId, u64>,
     cpu_shared_reads: IncrementalIntervalIndex,
     cpu_shared_writes: IncrementalIntervalIndex,
     cpu_shared_persists: IncrementalIntervalIndex,
-    agents: HashMap<Agent, IncrementalIntervalIndex>,
+    agent_persists: HashMap<Agent, IncrementalIntervalIndex>,
     failure_ts: Option<u64>,
-    /// All writes / persists (any agent), valued by timestamp.
     all_writes: IncrementalIntervalIndex,
     all_persists: IncrementalIntervalIndex,
 }
 
-impl IncrementalTraceIndex {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        IncrementalTraceIndex::default()
-    }
-
-    /// Number of trace events already folded into the index.
-    pub fn consumed(&self) -> usize {
-        self.consumed
-    }
-
-    /// Drops all cached state (used when the trace it mirrors is reset).
-    pub fn reset(&mut self) {
-        *self = IncrementalTraceIndex::default();
-    }
-
-    /// Folds the events appended to `trace` since the last call into the
-    /// index. Detects a trace reset (shrink) and rebuilds from scratch.
-    ///
-    /// Event ids are **absolute** trace positions: on a compacting trace
-    /// (`Trace::retire_through`) the live slice is offset by
-    /// `Trace::retired`, and the index requires its own watermark to have
-    /// kept up — retiring events the index has not consumed yet would lose
-    /// them.
-    pub fn extend_from(&mut self, trace: &Trace) {
-        // A shrink or a generation change means the trace was reset since
-        // the cache last saw it (the generation catches a trace cleared and
-        // regrown past its previous length).
-        if trace.len() < self.consumed || trace.generation() != self.generation {
-            self.reset();
-            self.generation = trace.generation();
-        }
-        if self.consumed == trace.len() {
-            return;
-        }
-        let retired = trace.retired();
-        assert!(
-            self.consumed >= retired,
-            "trace compacted past the index watermark (retired {retired}, consumed {})",
-            self.consumed
-        );
-        let events = trace.events();
-
+impl FoldIndex {
+    /// Folds `batch` — consecutive trace events, the first with absolute id
+    /// `first_id` — into every index. Ids stay absolute on a compacting
+    /// trace (`Trace::retire_through`), so a batch is always the live
+    /// suffix the checker has not consumed yet.
+    pub(crate) fn extend(&mut self, batch: &[PpoEvent], first_id: usize) {
         let mut cpu_reads = Vec::new();
         let mut cpu_writes = Vec::new();
         let mut cpu_persists = Vec::new();
@@ -740,14 +591,13 @@ impl IncrementalTraceIndex {
         let mut writes = Vec::new();
         let mut persists = Vec::new();
 
-        for (off, e) in events.iter().enumerate().skip(self.consumed - retired) {
-            let id = (retired + off) as u32;
+        for (off, e) in batch.iter().enumerate() {
             let item = Item {
                 start: e.interval.start,
                 end: e.interval.end(),
                 value: e.timestamp_ps,
                 aux: e.program_order,
-                id,
+                id: (first_id + off) as u32,
             };
             match e.kind {
                 EventKind::Offload if e.agent == Agent::Cpu => {
@@ -760,7 +610,7 @@ impl IncrementalTraceIndex {
                 }
                 EventKind::Read | EventKind::Write | EventKind::Persist => {
                     if e.agent == Agent::Cpu {
-                        if e.sharing == crate::event::Sharing::Shared {
+                        if e.sharing == Sharing::Shared {
                             match e.kind {
                                 EventKind::Read => cpu_reads.push(item),
                                 EventKind::Write => cpu_writes.push(item),
@@ -785,65 +635,57 @@ impl IncrementalTraceIndex {
         self.cpu_shared_writes.insert_batch(cpu_writes);
         self.cpu_shared_persists.insert_batch(cpu_persists);
         for (agent, items) in agent_persists {
-            self.agents.entry(agent).or_default().insert_batch(items);
+            self.agent_persists
+                .entry(agent)
+                .or_default()
+                .insert_batch(items);
         }
         self.all_writes.insert_batch(writes);
         self.all_persists.insert_batch(persists);
-        self.consumed = trace.len();
     }
 
-    /// Calls `f` with the event **index** of every shared CPU access whose
-    /// kind is comparable to an NDP access of kind `ndp_kind` and whose
-    /// interval overlaps `interval` (no cross-level order — callers that
-    /// need trace order sort). The incremental checker keys its violation
-    /// pairs by event index, which the trait's event-reference callback does
-    /// not expose.
-    pub(crate) fn for_each_comparable_cpu_id<F: FnMut(u32)>(
-        &self,
-        ndp_kind: EventKind,
-        interval: Interval,
-        mut f: F,
-    ) {
-        self.for_each_comparable_cpu_item(ndp_kind, interval, |it| f(it.id));
+    /// CPU program-order index of the offload event of `proc`, if folded.
+    pub(crate) fn offload_po(&self, proc: ProcId) -> Option<u64> {
+        self.offload_po.get(&proc).copied()
     }
 
-    /// Item-level variant of
-    /// [`IncrementalTraceIndex::for_each_comparable_cpu_id`]: streams the
-    /// full [`Item`] — interval, timestamp (`value`), CPU program order
-    /// (`aux`) — so the incremental checker's pair evaluation needs no
-    /// `events[id]` fetch at all. That makes the checker independent of
-    /// retired trace prefixes *and* removes the random event-array access
-    /// from the hottest loop of the fold.
-    pub(crate) fn for_each_comparable_cpu_item<F: FnMut(&Item)>(
-        &self,
-        ndp_kind: EventKind,
-        interval: Interval,
-        mut f: F,
-    ) {
-        match ndp_kind {
-            EventKind::Persist => self
-                .cpu_shared_persists
-                .for_each_overlap_item(interval, &mut f),
-            EventKind::Write => {
-                self.cpu_shared_writes
-                    .for_each_overlap_item(interval, &mut f);
-                self.cpu_shared_reads
-                    .for_each_overlap_item(interval, &mut f);
-            }
-            EventKind::Read => self
-                .cpu_shared_writes
-                .for_each_overlap_item(interval, &mut f),
-            _ => {}
-        }
+    /// Timestamp of the first failure event, if any.
+    pub(crate) fn failure_ts(&self) -> Option<u64> {
+        self.failure_ts
     }
 
-    /// Violation-pruned variant of
-    /// [`IncrementalTraceIndex::for_each_comparable_cpu_item`]: streams only
-    /// the comparable CPU items whose `(program order, timestamp)` violates
-    /// the shared-ordering predicate against an NDP access with offload
-    /// order `off_po` and timestamp `ndp_ts`. On violation-free traces the
-    /// underlying walks prune to polylogarithmic cost instead of
-    /// enumerating every comparable pair.
+    /// Earliest timestamp at which some persist by `agent` overlapping
+    /// `interval` completed (`None` if no such persist exists).
+    pub(crate) fn earliest_persist_by(&self, agent: Agent, interval: Interval) -> Option<u64> {
+        self.agent_persists
+            .get(&agent)
+            .and_then(|a| a.min_value_overlapping(interval))
+    }
+
+    /// True if any write with a timestamp no later than the failure overlaps
+    /// `interval`.
+    pub(crate) fn written_before_failure(&self, interval: Interval) -> bool {
+        Self::before_failure(&self.all_writes, self.failure_ts, interval)
+    }
+
+    /// True if any persist with a timestamp no later than the failure
+    /// overlaps `interval`.
+    pub(crate) fn persisted_before_failure(&self, interval: Interval) -> bool {
+        Self::before_failure(&self.all_persists, self.failure_ts, interval)
+    }
+
+    fn before_failure(idx: &IncrementalIntervalIndex, failure: Option<u64>, q: Interval) -> bool {
+        failure.is_some_and(|f| idx.min_value_overlapping(q).is_some_and(|ts| ts <= f))
+    }
+
+    /// Streams the shared CPU accesses comparable to an NDP access of kind
+    /// `ndp_kind` over `interval` (persist↔persist, write/read↔write/read)
+    /// whose `(program order, timestamp)` violates the shared-ordering
+    /// predicate against that access's offload order `off_po` and timestamp
+    /// `ndp_ts`. Every fact a verdict needs travels with the [`Item`], so
+    /// the checker never fetches the CPU event from the trace; on
+    /// violation-free traces the walks prune to polylogarithmic cost instead
+    /// of enumerating every comparable pair.
     pub(crate) fn for_each_comparable_cpu_order_violation<F: FnMut(&Item)>(
         &self,
         ndp_kind: EventKind,
@@ -870,319 +712,40 @@ impl IncrementalTraceIndex {
     }
 }
 
-impl PpoIndexQueries for IncrementalTraceIndex {
-    fn offload_po(&self, proc: ProcId) -> Option<u64> {
-        self.offload_po.get(&proc).copied()
-    }
-
-    fn failure_ts(&self) -> Option<u64> {
-        self.failure_ts
-    }
-
-    fn earliest_persist_by(&self, agent: Agent, interval: Interval) -> Option<u64> {
-        self.agents
-            .get(&agent)
-            .and_then(|a| a.min_value_overlapping(interval))
-    }
-
-    fn for_each_comparable_cpu_access<F: FnMut(&PpoEvent)>(
-        &self,
-        events: &[PpoEvent],
-        ndp_kind: EventKind,
-        interval: Interval,
-        mut f: F,
-    ) {
-        // One comparability dispatch for both entry points: collect ids via
-        // the id-level walk, then resolve to events in trace order.
-        let mut ids = Vec::new();
-        self.for_each_comparable_cpu_id(ndp_kind, interval, |id| ids.push(id));
-        ids.sort_unstable();
-        for id in ids {
-            f(&events[id as usize]);
-        }
-    }
-
-    fn written_before_failure(&self, interval: Interval) -> bool {
-        match self.failure_ts {
-            Some(f) => self
-                .all_writes
-                .min_value_overlapping(interval)
-                .is_some_and(|ts| ts <= f),
-            None => false,
-        }
-    }
-
-    fn persisted_before_failure(&self, interval: Interval) -> bool {
-        match self.failure_ts {
-            Some(f) => self
-                .all_persists
-                .min_value_overlapping(interval)
-                .is_some_and(|ts| ts <= f),
-            None => false,
-        }
-    }
-}
-
-/// The one-pass index over a [`Trace`] that the PPO checkers query.
-#[derive(Debug)]
-pub struct TraceIndex<'a> {
-    trace: &'a Trace,
-    /// CPU program-order index of the (first) offload event per procedure.
-    offload_po: HashMap<ProcId, u64>,
-    /// Shared-address CPU accesses, one index per comparable kind.
-    cpu_shared_reads: IntervalIndex,
-    cpu_shared_writes: IntervalIndex,
-    cpu_shared_persists: IntervalIndex,
-    /// Per NDP agent: persist index for the sync checker.
-    agents: HashMap<Agent, AgentIndex>,
-    /// Timestamp of the first failure event, if any.
-    failure_ts: Option<u64>,
-    /// Writes / persists that completed no later than the failure.
-    writes_before_failure: IntervalIndex,
-    persists_before_failure: IntervalIndex,
-}
-
-impl<'a> TraceIndex<'a> {
-    /// Builds the index in one pass over the trace (plus sorts).
-    pub fn new(trace: &'a Trace) -> Self {
-        Self::build_with(trace, &WorkerPool::new(1))
-    }
-
-    /// [`TraceIndex::new`] with the per-category and per-agent
-    /// [`IntervalIndex`] constructions (the O(n log n) sorts that dominate
-    /// the build) run as independent jobs on `pool`. The categorization pass
-    /// stays serial and each index is built from the same item list in the
-    /// same order, so the resulting index is identical to the serial build.
-    pub fn new_parallel(trace: &'a Trace, pool: &WorkerPool) -> Self {
-        Self::build_with(trace, pool)
-    }
-
-    fn build_with(trace: &'a Trace, pool: &WorkerPool) -> Self {
-        let events = trace.events();
-        let failure_ts = trace.failure_time();
-
-        let mut offload_po = HashMap::new();
-        let mut cpu_reads = Vec::new();
-        let mut cpu_writes = Vec::new();
-        let mut cpu_persists = Vec::new();
-        let mut agent_persists: HashMap<Agent, Vec<Item>> = HashMap::new();
-        let mut writes_pre = Vec::new();
-        let mut persists_pre = Vec::new();
-
-        for (i, e) in events.iter().enumerate() {
-            let id = i as u32;
-            let item = Item {
-                start: e.interval.start,
-                end: e.interval.end(),
-                value: e.timestamp_ps,
-                aux: e.program_order,
-                id,
-            };
-            match e.kind {
-                EventKind::Offload if e.agent == Agent::Cpu => {
-                    if let Some(p) = e.proc {
-                        offload_po.entry(p).or_insert(e.program_order);
-                    }
-                }
-                EventKind::Read | EventKind::Write | EventKind::Persist => {
-                    if e.agent == Agent::Cpu {
-                        if e.sharing == crate::event::Sharing::Shared {
-                            match e.kind {
-                                EventKind::Read => cpu_reads.push(item),
-                                EventKind::Write => cpu_writes.push(item),
-                                EventKind::Persist => cpu_persists.push(item),
-                                _ => unreachable!(),
-                            }
-                        }
-                    } else if e.kind == EventKind::Persist {
-                        agent_persists.entry(e.agent).or_default().push(item);
-                    }
-                    if let Some(f) = failure_ts {
-                        if e.timestamp_ps <= f {
-                            match e.kind {
-                                EventKind::Write => writes_pre.push(item),
-                                EventKind::Persist => persists_pre.push(item),
-                                _ => {}
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        // Every IntervalIndex::build below is independent; hand them to the
-        // pool as one job list (fixed slots first, then the per-agent persist
-        // indexes in agent order) and unpack in the same order.
-        let mut agent_keys: Vec<Agent> = agent_persists.keys().copied().collect();
-        agent_keys.sort_unstable();
-        let mut inputs: Vec<Vec<Item>> = vec![
-            cpu_reads,
-            cpu_writes,
-            cpu_persists,
-            writes_pre,
-            persists_pre,
-        ];
-        for a in &agent_keys {
-            inputs.push(agent_persists.remove(a).expect("key from this map"));
-        }
-        let mut built = pool
-            .scoped_map(
-                inputs
-                    .into_iter()
-                    .map(|items| move || IntervalIndex::build(items))
-                    .collect(),
-            )
-            .into_iter();
-        let mut next = || built.next().expect("one index per job");
-        let (cpu_shared_reads, cpu_shared_writes, cpu_shared_persists) = (next(), next(), next());
-        let (writes_before_failure, persists_before_failure) = (next(), next());
-        TraceIndex {
-            trace,
-            offload_po,
-            cpu_shared_reads,
-            cpu_shared_writes,
-            cpu_shared_persists,
-            agents: agent_keys
-                .into_iter()
-                .map(|a| (a, AgentIndex { persists: next() }))
-                .collect(),
-            failure_ts,
-            writes_before_failure,
-            persists_before_failure,
-        }
-    }
-
-    /// The indexed trace.
-    pub fn trace(&self) -> &Trace {
-        self.trace
-    }
-
-    /// CPU program-order index of the offload event of `proc`, if recorded.
-    pub fn offload_po(&self, proc: ProcId) -> Option<u64> {
-        self.offload_po.get(&proc).copied()
-    }
-
-    /// Timestamp of the first failure event, if any.
-    pub fn failure_ts(&self) -> Option<u64> {
-        self.failure_ts
-    }
-
-    /// Earliest timestamp at which some persist by `agent` overlapping
-    /// `interval` completed (`None` if no such persist exists).
-    pub fn earliest_persist_by(&self, agent: Agent, interval: Interval) -> Option<u64> {
-        self.agents
-            .get(&agent)
-            .and_then(|a| a.persists.min_value_overlapping(interval))
-    }
-
-    /// Calls `f` (in trace order) with every *shared* CPU access whose kind
-    /// is comparable to an NDP access of kind `ndp_kind` and whose interval
-    /// overlaps `interval`. Comparability follows Invariants 1/2:
-    /// persist-vs-persist and write/read-vs-write/read.
-    pub fn for_each_comparable_cpu_access<F: FnMut(&PpoEvent)>(
-        &self,
-        ndp_kind: EventKind,
-        interval: Interval,
-        mut f: F,
-    ) {
-        let events = self.trace.events();
-        // The tree walk yields ids in start-sorted order; collect and sort so
-        // callers observe matches in trace order (ascending event index), the
-        // order the reference oracle reports violations in.
-        let mut ids = Vec::new();
-        match ndp_kind {
-            EventKind::Persist => {
-                self.cpu_shared_persists
-                    .for_each_overlap(interval, |id| ids.push(id));
-            }
-            EventKind::Write => {
-                // CPU writes and CPU reads are both comparable to an NDP write.
-                self.cpu_shared_writes
-                    .for_each_overlap(interval, |id| ids.push(id));
-                self.cpu_shared_reads
-                    .for_each_overlap(interval, |id| ids.push(id));
-            }
-            EventKind::Read => {
-                self.cpu_shared_writes
-                    .for_each_overlap(interval, |id| ids.push(id));
-            }
-            _ => {}
-        }
-        ids.sort_unstable();
-        for id in ids {
-            f(&events[id as usize]);
-        }
-    }
-
-    /// True if any write with a timestamp no later than the failure overlaps
-    /// `interval`.
-    pub fn written_before_failure(&self, interval: Interval) -> bool {
-        self.writes_before_failure.any_overlap(interval)
-    }
-
-    /// True if any persist with a timestamp no later than the failure
-    /// overlaps `interval`.
-    pub fn persisted_before_failure(&self, interval: Interval) -> bool {
-        self.persists_before_failure.any_overlap(interval)
-    }
-}
-
-impl PpoIndexQueries for TraceIndex<'_> {
-    fn offload_po(&self, proc: ProcId) -> Option<u64> {
-        TraceIndex::offload_po(self, proc)
-    }
-
-    fn failure_ts(&self) -> Option<u64> {
-        TraceIndex::failure_ts(self)
-    }
-
-    fn earliest_persist_by(&self, agent: Agent, interval: Interval) -> Option<u64> {
-        TraceIndex::earliest_persist_by(self, agent, interval)
-    }
-
-    fn for_each_comparable_cpu_access<F: FnMut(&PpoEvent)>(
-        &self,
-        _events: &[PpoEvent],
-        ndp_kind: EventKind,
-        interval: Interval,
-        f: F,
-    ) {
-        TraceIndex::for_each_comparable_cpu_access(self, ndp_kind, interval, f)
-    }
-
-    fn written_before_failure(&self, interval: Interval) -> bool {
-        TraceIndex::written_before_failure(self, interval)
-    }
-
-    fn persisted_before_failure(&self, interval: Interval) -> bool {
-        TraceIndex::persisted_before_failure(self, interval)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, Sharing};
+    use crate::event::{EventKind, Sharing, Trace};
 
     fn iv(start: u64, len: u64) -> Interval {
         Interval::new(start, len)
     }
 
     fn index_of(entries: &[(u64, u64, u64)]) -> IntervalIndex {
-        IntervalIndex::build(
-            entries
-                .iter()
-                .enumerate()
-                .map(|(i, &(start, len, value))| Item {
-                    start,
-                    end: start + len,
-                    value,
-                    aux: 0,
-                    id: i as u32,
-                })
-                .collect(),
-        )
+        let mut items: Vec<Item> = entries
+            .iter()
+            .enumerate()
+            .map(|(i, &(start, len, value))| Item {
+                start,
+                end: start + len,
+                value,
+                aux: 0,
+                id: i as u32,
+            })
+            .filter(|it| it.end > it.start)
+            .collect();
+        items.sort_unstable_by_key(|it| (it.start, it.id));
+        IntervalIndex::build_presorted(items)
+    }
+
+    /// Naive min / max `value` over the entries overlapping `q` (max is `0`
+    /// when nothing overlaps, matching `max_value_overlapping`).
+    fn naive_min_max(entries: &[(u64, u64, u64)], q: Interval) -> (Option<u64>, u64) {
+        let values = entries
+            .iter()
+            .filter(|&&(s, l, _)| iv(s, l).overlaps(&q))
+            .map(|&(_, _, v)| v);
+        (values.clone().min(), values.max().unwrap_or(0))
     }
 
     #[test]
@@ -1205,7 +768,7 @@ mod tests {
             for _q in 0..20 {
                 let q = iv(rng.gen_range(0u64..520), rng.gen_range(0u64..80));
                 let mut got = Vec::new();
-                idx.for_each_overlap(q, |id| got.push(id));
+                idx.for_each_overlap_item(q, |it| got.push(it.id));
                 got.sort_unstable();
                 let want: Vec<u32> = entries
                     .iter()
@@ -1214,13 +777,9 @@ mod tests {
                     .map(|(i, _)| i as u32)
                     .collect();
                 assert_eq!(got, want, "query {q:?} over {entries:?}");
-                assert_eq!(idx.any_overlap(q), !want.is_empty());
-                let want_min = entries
-                    .iter()
-                    .filter(|&&(s, l, _)| iv(s, l).overlaps(&q))
-                    .map(|&(_, _, v)| v)
-                    .min();
+                let (want_min, want_max) = naive_min_max(&entries, q);
                 assert_eq!(idx.min_value_overlapping(q), want_min);
+                assert_eq!(idx.max_value_overlapping(q), want_max);
             }
         }
     }
@@ -1229,9 +788,9 @@ mod tests {
     fn ids_come_out_in_trace_order() {
         let idx = index_of(&[(100, 10, 0), (0, 300, 0), (105, 2, 0), (400, 5, 0)]);
         let mut got = Vec::new();
-        idx.for_each_overlap(iv(104, 4), |id| got.push(id));
-        // for_each_overlap does not guarantee sortedness internally for the
-        // generic walk, so callers sort; here we check contents.
+        idx.for_each_overlap_item(iv(104, 4), |it| got.push(it.id));
+        // The walk yields items in start-sorted order, not trace order, so
+        // callers sort; here we check contents.
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2]);
     }
@@ -1239,16 +798,16 @@ mod tests {
     #[test]
     fn empty_and_zero_length_queries() {
         let idx = index_of(&[]);
-        assert!(!idx.any_overlap(iv(0, 100)));
+        assert_eq!(idx.max_value_overlapping(iv(0, 100)), 0);
         assert_eq!(idx.min_value_overlapping(iv(0, 100)), None);
         let idx = index_of(&[(10, 10, 5)]);
-        assert!(!idx.any_overlap(iv(0, 0)));
-        assert!(idx.any_overlap(iv(0, 11)));
+        assert_eq!(idx.min_value_overlapping(iv(0, 0)), None);
+        assert_eq!(idx.max_value_overlapping(iv(0, 11)), 5);
         assert_eq!(idx.min_value_overlapping(iv(15, 1)), Some(5));
         // Zero-length entries are dropped.
         let idx = index_of(&[(10, 0, 5)]);
-        assert!(idx.is_empty());
-        assert!(!idx.any_overlap(iv(0, 100)));
+        assert_eq!(idx.len(), 0);
+        assert_eq!(idx.min_value_overlapping(iv(0, 100)), None);
     }
 
     /// The logarithmic-merge discipline keeps the level count bounded by
@@ -1270,7 +829,7 @@ mod tests {
             }]);
             naive.push((start, len, value));
         }
-        assert_eq!(inc.len(), n);
+        assert_eq!(inc.levels.iter().map(|l| l.len()).sum::<usize>(), n);
         // ⌈log₄ 2000⌉ + 1 = 7; the old discipline reached ~log₂ 2000 = 11.
         let bound = {
             let mut levels = 0usize;
@@ -1282,9 +841,9 @@ mod tests {
             levels + 1
         };
         assert!(
-            inc.level_count() <= bound,
+            inc.levels.len() <= bound,
             "{} levels exceeds the log₄ bound {bound}",
-            inc.level_count()
+            inc.levels.len()
         );
         for q in 0..120u64 {
             let query = iv(q * 5 % 520, 1 + q % 50);
@@ -1298,62 +857,15 @@ mod tests {
                 .map(|(i, _)| i as u32)
                 .collect();
             assert_eq!(got, want, "query {query:?}");
-            assert_eq!(inc.any_overlap(query), !want.is_empty());
-            let want_min = naive
-                .iter()
-                .filter(|&&(s, l, _)| iv(s, l).overlaps(&query))
-                .map(|&(_, _, v)| v)
-                .min();
+            let (want_min, want_max) = naive_min_max(&naive, query);
             assert_eq!(inc.min_value_overlapping(query), want_min);
+            assert_eq!(inc.max_value_overlapping(query), want_max);
         }
     }
 
-    #[test]
-    fn parallel_trace_index_build_matches_serial() {
-        use crate::pool::WorkerPool;
-        let mut t = Trace::new(3);
-        for i in 0..400u64 {
-            let agent = match i % 4 {
-                0 => Agent::Cpu,
-                a => Agent::Ndp(a as usize - 1),
-            };
-            let kind = match i % 3 {
-                0 => EventKind::Write,
-                1 => EventKind::Persist,
-                _ => EventKind::Read,
-            };
-            let sharing = if i % 2 == 0 {
-                Sharing::Shared
-            } else {
-                Sharing::NdpManaged
-            };
-            t.record(agent, kind, iv(i * 13 % 997, 8), sharing, None, None, i * 3);
-        }
-        let serial = TraceIndex::new(&t);
-        for workers in [1, 2, 4] {
-            let par = TraceIndex::new_parallel(&t, &WorkerPool::new(workers));
-            for q in 0..60u64 {
-                let query = iv(q * 17 % 1000, 16);
-                let collect = |idx: &TraceIndex<'_>, kind: EventKind| {
-                    let mut ids = Vec::new();
-                    idx.for_each_comparable_cpu_access(kind, query, |e| {
-                        ids.push((e.timestamp_ps, e.interval))
-                    });
-                    ids
-                };
-                for kind in [EventKind::Read, EventKind::Write, EventKind::Persist] {
-                    assert_eq!(collect(&serial, kind), collect(&par, kind));
-                }
-                for a in [Agent::Ndp(0), Agent::Ndp(1), Agent::Ndp(2)] {
-                    assert_eq!(
-                        serial.earliest_persist_by(a, query),
-                        par.earliest_persist_by(a, query)
-                    );
-                }
-            }
-        }
-    }
-
+    /// The fold's index answers the offload, failure-window, and
+    /// earliest-persist lookups — also when the failure arrives in a later
+    /// batch than the writes and persists it bounds.
     #[test]
     fn trace_index_offload_and_failure_lookup() {
         let mut t = Trace::new(1);
@@ -1394,7 +906,11 @@ mod tests {
             None,
             40,
         );
-        let idx = TraceIndex::new(&t);
+        let mut idx = FoldIndex::default();
+        idx.extend(&t.events()[..3], 0);
+        assert_eq!(idx.failure_ts(), None);
+        assert!(!idx.written_before_failure(iv(0x100, 1)));
+        idx.extend(&t.events()[3..], 3);
         assert_eq!(idx.offload_po(p), Some(0));
         assert_eq!(idx.failure_ts(), Some(40));
         assert_eq!(

@@ -1,29 +1,36 @@
-//! Trace-level checkers for the four PPO invariants (paper Section 4).
+//! The four PPO invariants (paper Section 4): the [`PpoViolation`]s a check
+//! reports, the whole-trace entry point [`check_all`], and the naive
+//! reference checkers in [`oracle`].
 //!
-//! The checkers are conservative: they operate on the recorded [`Trace`] and
+//! The checks are conservative: they operate on the recorded [`Trace`] and
 //! flag orderings that a PPO-compliant NearPM system must never produce. The
 //! system-level tests run every workload/mechanism combination, collect the
 //! trace, and assert that no violations are reported; mutation tests flip
-//! timestamps to confirm the checkers actually detect broken orderings.
+//! timestamps to confirm the checks actually detect broken orderings.
+//!
+//! Invariant 3 (persist before synchronization) covers different writes
+//! depending on whether a `Sync` event names a procedure. A **proc-scoped**
+//! sync (`proc == Some(p)`) guarantees exactly the writes of `p` recorded
+//! before it, *regardless of their timestamps*: a participating write that
+//! persists only after the sync completes is a violation, while another
+//! procedure's late write is out of scope. The system records one sync event
+//! per participating (device, procedure) pair. An **unscoped** sync covers
+//! every prior-in-trace write of its agent timestamped no later than the
+//! sync — the temporal under-approximation that avoids false positives when
+//! application threads interleave in the trace.
 //!
 //! ## Implementation
 //!
-//! All checkers are single-pass queries against a [`TraceIndex`] built once
-//! per trace in O(n log n): shared CPU accesses live in per-kind interval
-//! indexes, per-agent persists in an interval index with earliest-timestamp
-//! augmentation, and the failure window in write/persist existence indexes.
-//! The original quadratic scans are preserved verbatim in [`oracle`]
-//! (compiled under `cfg(test)` or the `oracle` feature) and differential
-//! tests assert that both implementations report identical violation lists
-//! on randomized traces.
+//! There is one implementation: [`check_all`] folds the whole trace as one
+//! batch of an [`IncrementalChecker`], the same fold the system runs
+//! incrementally at every report. The original quadratic scans are kept in
+//! [`oracle`] (compiled under `cfg(test)` or the `oracle` feature) as the
+//! sole independent reference; differential tests assert that the fold
+//! reports identical violation lists on randomized traces, at every prefix,
+//! batch split, and worker count.
 
-use std::collections::{BTreeSet, HashMap};
-use std::ops::Bound;
-
-use crate::event::{Agent, EventKind, Interval, ProcId, Sharing, Trace};
+use crate::event::{Agent, Interval, ProcId, Trace};
 use crate::incremental::IncrementalChecker;
-use crate::index::{IncrementalTraceIndex, PpoIndexQueries, TraceIndex};
-use crate::pool::WorkerPool;
 
 /// A detected violation of a PPO invariant.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,297 +108,20 @@ impl std::fmt::Display for PpoViolation {
     }
 }
 
-/// Runs every invariant checker over one shared [`TraceIndex`] and returns
-/// all violations found.
+/// Checks all four invariants over the whole trace and returns every
+/// violation found: ordering (Invariants 1/2, including `MissingOffload`),
+/// then persist-before-sync (Invariant 3), then recovery reads
+/// (Invariant 4). This is a one-batch [`IncrementalChecker`] fold.
 pub fn check_all(trace: &Trace) -> Vec<PpoViolation> {
-    let idx = TraceIndex::new(trace);
-    check_all_indexed(&idx)
-}
-
-/// [`check_all`] against a pre-built index (lets callers amortize the build
-/// across checkers or reuse the index for their own queries).
-pub fn check_all_indexed(idx: &TraceIndex<'_>) -> Vec<PpoViolation> {
-    let mut v = check_cpu_ndp_ordering_indexed(idx);
-    v.extend(check_sync_persistence_indexed(idx));
-    v.extend(check_recovery_reads_indexed(idx));
-    v
-}
-
-/// [`check_all`] on a scoped worker pool: the per-category/per-agent index
-/// builds run in parallel ([`TraceIndex::new_parallel`]), then the invariant
-/// passes — Invariants 1/2 (ordering, including `MissingOffload`),
-/// Invariant 3 (persist-before-sync), Invariant 4 (recovery reads) — run as
-/// independent jobs. Each pass is internally unchanged and the pool returns
-/// outputs in job order, so the concatenated list is **element-for-element
-/// equal** to [`check_all`] at every worker count (including 1, where this
-/// degrades to the serial path on the calling thread). The serial checker is
-/// retained as the differential oracle.
-pub fn check_all_parallel(trace: &Trace, workers: usize) -> Vec<PpoViolation> {
-    let pool = WorkerPool::new(workers);
-    let idx = TraceIndex::new_parallel(trace, &pool);
-    check_all_indexed_parallel(&idx, &pool)
-}
-
-/// [`check_all_parallel`] against a pre-built index: the three invariant
-/// passes run as pool jobs, concatenated in the serial order
-/// (ordering ++ sync ++ recovery).
-pub fn check_all_indexed_parallel(idx: &TraceIndex<'_>, pool: &WorkerPool) -> Vec<PpoViolation> {
-    type Pass<'j> = Box<dyn FnOnce() -> Vec<PpoViolation> + Send + 'j>;
-    let passes: Vec<Pass<'_>> = vec![
-        Box::new(|| check_cpu_ndp_ordering_indexed(idx)),
-        Box::new(|| check_sync_persistence_indexed(idx)),
-        Box::new(|| check_recovery_reads_indexed(idx)),
-    ];
-    pool.scoped_map(passes).into_iter().flatten().collect()
-}
-
-/// [`check_all`] against a cached [`IncrementalChecker`]: only the events
-/// appended to `trace` since the previous call are folded — the checker
-/// tracks which (event × event) pairs every invariant already compared, in
-/// both directions — so a repeated clean check of a growing trace
-/// (multi-`report()`/`sample()` sweeps) costs O(new events · log n) end to
-/// end instead of a full re-walk over a cached index.
-pub fn check_all_cached(trace: &Trace, cache: &mut IncrementalChecker) -> Vec<PpoViolation> {
-    cache.check(trace)
-}
-
-/// [`check_all`] against a cached [`IncrementalTraceIndex`] — the PR 2
-/// path: the *index* is extended incrementally but every checker still
-/// re-walks the full trace per call. Retained as the index-layer
-/// differential baseline and the oracle-side recompute the `report_smoke`
-/// gate and `report_incremental` bench measure the violation-level
-/// incremental checker against.
-pub fn check_all_with_index_cache(
-    trace: &Trace,
-    cache: &mut IncrementalTraceIndex,
-) -> Vec<PpoViolation> {
-    cache.extend_from(trace);
-    let mut v = check_cpu_ndp_ordering_with(trace, cache);
-    v.extend(check_sync_persistence_with(trace, cache));
-    v.extend(check_recovery_reads_with(trace, cache));
-    v
-}
-
-/// Invariants 1 and 2: ordering between CPU and NDP accesses to shared
-/// addresses must follow program order around the offload point.
-pub fn check_cpu_ndp_ordering(trace: &Trace) -> Vec<PpoViolation> {
-    check_cpu_ndp_ordering_indexed(&TraceIndex::new(trace))
-}
-
-/// Indexed implementation of [`check_cpu_ndp_ordering`]: one pass over the
-/// NDP accesses, each resolved against the per-kind CPU interval indexes.
-pub fn check_cpu_ndp_ordering_indexed(idx: &TraceIndex<'_>) -> Vec<PpoViolation> {
-    check_cpu_ndp_ordering_with(idx.trace(), idx)
-}
-
-/// [`check_cpu_ndp_ordering`] against any index implementation.
-fn check_cpu_ndp_ordering_with<I: PpoIndexQueries>(trace: &Trace, idx: &I) -> Vec<PpoViolation> {
-    let events = trace.events();
-    let mut violations = Vec::new();
-    for ndp in events.iter().filter(|e| {
-        e.agent.is_ndp()
-            && e.sharing == Sharing::Shared
-            && matches!(
-                e.kind,
-                EventKind::Write | EventKind::Persist | EventKind::Read
-            )
-            && e.interval.len > 0
-    }) {
-        let proc = match ndp.proc {
-            Some(p) => p,
-            None => continue,
-        };
-        let Some(off_po) = idx.offload_po(proc) else {
-            violations.push(PpoViolation::MissingOffload { proc });
-            continue;
-        };
-        idx.for_each_comparable_cpu_access(events, ndp.kind, ndp.interval, |cpu| {
-            let cpu_before_offload = cpu.program_order < off_po;
-            let ok = if cpu_before_offload {
-                cpu.timestamp_ps <= ndp.timestamp_ps
-            } else {
-                ndp.timestamp_ps <= cpu.timestamp_ps
-            };
-            if !ok {
-                violations.push(PpoViolation::SharedOrderViolation {
-                    proc,
-                    cpu_interval: cpu.interval,
-                    ndp_interval: ndp.interval,
-                    cpu_ts: cpu.timestamp_ps,
-                    ndp_ts: ndp.timestamp_ps,
-                    cpu_before_offload,
-                });
-            }
-        });
-    }
-    violations
-}
-
-/// Invariant 3: writes covered by a synchronization event on the same
-/// device must have persisted no later than the synchronization completes.
-///
-/// Which writes a sync covers depends on whether the sync event names a
-/// procedure:
-///
-/// * **Proc-scoped sync** (`sync.proc == Some(p)`) — the sync guarantees
-///   exactly the writes of procedure `p` recorded before it, *regardless of
-///   their recorded timestamps*: the procedure's handles participated in
-///   the synchronization, so a p-write that persists only after the sync
-///   completes is a genuine violation (a "late write" the old temporal rule
-///   silently cleared), while another procedure's late write is simply out
-///   of scope (no false positive). The system records one sync event per
-///   participating (device, procedure) pair.
-/// * **Unscoped sync** (`sync.proc == None`) — the legacy conservative
-///   form: every prior-in-trace write of the agent whose timestamp is no
-///   later than the sync. The temporal condition is the deliberate
-///   under-approximation that avoids false positives when multiple
-///   application threads interleave in the trace — a sync never guarantees
-///   work that had not happened yet.
-pub fn check_sync_persistence(trace: &Trace) -> Vec<PpoViolation> {
-    check_sync_persistence_indexed(&TraceIndex::new(trace))
-}
-
-/// Indexed implementation of [`check_sync_persistence`].
-///
-/// One pass over the trace: each NDP write is resolved once to the earliest
-/// timestamp at which a persist of the same agent covered it (u64::MAX if
-/// never), and parked in a per-agent ordered set keyed by that timestamp.
-/// A sync event then reports exactly the parked writes whose earliest
-/// covering persist lands after the sync — an O(log n + violations) range
-/// read instead of a rescan of every prior write.
-pub fn check_sync_persistence_indexed(idx: &TraceIndex<'_>) -> Vec<PpoViolation> {
-    check_sync_persistence_with(idx.trace(), idx)
-}
-
-/// [`check_sync_persistence`] against any index implementation.
-fn check_sync_persistence_with<I: PpoIndexQueries>(trace: &Trace, idx: &I) -> Vec<PpoViolation> {
-    let mut violations = Vec::new();
-    let events = trace.events();
-    // Writes seen so far per agent, keyed by (earliest covering persist
-    // timestamp, event index).
-    let mut pending: HashMap<Agent, BTreeSet<(u64, u32)>> = HashMap::new();
-    for (i, e) in events.iter().enumerate() {
-        if !e.agent.is_ndp() {
-            continue;
-        }
-        match e.kind {
-            EventKind::Write if e.interval.len > 0 => {
-                let ts = idx
-                    .earliest_persist_by(e.agent, e.interval)
-                    .unwrap_or(u64::MAX);
-                pending.entry(e.agent).or_default().insert((ts, i as u32));
-            }
-            EventKind::Sync => {
-                if let Some(parked) = pending.get(&e.agent) {
-                    let mut failing: Vec<u32> = parked
-                        .range((
-                            Bound::Excluded((e.timestamp_ps, u32::MAX)),
-                            Bound::Unbounded,
-                        ))
-                        .map(|&(_, id)| id)
-                        .collect();
-                    failing.sort_unstable();
-                    for id in failing {
-                        let w = &events[id as usize];
-                        let in_scope = match e.proc {
-                            // Proc-scoped sync: exactly the procedure's
-                            // writes, wherever their timestamps landed.
-                            Some(p) => w.proc == Some(p),
-                            // Unscoped sync: writes that happen after it (in
-                            // time) are not covered, wherever they sit in
-                            // the trace.
-                            None => w.timestamp_ps <= e.timestamp_ps,
-                        };
-                        if !in_scope {
-                            continue;
-                        }
-                        violations.push(PpoViolation::UnpersistedBeforeSync {
-                            agent: w.agent,
-                            interval: w.interval,
-                            sync_ts: e.timestamp_ps,
-                        });
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    violations
-}
-
-/// Invariant 4: recovery reads only data that persisted before the failure.
-pub fn check_recovery_reads(trace: &Trace) -> Vec<PpoViolation> {
-    check_recovery_reads_indexed(&TraceIndex::new(trace))
-}
-
-/// Indexed implementation of [`check_recovery_reads`]: each recovery read is
-/// two existence queries against the failure-window write/persist indexes.
-pub fn check_recovery_reads_indexed(idx: &TraceIndex<'_>) -> Vec<PpoViolation> {
-    check_recovery_reads_with(idx.trace(), idx)
-}
-
-/// [`check_recovery_reads`] against any index implementation.
-fn check_recovery_reads_with<I: PpoIndexQueries>(trace: &Trace, idx: &I) -> Vec<PpoViolation> {
-    let mut violations = Vec::new();
-    if idx.failure_ts().is_none() {
-        return violations;
-    }
-    for r in trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == EventKind::RecoveryRead && e.interval.len > 0)
-    {
-        // The recovery read must be backed by *some* persist of an overlapping
-        // interval that completed before the failure, or the data must have
-        // never been written at all since the start of the trace (reading the
-        // initial image is always safe).
-        if idx.written_before_failure(r.interval) && !idx.persisted_before_failure(r.interval) {
-            violations.push(PpoViolation::RecoveryReadUnpersisted {
-                agent: r.agent,
-                interval: r.interval,
-            });
-        }
-    }
-    violations
-}
-
-/// Counts NDP persists to NDP-managed addresses that were *delayed* past a
-/// later CPU access — the relaxation PPO explicitly allows. Benchmarks use
-/// this to confirm the relaxed mode actually exercises the relaxation.
-///
-/// Two O(n) passes: the earliest CPU access timestamp (program order > 0)
-/// bounds the comparison for every NDP-managed persist.
-pub fn relaxed_persist_count(trace: &Trace) -> usize {
-    let events = trace.events();
-    let min_cpu_ts = events
-        .iter()
-        .filter(|e| {
-            e.agent == Agent::Cpu
-                && matches!(e.kind, EventKind::Write | EventKind::Read)
-                && e.program_order > 0
-        })
-        .map(|e| e.timestamp_ps)
-        .min();
-    let Some(min_cpu_ts) = min_cpu_ts else {
-        return 0;
-    };
-    events
-        .iter()
-        .filter(|e| {
-            e.agent.is_ndp()
-                && e.kind == EventKind::Persist
-                && e.sharing == Sharing::NdpManaged
-                && min_cpu_ts < e.timestamp_ps
-        })
-        .count()
+    IncrementalChecker::new().check(trace)
 }
 
 /// The original nested-scan checkers, kept verbatim as reference oracles.
 ///
 /// These are O(n²)–O(n³) in the trace length and exist only so that
-/// differential tests and the `ppo_check` benchmarks can compare the indexed
-/// implementations against the original semantics. Compiled under
-/// `cfg(test)` or the `oracle` cargo feature.
+/// differential tests, the smoke gates, and the `ppo_check` benchmarks can
+/// compare the incremental fold against the original semantics. Compiled
+/// under `cfg(test)` or the `oracle` cargo feature.
 #[cfg(any(test, feature = "oracle"))]
 pub mod oracle {
     use super::PpoViolation;
@@ -405,7 +135,9 @@ pub mod oracle {
         v
     }
 
-    /// Naive [`super::check_cpu_ndp_ordering`]: all-pairs CPU×NDP scan.
+    /// Invariants 1 and 2, naive: ordering between CPU and NDP accesses to
+    /// shared addresses must follow program order around the offload point
+    /// (all-pairs CPU×NDP scan).
     pub fn check_cpu_ndp_ordering(trace: &Trace) -> Vec<PpoViolation> {
         let mut violations = Vec::new();
         let events = trace.events();
@@ -496,8 +228,8 @@ pub mod oracle {
         violations
     }
 
-    /// Naive [`super::check_sync_persistence`]: per sync, rescan every prior
-    /// write and, per write, rescan every event for a covering persist.
+    /// Invariant 3, naive: per sync, rescan every prior write and, per
+    /// write, rescan every event for a covering persist.
     pub fn check_sync_persistence(trace: &Trace) -> Vec<PpoViolation> {
         let mut violations = Vec::new();
         let events = trace.events();
@@ -540,8 +272,8 @@ pub mod oracle {
         violations
     }
 
-    /// Naive [`super::check_recovery_reads`]: per recovery read, rescan the
-    /// whole trace for pre-failure writes and persists.
+    /// Invariant 4, naive: per recovery read, rescan the whole trace for
+    /// pre-failure writes and persists.
     pub fn check_recovery_reads(trace: &Trace) -> Vec<PpoViolation> {
         let mut violations = Vec::new();
         let Some(failure_ts) = trace.failure_time() else {
@@ -575,7 +307,9 @@ pub mod oracle {
         violations
     }
 
-    /// Naive [`super::relaxed_persist_count`]: all-pairs persist×access scan.
+    /// Naive [`crate::IncrementalChecker::relaxed_persist_count`]: counts
+    /// NDP persists to NDP-managed addresses delayed past some CPU access
+    /// (all-pairs persist×access scan).
     pub fn relaxed_persist_count(trace: &Trace) -> usize {
         let events = trace.events();
         let cpu_accesses: Vec<&PpoEvent> = events
@@ -698,7 +432,7 @@ mod tests {
             None,
             200,
         );
-        let violations = check_cpu_ndp_ordering(&t);
+        let violations = check_all(&t);
         assert_eq!(violations.len(), 1);
         assert!(matches!(
             violations[0],
@@ -743,7 +477,7 @@ mod tests {
             None,
             100,
         );
-        let violations = check_cpu_ndp_ordering(&t);
+        let violations = check_all(&t);
         assert_eq!(violations.len(), 1);
         assert!(matches!(
             violations[0],
@@ -777,7 +511,7 @@ mod tests {
             None,
             200,
         );
-        let violations = check_cpu_ndp_ordering(&t);
+        let violations = check_all(&t);
         assert!(violations
             .iter()
             .any(|v| matches!(v, PpoViolation::MissingOffload { .. })));
@@ -808,8 +542,8 @@ mod tests {
             150,
         );
         t.record_write_persist(Agent::Ndp(0), log, Sharing::NdpManaged, Some(p), 9_000);
-        assert!(check_cpu_ndp_ordering(&t).is_empty());
-        assert_eq!(relaxed_persist_count(&t), 1);
+        assert!(check_all(&t).is_empty());
+        assert_eq!(IncrementalChecker::new().relaxed_persist_count(&t), 1);
     }
 
     #[test]
@@ -847,7 +581,7 @@ mod tests {
             Some(s),
             200,
         );
-        let violations = check_sync_persistence(&t);
+        let violations = check_all(&t);
         assert_eq!(violations.len(), 1);
         assert!(matches!(
             violations[0],
@@ -894,7 +628,7 @@ mod tests {
             Some(s2),
             200,
         );
-        assert!(check_sync_persistence(&t2).is_empty());
+        assert!(check_all(&t2).is_empty());
     }
 
     /// ROADMAP proc-scoped sync regression: a sync that names its procedure
@@ -950,7 +684,7 @@ mod tests {
         // Proc-scoped sync: exactly the participating procedure's late
         // write is flagged; the unrelated write is out of scope.
         let (t, _p1, _p2) = lay(Some(ProcId(0)));
-        let violations = check_sync_persistence(&t);
+        let violations = check_all(&t);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(matches!(
             violations[0],
@@ -962,7 +696,7 @@ mod tests {
         assert_eq!(violations, oracle::check_sync_persistence(&t));
         // The incremental checker agrees, including when the sync arrives in
         // a later batch than the writes.
-        let mut checker = crate::incremental::IncrementalChecker::new();
+        let mut checker = IncrementalChecker::new();
         let mut replay = Trace::new(1);
         for (i, e) in t.events().iter().enumerate() {
             replay.record(
@@ -975,8 +709,8 @@ mod tests {
                 e.timestamp_ps,
             );
             assert_eq!(
-                check_all_cached(&replay, &mut checker),
-                check_all(&replay),
+                checker.check(&replay),
+                oracle::check_all(&replay),
                 "prefix {i}"
             );
         }
@@ -984,7 +718,7 @@ mod tests {
         // Unscoped sync: the legacy temporal under-approximation clears
         // both late writes (they had not happened yet at sync time).
         let (t, _, _) = lay(None);
-        assert!(check_sync_persistence(&t).is_empty());
+        assert!(check_all(&t).is_empty());
         assert_eq!(oracle::check_sync_persistence(&t), Vec::new());
 
         // A persisted participating write satisfies the proc-scoped sync
@@ -1021,7 +755,7 @@ mod tests {
             None,
             200,
         );
-        assert!(check_sync_persistence(&t2).is_empty());
+        assert!(check_all(&t2).is_empty());
         assert_eq!(oracle::check_sync_persistence(&t2), Vec::new());
     }
 
@@ -1057,7 +791,7 @@ mod tests {
             None,
             300,
         );
-        let violations = check_recovery_reads(&t);
+        let violations = check_all(&t);
         assert_eq!(violations.len(), 1);
 
         // If the data persisted before the failure, recovery may read it.
@@ -1081,7 +815,7 @@ mod tests {
             None,
             300,
         );
-        assert!(check_recovery_reads(&t2).is_empty());
+        assert!(check_all(&t2).is_empty());
     }
 
     #[test]
@@ -1105,13 +839,13 @@ mod tests {
             None,
             300,
         );
-        assert!(check_recovery_reads(&t).is_empty());
+        assert!(check_all(&t).is_empty());
     }
 
     #[test]
     fn no_failure_means_no_recovery_violations() {
         let t = good_undo_log_trace();
-        assert!(check_recovery_reads(&t).is_empty());
+        assert!(check_all(&t).is_empty());
     }
 
     #[test]
@@ -1130,7 +864,10 @@ mod tests {
         let traces = [good_undo_log_trace()];
         for t in &traces {
             assert_eq!(check_all(t), oracle::check_all(t));
-            assert_eq!(relaxed_persist_count(t), oracle::relaxed_persist_count(t));
+            assert_eq!(
+                IncrementalChecker::new().relaxed_persist_count(t),
+                oracle::relaxed_persist_count(t)
+            );
         }
     }
 }

@@ -16,10 +16,12 @@
 //! 4. **Failure-recovery** — recovery reads only data that persisted before
 //!    the failure.
 //!
-//! The crate also contains the per-command multi-device synchronization state
-//! machine of Figure 12 ([`SyncStateMachine`], [`MultiDeviceSync`]), which
-//! the device model drives and which decides when recovery data (logs,
-//! checkpoints) may be deleted.
+//! There is one checking implementation, [`IncrementalChecker`]: it folds
+//! the events appended since its previous call, so a system re-checking its
+//! growing trace at every report pays for each event once. [`check_all`] is
+//! the same fold over a whole trace in one batch. The naive rescanning
+//! checkers in `invariants::oracle` (feature `oracle`) are the independent
+//! reference the differential tests and smoke gates compare against.
 //!
 //! ## Example
 //!
@@ -50,22 +52,11 @@
 #[cfg(test)]
 mod differential;
 pub mod event;
-pub mod incremental;
-pub mod index;
+mod incremental;
+mod index;
 pub mod invariants;
-pub mod pool;
-pub mod statemachine;
+mod pool;
 
 pub use event::{Agent, EventKind, Interval, PpoEvent, ProcId, Sharing, SyncId, Trace};
 pub use incremental::IncrementalChecker;
-pub use index::{
-    IncrementalIntervalIndex, IncrementalTraceIndex, IntervalIndex, PpoIndexQueries, TraceIndex,
-};
-pub use invariants::{
-    check_all, check_all_cached, check_all_indexed, check_all_indexed_parallel, check_all_parallel,
-    check_all_with_index_cache, check_cpu_ndp_ordering, check_cpu_ndp_ordering_indexed,
-    check_recovery_reads, check_recovery_reads_indexed, check_sync_persistence,
-    check_sync_persistence_indexed, relaxed_persist_count, PpoViolation,
-};
-pub use pool::WorkerPool;
-pub use statemachine::{MultiDeviceSync, SyncError, SyncInput, SyncState, SyncStateMachine};
+pub use invariants::{check_all, PpoViolation};

@@ -7,24 +7,23 @@
 //! number of scoped threads pulling indices off a shared atomic counter,
 //! and the results come back **in job order** — so callers that concatenate
 //! per-job outputs get exactly the order a serial loop would have produced,
-//! which is what lets the parallel PPO checker promise violation lists
-//! identical to the serial one.
+//! which is what lets the parallel fold of the PPO checker promise
+//! violation lists identical to the serial one.
 //!
 //! The crate forbids `unsafe`, so jobs are parked in `Mutex<Option<_>>`
 //! slots (taken exactly once each) rather than handed out through raw
 //! pointers. The per-job locking cost is irrelevant at the granularity this
-//! pool is used for (whole invariant passes and whole index builds, each
-//! thousands to millions of events).
+//! pool is used for (one contiguous chunk of a batch's pair sweep per
+//! worker, thousands to millions of events each).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A fixed-width fork/join worker pool. `WorkerPool::new(1)` (or a
 /// single-job input) degrades to a plain serial loop on the calling thread,
-/// which keeps the "parallel" entry points usable as drop-in replacements
-/// at every worker count.
+/// so the fold runs the same code at every worker count.
 #[derive(Debug, Clone, Copy)]
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     workers: usize,
 }
 
@@ -35,16 +34,6 @@ impl WorkerPool {
         WorkerPool {
             workers: workers.max(1),
         }
-    }
-
-    /// A pool sized to the machine: `std::thread::available_parallelism`,
-    /// or 1 if that cannot be determined.
-    pub fn default_for_host() -> Self {
-        WorkerPool::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
     }
 
     /// Number of worker threads this pool uses.
@@ -124,6 +113,5 @@ mod tests {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.workers(), 1);
         assert_eq!(pool.scoped_map(vec![|| 1u8, || 2u8]), vec![1, 2]);
-        assert!(WorkerPool::default_for_host().workers() >= 1);
     }
 }
