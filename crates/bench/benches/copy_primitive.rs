@@ -2,7 +2,7 @@
 //! complementing the analytic Figure 17 microbenchmark.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nearpm_core::{NearPmOp, NearPmSystem, Region, SystemConfig};
+use nearpm_core::{NearPmOp, NearPmSystem, OffloadBatch, Region, SystemConfig};
 
 fn bench_copy(c: &mut Criterion) {
     let mut group = c.benchmark_group("copy_primitive");
@@ -24,7 +24,8 @@ fn bench_copy(c: &mut Criterion) {
                 let pool = sys.create_pool("p", 1 << 20).unwrap();
                 let src = sys.alloc(pool, size, 4096).unwrap();
                 let dst = sys.alloc(pool, size, 4096).unwrap();
-                sys.offload(
+                sys.offload_into(
+                    &mut OffloadBatch::new(),
                     0,
                     pool,
                     NearPmOp::ShadowCopy {

@@ -2,7 +2,7 @@
 //! recompute, at two scales each for the two halves of the pipeline.
 //!
 //! * `report_incremental/*` — a live fig20-shaped system: steady-state
-//!   `sample()` (aggregates maintained, checker cached, no new events
+//!   `report()` (aggregates maintained, checker cached, no new events
 //!   between iterations — the cost a continuously self-sampling run pays
 //!   per sample) vs `report_oracle()` (full re-aggregation + from-scratch
 //!   trace check per call).
@@ -25,12 +25,12 @@ fn report_paths(c: &mut Criterion) {
         let mut sys = drive_fig20_system(16, events, |_, _| {});
         // Fold everything once so the timed iterations measure the
         // steady-state resample cost, not the first fold.
-        let warm = sys.sample();
+        let warm = sys.report();
         assert!(warm.ppo_violations.is_empty());
         group.bench_with_input(
             BenchmarkId::new("incremental_sample", events),
             &events,
-            |b, _| b.iter(|| sys.sample()),
+            |b, _| b.iter(|| sys.report()),
         );
         group.bench_with_input(
             BenchmarkId::new("oracle_recompute", events),

@@ -1,5 +1,5 @@
-//! Multi-sample observe-path smoke test: incremental `report()`/`sample()`
-//! vs the O(n) oracle recompute path, on a live run of configurable size.
+//! Multi-sample observe-path smoke test: incremental `report()` vs the O(n)
+//! oracle recompute path, on a live run of configurable size.
 //!
 //! Drives the fig20-shaped 16-thread system (`drive_fig20_system`) until its
 //! PPO trace holds ≥`--events` events (default 120k; CI also runs the
@@ -7,7 +7,7 @@
 //! with `--events 10000000`), sampling the run along the way. At every
 //! sampling point it takes the report **both** ways:
 //!
-//! * `NearPmSystem::sample()` — the incremental path: the graph's
+//! * `NearPmSystem::report()` — the incremental path: the graph's
 //!   aggregates/timeline are already maintained, the cached checker folds
 //!   only the events since the previous sample;
 //! * `NearPmSystem::report_oracle()` — the retained recompute path: full
@@ -145,7 +145,7 @@ fn main() {
         next_sample_at += target_events / samples;
 
         let t0 = Instant::now();
-        let sample = sys.sample();
+        let sample = sys.report();
         incremental_time += t0.elapsed();
 
         let t1 = Instant::now();
@@ -242,7 +242,7 @@ fn main() {
                 return;
             }
             next_sample_at += target_events / samples;
-            let sample = sys.sample();
+            let sample = sys.report();
             peak_resident = peak_resident.max(sys.resident_trace_events());
             assert!(
                 sample.ppo_violations.is_empty(),

@@ -68,27 +68,6 @@ pub fn run_one(w: Workload, m: Mechanism, mode: ExecMode, ops: usize, seed: u64)
         .expect("workload run failed")
 }
 
-/// Runs one combination with explicit thread / unit counts.
-pub fn run_custom(
-    w: Workload,
-    m: Mechanism,
-    mode: ExecMode,
-    ops: usize,
-    threads: usize,
-    units: usize,
-    seed: u64,
-) -> RunReport {
-    Runner::new(
-        w,
-        RunOptions::new(mode, m, ops)
-            .with_threads(threads)
-            .with_units(units)
-            .with_seed(seed),
-    )
-    .run()
-    .expect("workload run failed")
-}
-
 /// Pretty-prints a table header.
 pub fn header(title: &str, columns: &[&str]) {
     println!("\n== {title} ==");

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use nearpm_core::{AddrRange, ExecMode, NearPmOp, NearPmSystem, SystemConfig};
+use nearpm_core::{AddrRange, ExecMode, NearPmOp, NearPmSystem, OffloadBatch, SystemConfig};
 use nearpm_ppo::{Agent, EventKind, Interval, ProcId, Sharing, Trace};
 use nearpm_sim::schedule::oracle;
 use nearpm_sim::{Region, Resource, Schedule, SimDuration, SimTime, TaskGraph};
@@ -350,6 +350,7 @@ pub fn drive_fig20_system_configured(
     }
 
     let mut txn = 0usize;
+    let mut batch = OffloadBatch::with_capacity(1);
     while sys.trace_events() < target_events {
         let t = txn % threads;
         let obj = objs[t].offset(((txn as u64 / 3) % OBJS_PER_THREAD) * OBJ_SIZE);
@@ -357,26 +358,26 @@ pub fn drive_fig20_system_configured(
         sys.cpu_compute(t, 300.0 + (txn % 7) as f64 * 45.0)
             .expect("compute");
         let id = sys.next_txn_id();
-        let handle = sys
-            .offload(
-                t,
-                pool,
-                NearPmOp::UndoLogCreate {
-                    src: obj,
-                    len: 256,
-                    log_meta: slot,
-                    log_data: slot.offset(64),
-                    txn_id: id,
-                },
-                &[],
-            )
-            .expect("offload");
+        sys.offload_into(
+            &mut batch,
+            t,
+            pool,
+            NearPmOp::UndoLogCreate {
+                src: obj,
+                len: 256,
+                log_meta: slot,
+                log_data: slot.offset(64),
+                txn_id: id,
+            },
+            &[],
+        )
+        .expect("offload");
         sys.cpu_write_persist(t, obj, &[txn as u8; 256], Region::AppPersist)
             .expect("update");
         if txn % 3 == 2 {
-            sys.delayed_sync(&[&handle]).expect("sync");
+            sys.delayed_sync_batch(&batch).expect("sync");
         }
-        sys.release(&[&handle]);
+        sys.release_batch(&mut batch);
         txn += 1;
         observe(&mut sys, txn);
     }

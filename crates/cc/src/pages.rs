@@ -374,13 +374,10 @@ impl ShadowPaging {
     /// shadow-copy the page, apply the update to the shadow, persist it, and
     /// switch the page-table entry.
     ///
-    /// This is the **serial** one-site-at-a-time path — each update runs
-    /// fault → copy → write → sync → switch to completion before the next
-    /// begins. It is retained as the differential oracle for the split-phase
-    /// [`ShadowPaging::update_many`] pipeline (same pattern as
-    /// `schedule::oracle` and `submit_single_stage`): both produce
-    /// byte-identical PM images by construction, only the modeled overlap
-    /// differs.
+    /// This is a one-site [`ShadowPaging::update_many`]: the update runs
+    /// fault → copy → write → sync → switch to completion before the call
+    /// returns, so a sequence of calls drives one site at a time (the serial
+    /// shape the crash explorer and the runner's per-site pipeline use).
     pub fn update(
         &mut self,
         sys: &mut NearPmSystem,
@@ -388,90 +385,11 @@ impl ShadowPaging {
         offset: u64,
         data: &[u8],
     ) -> Result<()> {
-        assert!(
-            offset + data.len() as u64 <= PM_PAGE,
-            "update crosses page boundary"
-        );
-        let old_page = self.entries[idx];
-        let slot = self.shadow_slot(sys, idx)?;
-        let shadow = slot.data;
-
-        // 1. Copy the existing page to the shadow (NearPM_shadowcpy or CPU,
-        //    with the fault-handling overhead the paper attributes to shadow
-        //    paging on the CPU side).
-        let latency = sys.latency().clone();
-        sys.cpu_overhead(
-            self.thread,
-            "page-fault",
-            latency.cpu_page_fault_ns,
-            Region::CcPageFault,
-        )?;
-        let handle = if sys.mode().uses_ndp() {
-            Some(sys.offload(
-                self.thread,
-                self.pool,
-                NearPmOp::ShadowCopy {
-                    src: old_page,
-                    dst: shadow,
-                    len: PM_PAGE,
-                },
-                &[],
-            )?)
-        } else {
-            sys.cpu_copy(
-                self.thread,
-                old_page,
-                shadow,
-                PM_PAGE,
-                Region::CcDataMovement,
-            )?;
-            None
-        };
-
-        // 2. Write the new value into the shadow page and persist it. The
-        //    conflict with the in-flight shadow copy orders this correctly.
-        sys.cpu_write_persist(self.thread, shadow.offset(offset), data, Region::AppPersist)?;
-
-        // 3. Mode-specific synchronization before the page switch.
-        if let Some(h) = &handle {
-            match sys.mode() {
-                ExecMode::NearPmMdSync => {
-                    sys.sw_sync(self.thread, &[h])?;
-                }
-                ExecMode::NearPmMd => {
-                    sys.delayed_sync(&[h])?;
-                }
-                _ => {}
-            }
-        }
-
-        // 4. Switch the page-table entry (8-byte atomic persist).
-        sys.cpu_write_persist(
-            self.thread,
-            self.table.offset(idx as u64 * 8),
-            &shadow.raw().to_le_bytes(),
-            Region::CcCommit,
-        )?;
-
-        if let Some(h) = &handle {
-            sys.release(&[h]);
-        }
-        // The old home page becomes this logical page's bound spare: the
-        // pair flip-flops for the lifetime of the mechanism instead of
-        // cycling through the shared free list.
-        self.spares[idx] = Some(LogSlot {
-            meta: slot.meta,
-            data: old_page,
-            device: slot.device,
-        });
-        self.entries[idx] = shadow;
-        self.switches += 1;
-        Ok(())
+        self.update_many(sys, &[(idx, offset, data)])
     }
 
-    /// Split-phase (post-all / complete-later) form of
-    /// [`ShadowPaging::update`] over several update sites — the pipelined
-    /// transaction path.
+    /// Updates several sites split-phase (post-all / complete-later) — the
+    /// pipelined transaction path.
     ///
     /// The sites are partitioned into rounds of **distinct** logical pages
     /// (a second update of the same page must copy the already-switched
@@ -484,8 +402,6 @@ impl ShadowPaging {
     ///    sibling copies);
     /// 3. **one** mode-specific synchronization covers the whole group;
     /// 4. the page-table entries switch.
-    ///
-    /// For a single site this produces exactly the serial path's task graph.
     pub fn update_many<D: AsRef<[u8]>>(
         &mut self,
         sys: &mut NearPmSystem,
@@ -744,7 +660,8 @@ mod tests {
         // write into the shadow, then fail.
         let device = sys.device_of(p0).unwrap();
         let slot = shadow.arena.acquire(device).unwrap();
-        sys.offload(
+        sys.offload_into(
+            &mut OffloadBatch::new(),
             0,
             pool,
             NearPmOp::ShadowCopy {
@@ -767,12 +684,12 @@ mod tests {
         assert_eq!(sys.persistent_read(mapping[0], 32).unwrap(), vec![7u8; 32]);
     }
 
-    /// Differential oracle: the split-phase `update_many` pipeline and the
-    /// serial one-site-at-a-time `update` path must produce byte-identical
-    /// logical page contents and equal switch counts in every mode — even
-    /// when the site list revisits the same logical page (which the
-    /// pipelined path must chain across rounds, not collapse). Only the
-    /// modeled overlap may differ.
+    /// Differential: one multi-site `update_many` call and the same sites
+    /// driven one per `update` call must produce byte-identical logical page
+    /// contents and equal switch counts in every mode — even when the site
+    /// list revisits the same logical page (which the multi-site call must
+    /// chain across rounds, not collapse). Only the modeled overlap may
+    /// differ.
     #[test]
     fn shadow_update_many_matches_serial_oracle_with_duplicate_pages() {
         for mode in ExecMode::all() {

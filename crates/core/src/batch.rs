@@ -3,12 +3,13 @@
 //! A crash-consistency transaction typically issues several independent
 //! NearPM primitives per phase — one undo-log creation per logged range, one
 //! shadow copy per touched page — and only *then* needs a completion point
-//! (the mode-specific commit synchronization). [`OffloadBatch`] is the
-//! handle-group that makes this split-phase structure explicit: every
-//! offload of a phase is posted into the batch **before the first
-//! dependency or wait is materialized**, and the synchronization primitives
-//! ([`NearPmSystem::wait_for_batch`], [`NearPmSystem::sw_sync_batch`],
-//! [`NearPmSystem::delayed_sync_batch`]) take the whole group at once.
+//! (the mode-specific commit synchronization). [`OffloadBatch`] is the one
+//! shape of that flow: a phase posts every offload into a batch
+//! (`NearPmSystem::offload_into`), completes the whole group through one
+//! mode-specific sync (`sw_sync_batch`, CPU polling; `delayed_sync_batch`,
+//! near-memory delayed sync), and retires the group's in-flight ordering
+//! records together (`release_batch` / `release_batch_retired`). A single
+//! offload is a batch of one.
 //!
 //! The batch is purely a host-side grouping: each posted command still
 //! crosses the control path individually (one posted MMIO write per
@@ -19,7 +20,24 @@
 //! phase's device work is in flight together and overlaps across units and
 //! devices.
 
-use crate::system::OffloadHandle;
+use nearpm_device::RequestId;
+use nearpm_ppo::ProcId;
+use nearpm_sim::TaskId;
+
+/// One posted offload, as its batch tracks it.
+#[derive(Debug)]
+pub(crate) struct OffloadHandle {
+    /// PPO procedure id.
+    pub(crate) proc: ProcId,
+    /// Device that executed the request.
+    pub(crate) device: usize,
+    /// Request id on that device.
+    pub(crate) request: RequestId,
+    /// Final task of the device-side execution.
+    pub(crate) finish: TaskId,
+    /// Payload bytes moved.
+    pub(crate) bytes: u64,
+}
 
 /// A group of in-flight offloaded procedures, posted together in one
 /// split-phase transaction phase and synchronized/released as a unit.
@@ -36,7 +54,7 @@ impl OffloadBatch {
         }
     }
 
-    /// Creates an empty batch with room for `n` handles.
+    /// Creates an empty batch with room for `n` offloads.
     pub fn with_capacity(n: usize) -> Self {
         OffloadBatch {
             handles: Vec::with_capacity(n),
@@ -44,7 +62,7 @@ impl OffloadBatch {
     }
 
     /// Adds an in-flight offload to the group.
-    pub fn push(&mut self, handle: OffloadHandle) {
+    pub(crate) fn push(&mut self, handle: OffloadHandle) {
         self.handles.push(handle);
     }
 
@@ -59,14 +77,8 @@ impl OffloadBatch {
     }
 
     /// The grouped handles, in posting order.
-    pub fn handles(&self) -> &[OffloadHandle] {
+    pub(crate) fn handles(&self) -> &[OffloadHandle] {
         &self.handles
-    }
-
-    /// Borrowed view of the group as the slice-of-references shape the
-    /// slice-based synchronization primitives take.
-    pub fn refs(&self) -> Vec<&OffloadHandle> {
-        self.handles.iter().collect()
     }
 
     /// The devices the group's offloads executed on, sorted and deduplicated.
@@ -85,7 +97,7 @@ impl OffloadBatch {
     /// Retains only the handles `keep` approves of, dropping the rest (the
     /// retired-release path walks the group and keeps what is still in
     /// flight).
-    pub fn retain(&mut self, keep: impl FnMut(&OffloadHandle) -> bool) {
+    pub(crate) fn retain(&mut self, keep: impl FnMut(&OffloadHandle) -> bool) {
         self.handles.retain(keep);
     }
 
@@ -140,7 +152,6 @@ mod tests {
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.devices(), vec![0, 1]);
         assert_eq!(batch.bytes(), 4096);
-        assert_eq!(batch.refs().len(), 2);
 
         // The whole group synchronizes and releases as a unit.
         let barrier = sys.delayed_sync_batch(&batch).unwrap();
@@ -156,10 +167,10 @@ mod tests {
     fn empty_batch_sync_is_a_no_op() {
         let mut sys =
             NearPmSystem::new(SystemConfig::for_mode(ExecMode::NearPmMd).with_capacity(4 << 20));
-        let batch = OffloadBatch::new();
-        assert_eq!(sys.wait_for_batch(0, &batch).unwrap(), None);
+        let mut batch = OffloadBatch::new();
         assert_eq!(sys.sw_sync_batch(0, &batch).unwrap(), None);
         assert_eq!(sys.delayed_sync_batch(&batch).unwrap(), None);
+        sys.release_batch(&mut batch);
         assert_eq!(
             sys.task_count(),
             0,

@@ -4,13 +4,12 @@
 //! change or become visible to ordering: every persist (`cpu_persist`,
 //! `cpu_copy`), every offload posting (device-side persist — and the
 //! mid-flight point where the request is posted but its commit handle not
-//! yet retired), every sync (`sw_sync`, `delayed_sync`, `wait_for`), and
-//! every commit-retire event (`release` / `release_batch` /
-//! `release_batch_retired`). Between two consecutive boundaries the only
-//! mutable state is volatile (CPU cache lines), so a crash strictly between
-//! boundaries is functionally identical to a crash at the earlier boundary:
-//! enumerating all boundaries is exhaustive over functionally distinct crash
-//! points.
+//! yet retired), every sync (`sw_sync_batch`, `delayed_sync_batch`), and
+//! every commit-retire event (`release_batch`, `release_batch_retired`).
+//! Between two consecutive boundaries the only mutable state is volatile
+//! (CPU cache lines), so a crash strictly between boundaries is
+//! functionally identical to a crash at the earlier boundary: enumerating
+//! all boundaries is exhaustive over functionally distinct crash points.
 //!
 //! A [`CrashPlan`] armed on the system (see
 //! [`crate::NearPmSystem::arm_crash_plan`]) counts boundaries as they occur
@@ -30,7 +29,7 @@ pub enum BoundaryKind {
     /// An offload posting: the device-side persist of an NDP request, which
     /// is simultaneously the mid-flight point between posting and retire.
     Offload,
-    /// An ordering point: `sw_sync`, `delayed_sync`, `wait_for`.
+    /// An ordering point: `sw_sync_batch`, `delayed_sync_batch`.
     Sync,
     /// A commit-retire event: commit-handle release of an `OffloadBatch`.
     CommitRetire,

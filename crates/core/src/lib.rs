@@ -39,7 +39,7 @@ pub use batch::OffloadBatch;
 pub use config::{ExecMode, SystemConfig};
 pub use crashplan::{BoundaryKind, CrashPlan};
 pub use error::{Result, SystemError};
-pub use system::{LatencySummary, NearPmSystem, OffloadHandle, RunReport, MANIFEST_NAME};
+pub use system::{LatencySummary, NearPmSystem, RunReport, MANIFEST_NAME};
 pub use trace::TraceBuilder;
 
 // Re-export the types callers need to drive the system.

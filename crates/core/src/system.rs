@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use nearpm_device::{DeviceConfig, NearPmDevice, NearPmOp, NearPmRequest, RequestId, ThreadId};
+use nearpm_device::{DeviceConfig, NearPmDevice, NearPmOp, NearPmRequest, ThreadId};
 use nearpm_pm::{
     AddrRange, CpuCache, InterleaveConfig, MediaConfig, MediaError, PhysAddr, PmSpace, PmTraffic,
     PoolId, PoolRegistry, VirtAddr,
@@ -26,7 +26,7 @@ use nearpm_sim::{
     LatencyHistogram, LatencyModel, Region, Resource, SimDuration, SimTime, TaskGraph, TaskId,
 };
 
-use crate::batch::OffloadBatch;
+use crate::batch::{OffloadBatch, OffloadHandle};
 use crate::config::{ExecMode, SystemConfig};
 use crate::crashplan::{BoundaryKind, CrashPlan};
 use crate::error::{Result, SystemError};
@@ -85,21 +85,6 @@ fn parse_u64(key: &str, value: &str) -> std::result::Result<u64, String> {
     value
         .parse()
         .map_err(|e| format!("manifest {key} {value:?}: {e}"))
-}
-
-/// Handle to an offloaded NearPM procedure.
-#[derive(Debug, Clone)]
-pub struct OffloadHandle {
-    /// PPO procedure id.
-    pub proc: ProcId,
-    /// Device that executed the request.
-    pub device: usize,
-    /// Request id on that device.
-    pub request: RequestId,
-    /// Final task of the device-side execution.
-    pub finish: TaskId,
-    /// Payload bytes moved.
-    pub bytes: u64,
 }
 
 /// Per-request latency summary read off the log-bucketed
@@ -731,22 +716,28 @@ impl NearPmSystem {
     // Offload path
     // ------------------------------------------------------------------
 
-    /// Offloads a crash-consistency primitive to the device owning its
-    /// payload, optionally adding extra ordering dependencies (used by the
-    /// delayed-synchronization commit path).
+    /// Posts a crash-consistency primitive to the device owning its payload
+    /// and records it in `batch`, optionally adding extra ordering
+    /// dependencies (used by the delayed-synchronization commit path). This
+    /// is the one posting primitive: a transaction phase posts every one of
+    /// its offloads into the batch first, and only then materializes a
+    /// completion point over the whole group
+    /// ([`NearPmSystem::sw_sync_batch`] /
+    /// [`NearPmSystem::delayed_sync_batch`]).
     ///
     /// `extra_deps` are **device-side** ordering constraints: the command is
     /// posted over the control path immediately (the CPU does not wait), and
     /// the device defers the request's issue stage until they complete —
     /// the paper's delayed sync keeps synchronization off the CPU's critical
     /// path by letting the near-memory handler do the waiting.
-    pub fn offload(
+    pub fn offload_into(
         &mut self,
+        batch: &mut OffloadBatch,
         thread: usize,
         pool: PoolId,
         op: NearPmOp,
         extra_deps: &[TaskId],
-    ) -> Result<OffloadHandle> {
+    ) -> Result<()> {
         self.check_not_crashed()?;
         if self.devices.is_empty() {
             return Err(SystemError::NoDevices);
@@ -861,72 +852,44 @@ impl NearPmSystem {
             );
         }
 
-        self.note_boundary(BoundaryKind::Offload);
-
-        Ok(OffloadHandle {
+        batch.push(OffloadHandle {
             proc,
             device,
             request: exec.request,
             finish: exec.finish,
             bytes: exec.bytes_moved,
-        })
+        });
+        self.note_boundary(BoundaryKind::Offload);
+        Ok(())
     }
 
-    /// Posts an offload and records its handle in `batch`, returning a copy
-    /// of the handle. This is the split-phase posting primitive: a
-    /// transaction phase posts every one of its offloads into the batch
-    /// first, and only then materializes a completion point over the whole
-    /// group ([`NearPmSystem::wait_for_batch`] /
-    /// [`NearPmSystem::sw_sync_batch`] /
-    /// [`NearPmSystem::delayed_sync_batch`]).
-    pub fn offload_into(
-        &mut self,
-        batch: &mut OffloadBatch,
-        thread: usize,
-        pool: PoolId,
-        op: NearPmOp,
-        extra_deps: &[TaskId],
-    ) -> Result<OffloadHandle> {
-        let handle = self.offload(thread, pool, op, extra_deps)?;
-        batch.push(handle.clone());
-        Ok(handle)
-    }
-
-    /// CPU waits for the completion of offloaded procedures (completion
-    /// notification over the control path).
-    pub fn wait_for(&mut self, thread: usize, handles: &[&OffloadHandle]) -> Result<TaskId> {
+    /// Software (CPU-polling) synchronization over a posted group: the CPU
+    /// polls a completion flag on every device the group touched before
+    /// proceeding. This is the `NearPM MD SW-sync` commit path. Returns
+    /// `None` without adding any task when the group is empty (a phase that
+    /// posted nothing needs no completion point).
+    pub fn sw_sync_batch(&mut self, thread: usize, batch: &OffloadBatch) -> Result<Option<TaskId>> {
+        if batch.is_empty() {
+            return Ok(None);
+        }
         self.check_not_crashed()?;
-        let deps: Vec<TaskId> = handles.iter().map(|h| h.finish).collect();
-        let duration = self.config.latency.notify();
-        let task = self.push_cpu_task(thread, "wait-ndp", duration, Region::CcSync, &deps);
-        self.note_boundary(BoundaryKind::Sync);
-        Ok(task)
-    }
-
-    /// Software (CPU-polling) synchronization across devices: the CPU polls a
-    /// completion flag on every involved device before proceeding. This is
-    /// the `NearPM MD SW-sync` commit path.
-    pub fn sw_sync(&mut self, thread: usize, handles: &[&OffloadHandle]) -> Result<TaskId> {
-        self.check_not_crashed()?;
-        let deps: Vec<TaskId> = handles.iter().map(|h| h.finish).collect();
-        let mut devices: Vec<usize> = handles.iter().map(|h| h.device).collect();
-        devices.sort_unstable();
-        devices.dedup();
-        let duration = self.config.latency.cpu_poll() * devices.len().max(1) as u64;
+        let deps: Vec<TaskId> = batch.handles().iter().map(|h| h.finish).collect();
+        let duration = self.config.latency.cpu_poll() * batch.devices().len() as u64;
         let task = self.push_cpu_task(thread, "sw-sync", duration, Region::CcSync, &deps);
-        self.record_sync_events(handles, task);
+        self.record_sync_events(batch, task);
         self.note_boundary(BoundaryKind::Sync);
-        Ok(task)
+        Ok(Some(task))
     }
 
     /// Records the trace side of a synchronization point: one **proc-scoped**
     /// `Sync` event per participating (device, procedure) pair, so Invariant
-    /// 3 guarantees exactly the procedures whose handles took part — a sync
-    /// never vouches for unrelated late work, and a participating
+    /// 3 guarantees exactly the procedures of the synchronized group — a
+    /// sync never vouches for unrelated late work, and a participating
     /// procedure's late write can no longer hide behind the unscoped
     /// temporal under-approximation.
-    fn record_sync_events(&mut self, handles: &[&OffloadHandle], task: TaskId) {
-        let mut pairs: Vec<(usize, ProcId)> = handles.iter().map(|h| (h.device, h.proc)).collect();
+    fn record_sync_events(&mut self, batch: &OffloadBatch, task: TaskId) {
+        let mut pairs: Vec<(usize, ProcId)> =
+            batch.handles().iter().map(|h| (h.device, h.proc)).collect();
         pairs.sort_unstable();
         pairs.dedup();
         let sync = self.trace.new_sync();
@@ -944,19 +907,21 @@ impl NearPmSystem {
         }
     }
 
-    /// Delayed near-memory synchronization: the multi-device handlers
-    /// exchange completion notifications off the CPU's critical path. Returns
-    /// the barrier task that log deletion must depend on.
-    pub fn delayed_sync(&mut self, handles: &[&OffloadHandle]) -> Result<TaskId> {
+    /// Delayed near-memory synchronization over a posted group: the
+    /// multi-device handlers exchange completion notifications off the CPU's
+    /// critical path. Returns the barrier task that the commit phase's log
+    /// deletion / page switch must order after, or `None` without adding any
+    /// task when the group is empty.
+    pub fn delayed_sync_batch(&mut self, batch: &OffloadBatch) -> Result<Option<TaskId>> {
+        if batch.is_empty() {
+            return Ok(None);
+        }
         self.check_not_crashed()?;
         if self.devices.is_empty() {
             return Err(SystemError::NoDevices);
         }
-        let deps: Vec<TaskId> = handles.iter().map(|h| h.finish).collect();
-        let mut devices: Vec<usize> = handles.iter().map(|h| h.device).collect();
-        devices.sort_unstable();
-        devices.dedup();
-        let anchor = devices.first().copied().unwrap_or(0);
+        let deps: Vec<TaskId> = batch.handles().iter().map(|h| h.finish).collect();
+        let anchor = batch.devices()[0];
         // The completion exchange runs near memory on the anchor device's
         // front-end — on the earliest-available issue queue, NOT on the
         // shared dispatcher: a sync waiting for unit work would otherwise
@@ -979,60 +944,9 @@ impl NearPmSystem {
             Region::CcSync,
             &deps,
         );
-        self.record_sync_events(handles, task);
+        self.record_sync_events(batch, task);
         self.note_boundary(BoundaryKind::Sync);
-        Ok(task)
-    }
-
-    /// Releases the in-flight ordering records of offloaded procedures (at
-    /// transaction commit, when the host no longer needs ordering against
-    /// them).
-    pub fn release(&mut self, handles: &[&OffloadHandle]) {
-        for h in handles {
-            if let Some(dev) = self.devices.get_mut(h.device) {
-                dev.release_request(h.request);
-            }
-        }
-        if !handles.is_empty() {
-            self.note_boundary(BoundaryKind::CommitRetire);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Split-phase groups: synchronization over a whole OffloadBatch
-    // ------------------------------------------------------------------
-
-    /// [`NearPmSystem::wait_for`] over a whole posted group. Returns `None`
-    /// without adding any task when the group is empty (a phase that posted
-    /// nothing needs no completion point).
-    pub fn wait_for_batch(
-        &mut self,
-        thread: usize,
-        batch: &OffloadBatch,
-    ) -> Result<Option<TaskId>> {
-        if batch.is_empty() {
-            return Ok(None);
-        }
-        self.wait_for(thread, &batch.refs()).map(Some)
-    }
-
-    /// [`NearPmSystem::sw_sync`] over a whole posted group (`None` when
-    /// empty).
-    pub fn sw_sync_batch(&mut self, thread: usize, batch: &OffloadBatch) -> Result<Option<TaskId>> {
-        if batch.is_empty() {
-            return Ok(None);
-        }
-        self.sw_sync(thread, &batch.refs()).map(Some)
-    }
-
-    /// [`NearPmSystem::delayed_sync`] over a whole posted group (`None` when
-    /// empty). The returned barrier task is what the commit phase's log
-    /// deletion / page switch must order after.
-    pub fn delayed_sync_batch(&mut self, batch: &OffloadBatch) -> Result<Option<TaskId>> {
-        if batch.is_empty() {
-            return Ok(None);
-        }
-        self.delayed_sync(&batch.refs()).map(Some)
+        Ok(Some(task))
     }
 
     /// Releases the in-flight ordering records of a whole posted group and
@@ -1213,21 +1127,9 @@ impl NearPmSystem {
         self.space.enable_write_log();
     }
 
-    /// Starts recording media mutations with a payload-byte cap (see
-    /// [`nearpm_pm::PmSpace::enable_write_log_with_limit`]).
-    pub fn enable_media_write_log_with_limit(&mut self, max_bytes: u64) {
-        self.space.enable_write_log_with_limit(max_bytes);
-    }
-
     /// Number of recorded media mutations (0 when logging is off).
     pub fn media_write_log_len(&self) -> usize {
         self.space.write_log_len()
-    }
-
-    /// The typed overflow error, if the bounded media write log exceeded
-    /// its byte limit.
-    pub fn media_write_log_overflow(&self) -> Option<nearpm_pm::WriteLogOverflow> {
-        self.space.write_log_overflow()
     }
 
     /// Differential replay check: true iff replaying the recorded media
@@ -1426,20 +1328,12 @@ impl NearPmSystem {
     /// cached violation-level checker folds in only the events recorded
     /// since the last report. A report after k new events therefore does
     /// O(k · log n) work — no full re-aggregation, no trace re-walk — which
-    /// is what makes continuous mid-run sampling
-    /// ([`NearPmSystem::sample`]) affordable. The retained O(n) recompute
-    /// path is [`NearPmSystem::report_oracle`].
+    /// is what makes continuous mid-run sampling affordable. Sampling never
+    /// perturbs the simulated timeline — it only advances the cached
+    /// checker — so a sampled run's final report is byte-identical to an
+    /// unsampled one's. The retained O(n) recompute path is
+    /// [`NearPmSystem::report_oracle`].
     pub fn report(&mut self) -> RunReport {
-        self.build_report()
-    }
-
-    /// A cheap periodic [`RunReport`] snapshot taken **mid-run**: identical
-    /// content to [`NearPmSystem::report`] (the whole report path is
-    /// incremental now), named separately so call sites self-document that
-    /// the run continues afterwards. Sampling never perturbs the simulated
-    /// timeline — it only advances the cached checker — so a sampled run's
-    /// final report is byte-identical to an unsampled one's.
-    pub fn sample(&mut self) -> RunReport {
         self.build_report()
     }
 
@@ -1721,7 +1615,8 @@ mod tests {
             SystemError::Crashed
         );
         assert_eq!(
-            sys.offload(
+            sys.offload_into(
+                &mut OffloadBatch::new(),
                 0,
                 pool,
                 NearPmOp::ShadowCopy {
@@ -1777,7 +1672,8 @@ mod tests {
         // Conflicting burst: backs the FIFO up and accumulates in-flight
         // records that are never released.
         for _ in 0..8u64 {
-            sys.offload(
+            sys.offload_into(
+                &mut OffloadBatch::new(),
                 0,
                 pool,
                 NearPmOp::UndoLogCreate {
@@ -1817,7 +1713,8 @@ mod tests {
         sys.cpu_write_persist(0, obj, &[7; 64], Region::AppPersist)
             .unwrap();
         let txn = sys.next_txn_id();
-        sys.offload(
+        sys.offload_into(
+            &mut OffloadBatch::new(),
             0,
             pool,
             NearPmOp::UndoLogCreate {
@@ -1842,7 +1739,8 @@ mod tests {
         let pool = sys.create_pool("p", 1 << 20).unwrap();
         let a = sys.alloc(pool, 64, 64).unwrap();
         let err = sys
-            .offload(
+            .offload_into(
+                &mut OffloadBatch::new(),
                 0,
                 pool,
                 NearPmOp::ShadowCopy {
@@ -1870,23 +1768,24 @@ mod tests {
 
         // Offload undo-log creation, then update in place.
         let txn = sys.next_txn_id();
-        let handle = sys
-            .offload(
-                0,
-                pool,
-                NearPmOp::UndoLogCreate {
-                    src: obj,
-                    len: 64,
-                    log_meta: log_area,
-                    log_data: log_area.offset(64),
-                    txn_id: txn,
-                },
-                &[],
-            )
-            .unwrap();
+        let mut batch = OffloadBatch::new();
+        sys.offload_into(
+            &mut batch,
+            0,
+            pool,
+            NearPmOp::UndoLogCreate {
+                src: obj,
+                len: 64,
+                log_meta: log_area,
+                log_data: log_area.offset(64),
+                txn_id: txn,
+            },
+            &[],
+        )
+        .unwrap();
         sys.cpu_write_persist(0, obj, &[9; 64], Region::AppPersist)
             .unwrap();
-        sys.release(&[&handle]);
+        sys.release_batch(&mut batch);
 
         // Functional: the log holds the old value, the object the new one.
         assert_eq!(
@@ -1929,32 +1828,31 @@ mod tests {
             let txn = sys.next_txn_id();
             let spans = sys.device_spans(obj, 8192).unwrap();
             assert!(spans.len() >= 2, "object should span both devices");
-            let mut handles = Vec::new();
+            let mut batch = OffloadBatch::new();
             for (i, (addr, len, _dev)) in spans.into_iter().enumerate() {
                 let slot = log_area.offset(i as u64 * 8192);
-                let h = sys
-                    .offload(
-                        0,
-                        pool,
-                        NearPmOp::UndoLogCreate {
-                            src: addr,
-                            len: len.min(4096),
-                            log_meta: slot,
-                            log_data: slot.offset(64),
-                            txn_id: txn,
-                        },
-                        &[],
-                    )
-                    .unwrap();
-                handles.push(h);
+                sys.offload_into(
+                    &mut batch,
+                    0,
+                    pool,
+                    NearPmOp::UndoLogCreate {
+                        src: addr,
+                        len: len.min(4096),
+                        log_meta: slot,
+                        log_data: slot.offset(64),
+                        txn_id: txn,
+                    },
+                    &[],
+                )
+                .unwrap();
             }
-            let refs: Vec<&OffloadHandle> = handles.iter().collect();
             let sync_task = if mode == ExecMode::NearPmMdSync {
-                sys.sw_sync(0, &refs).unwrap()
+                sys.sw_sync_batch(0, &batch).unwrap()
             } else {
-                sys.delayed_sync(&refs).unwrap()
-            };
-            sys.release(&refs);
+                sys.delayed_sync_batch(&batch).unwrap()
+            }
+            .expect("a non-empty group gets a sync task");
+            sys.release_batch(&mut batch);
             let report = sys.report();
             assert!(
                 report.ppo_violations.is_empty(),
@@ -1986,7 +1884,8 @@ mod tests {
         // the previous execution, so the front-end backs up into the FIFO
         // (depth 2) faster than the ~260 ns command-issue spacing drains it.
         for _ in 0..8u64 {
-            sys.offload(
+            sys.offload_into(
+                &mut OffloadBatch::new(),
                 0,
                 pool,
                 NearPmOp::UndoLogCreate {
@@ -2014,7 +1913,8 @@ mod tests {
         let obj = easy.alloc(pool, 4096, 64).unwrap();
         let txn = easy.next_txn_id();
         for _ in 0..8u64 {
-            easy.offload(
+            easy.offload_into(
+                &mut OffloadBatch::new(),
                 0,
                 pool,
                 NearPmOp::UndoLogCreate {
@@ -2053,7 +1953,8 @@ mod tests {
             // Conflicting burst into one slot: each request's issue stage
             // chains behind the previous execution, backing up the FIFO.
             for _ in 0..8u64 {
-                sys.offload(
+                sys.offload_into(
+                    &mut OffloadBatch::new(),
                     0,
                     pool,
                     NearPmOp::UndoLogCreate {

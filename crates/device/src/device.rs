@@ -24,7 +24,7 @@ use crate::address_map::{AddressMappingTable, TranslateError};
 use crate::fifo::{FifoFull, RequestFifo};
 use crate::inflight::{InFlightEntry, InFlightTable};
 use crate::request::{MicroOp, NearPmRequest, RequestId, ThreadId};
-use crate::unit::{NearPmUnit, UnitStats};
+use crate::unit::NearPmUnit;
 
 /// Static configuration of one NearPM device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,11 +102,10 @@ pub struct ExecutedRequest {
     /// Unit that executed it.
     pub unit: usize,
     /// Decode task on the shared dispatcher (the dispatcher frees when it
-    /// retires). Under the single-stage oracle front-end this is the whole
-    /// monolithic dispatch stage.
+    /// retires).
     pub dispatch: TaskId,
     /// Issue task on the unit's issue queue (operand translation + conflict
-    /// check). Equals `dispatch` under the single-stage oracle front-end.
+    /// check).
     pub issue: TaskId,
     /// Final task of the execution; later work that must order after this
     /// request depends on it.
@@ -187,11 +186,6 @@ impl NearPmDevice {
     /// Device statistics.
     pub fn stats(&self) -> &DeviceStats {
         &self.stats
-    }
-
-    /// Per-unit statistics.
-    pub fn unit_stats(&self) -> Vec<UnitStats> {
-        self.units.iter().map(|u| u.stats()).collect()
     }
 
     /// Number of queued (not yet executed) requests.
@@ -557,71 +551,6 @@ impl NearPmDevice {
         })
     }
 
-    /// Enqueues and executes a request through the **single-stage** front-end
-    /// that predates the pipelined decode/issue split: one monolithic
-    /// `ndp-dispatch` task on the shared dispatcher carries decode, operand
-    /// translation, and the conflict wait, and the FIFO drains instantly
-    /// (no modeled backpressure).
-    ///
-    /// Retained as the differential oracle (mirroring `schedule::oracle` and
-    /// `invariants::oracle`): it drives the same decoded micro-op program
-    /// through the same units, so its functional effects are identical to
-    /// [`NearPmDevice::submit`]'s by construction — only the modeled
-    /// front-end overlap differs.
-    #[cfg(any(test, feature = "oracle"))]
-    pub fn submit_single_stage(
-        &mut self,
-        request: NearPmRequest,
-        space: &mut PmSpace,
-        graph: &mut TaskGraph,
-        model: &LatencyModel,
-        issue_deps: &[TaskId],
-    ) -> Result<ExecutedRequest, DeviceError> {
-        self.enqueue(request)?;
-        let (id, request) = self.fifo.pop().expect("request was just enqueued");
-
-        let (reads, writes) = self.translate_ranges(&request)?;
-        let program = request
-            .op
-            .decode(|v| self.map.translate(request.pool, request.thread, v))?;
-        let conflict_deps = self.conflict_check(&reads, &writes);
-
-        // The monolithic dispatch stage: the dispatcher is held through
-        // decode, translation, and the conflict wait.
-        let mut dispatch_deps = issue_deps.to_vec();
-        dispatch_deps.extend_from_slice(&conflict_deps);
-        dispatch_deps.sort_unstable();
-        dispatch_deps.dedup();
-        let dispatch = graph.add(
-            "ndp-dispatch",
-            self.dispatcher_resource(),
-            model.ndp_dispatch(),
-            Region::CcOffload,
-            &dispatch_deps,
-        );
-
-        // The pre-pipelining unit choice ranked by unit availability alone.
-        let unit_index = (0..self.units.len())
-            .min_by_key(|&u| (self.units[u].busy_until(graph), u))
-            .expect("a device has at least one unit");
-
-        let finish = self.run_program(unit_index, &program, space, graph, model, dispatch);
-        let bytes = self.track_request(id, &request, &reads, &writes, finish);
-
-        Ok(ExecutedRequest {
-            request: id,
-            device: self.config.id,
-            unit: unit_index,
-            dispatch,
-            issue: dispatch,
-            finish,
-            stall_dep: None,
-            bytes_moved: bytes,
-            reads,
-            writes,
-        })
-    }
-
     /// Conflict check for a *host* memory access (steps 1b–3b): returns the
     /// tasks the host access must wait for. An empty vector means no
     /// buffering is needed.
@@ -969,8 +898,6 @@ mod tests {
             }),
             model.ndp_issue()
         );
-        // Total front-end work matches the single-stage model exactly.
-        assert_eq!(model.ndp_decode() + model.ndp_issue(), model.ndp_dispatch());
     }
 
     /// A burst deeper than the FIFO stalls the host: the modeled occupancy
@@ -1007,69 +934,6 @@ mod tests {
         assert!(dev.fifo_stall_time() > nearpm_sim::SimDuration::ZERO);
         // Request 2 (0-based) waits for request 0's decode to retire.
         assert!(graph.task_start(execs[2].dispatch) >= graph.task_finish(execs[0].dispatch));
-    }
-
-    /// Differential oracle: the pipelined and single-stage front-ends drive
-    /// the same decoded micro-op programs, so their PM images and statistics
-    /// are identical; pipelining only shortens the modeled makespan (the
-    /// dispatcher stops serializing translation and conflict waits).
-    #[test]
-    fn pipelined_front_end_matches_single_stage_oracle_functionally() {
-        let run = |pipelined: bool| {
-            let mut dev = NearPmDevice::new(DeviceConfig::prototype(0));
-            let mut space = PmSpace::single(1 << 20);
-            dev.register_pool(PoolId(0), VirtAddr(0x1000_0000), PhysAddr(0), 1 << 20);
-            let mut graph = TaskGraph::new();
-            let model = LatencyModel::default();
-            space.write(PhysAddr(0), &[0xA5; 64 << 10]);
-
-            // A mixed stream: log creations, an overlapping (conflicting)
-            // shadow copy, and a commit that resets the first two entries.
-            let requests = vec![
-                undolog_req(0x100, 128, 0x8000, 1),
-                undolog_req(0x300, 4096, 0x9000, 1),
-                NearPmRequest::new(
-                    PoolId(0),
-                    ThreadId(0),
-                    NearPmOp::ShadowCopy {
-                        src: VirtAddr(0x1000_8000 + 64), // reads the first log's data
-                        dst: VirtAddr(0x1004_0000),
-                        len: 128,
-                    },
-                ),
-                NearPmRequest::new(
-                    PoolId(0),
-                    ThreadId(0),
-                    NearPmOp::CommitLog {
-                        entries: vec![VirtAddr(0x1000_8000), VirtAddr(0x1000_9000)],
-                        txn_id: 1,
-                    },
-                ),
-            ];
-            for req in requests {
-                if pipelined {
-                    dev.submit(req, &mut space, &mut graph, &model, &[])
-                        .unwrap();
-                } else {
-                    dev.submit_single_stage(req, &mut space, &mut graph, &model, &[])
-                        .unwrap();
-                }
-            }
-            let image = space.read_vec(PhysAddr(0), 1 << 20);
-            let makespan = Schedule::compute(&graph).makespan();
-            (image, dev.stats().clone(), makespan)
-        };
-        let (pipe_image, pipe_stats, pipe_makespan) = run(true);
-        let (oracle_image, oracle_stats, oracle_makespan) = run(false);
-        assert_eq!(pipe_image, oracle_image, "PM images must be identical");
-        assert_eq!(pipe_stats.requests, oracle_stats.requests);
-        assert_eq!(pipe_stats.bytes_moved, oracle_stats.bytes_moved);
-        assert_eq!(pipe_stats.conflicts, oracle_stats.conflicts);
-        assert_eq!(pipe_stats.by_op, oracle_stats.by_op);
-        assert!(
-            pipe_makespan <= oracle_makespan,
-            "pipelining must not slow the device down: {pipe_makespan} vs {oracle_makespan}"
-        );
     }
 
     /// fig19-shaped regression: a burst of independent log creations posted

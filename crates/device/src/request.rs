@@ -154,11 +154,6 @@ impl NearPmOp {
 
     /// Decodes the operation into the physical micro-op program a NearPM
     /// unit executes, translating every operand through `translate`.
-    ///
-    /// Both the pipelined front-end and the single-stage differential oracle
-    /// run the *same* decoded program, which is what guarantees their
-    /// functional effects are identical — only the timing of the front-end
-    /// stages differs.
     pub fn decode<E>(
         &self,
         mut translate: impl FnMut(VirtAddr) -> Result<PhysAddr, E>,

@@ -97,19 +97,14 @@ impl FreeListAllocator {
                 }
                 let tail_start = aligned + len;
                 let tail_len = flen - pad - len;
+                // Both lists are sorted by offset, so the insertion points
+                // are binary searches: workloads populate a pool with
+                // thousands of objects, one `alloc` each.
                 if tail_len > 0 {
-                    let pos = self
-                        .free
-                        .iter()
-                        .position(|(s, _)| *s > tail_start)
-                        .unwrap_or(self.free.len());
+                    let pos = self.free.partition_point(|(s, _)| *s <= tail_start);
                     self.free.insert(pos, (tail_start, tail_len));
                 }
-                let pos = self
-                    .allocated
-                    .iter()
-                    .position(|(s, _)| *s > aligned)
-                    .unwrap_or(self.allocated.len());
+                let pos = self.allocated.partition_point(|(s, _)| *s <= aligned);
                 self.allocated.insert(pos, (aligned, len));
                 return Ok(aligned);
             }

@@ -62,4 +62,4 @@ pub use media::{
     SPARSE_PAGE,
 };
 pub use pool::{Pool, PoolError, PoolRegistry, POOL_VIRT_BASE, POOL_VIRT_SPACING};
-pub use space::{PmSpace, PmTraffic, WriteLogOverflow};
+pub use space::{PmSpace, PmTraffic};

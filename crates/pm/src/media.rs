@@ -400,11 +400,6 @@ impl SparseMedia {
         }
     }
 
-    /// Number of 4 KiB pages currently materialized.
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len()
-    }
-
     fn page_mut(&mut self, index: usize) -> &mut [u8; SPARSE_PAGE] {
         self.pages
             .entry(index)

@@ -239,11 +239,6 @@ impl PoolRegistry {
             .ok_or(PoolError::UnknownPool(id))
     }
 
-    /// Looks up a pool by name.
-    pub fn pool_by_name(&self, name: &str) -> Option<&Pool> {
-        self.pools.iter().find(|p| p.name == name)
-    }
-
     /// All pools.
     pub fn pools(&self) -> &[Pool] {
         &self.pools

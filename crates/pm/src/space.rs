@@ -22,30 +22,6 @@ pub struct PmTraffic {
     pub bytes_read: u64,
 }
 
-/// Typed error recording that the opt-in write log exceeded its configured
-/// byte limit. The log's entries are dropped when this happens (the memory
-/// is reclaimed); the error stays queryable via
-/// [`PmSpace::write_log_overflow`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteLogOverflow {
-    /// The configured payload-byte limit.
-    pub limit: u64,
-    /// Payload bytes the log would have held at the overflowing record.
-    pub attempted: u64,
-}
-
-impl std::fmt::Display for WriteLogOverflow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "PM write log overflowed: {} payload bytes exceed the {}-byte limit",
-            self.attempted, self.limit
-        )
-    }
-}
-
-impl std::error::Error for WriteLogOverflow {}
-
 /// Opt-in media write log: every mutation since [`PmSpace::enable_write_log`]
 /// as `(addr, bytes)`, in order. Replaying it onto a fresh zeroed space of
 /// the same geometry must reproduce the current image — the crash-point
@@ -54,43 +30,26 @@ impl std::error::Error for WriteLogOverflow {}
 ///
 /// Consecutive entries that extend the previous address range (streaming
 /// writes) or overwrite exactly the previous range (idempotent retries) are
-/// coalesced in place, and total payload bytes can be capped; past the cap
-/// the log drops its entries and records a [`WriteLogOverflow`] instead of
-/// growing without bound.
-#[derive(Debug, Clone)]
+/// coalesced in place.
+#[derive(Debug, Clone, Default)]
 struct WriteLog {
     entries: Vec<(PhysAddr, Vec<u8>)>,
     bytes: u64,
-    limit: Option<u64>,
-    overflow: Option<WriteLogOverflow>,
     coalesced: u64,
 }
 
 impl WriteLog {
-    fn new(limit: Option<u64>) -> Self {
-        WriteLog {
-            entries: Vec::new(),
-            bytes: 0,
-            limit,
-            overflow: None,
-            coalesced: 0,
-        }
-    }
-
     fn record(&mut self, addr: PhysAddr, data: &[u8]) {
-        if self.overflow.is_some() || data.is_empty() {
+        if data.is_empty() {
             return;
         }
-        let fits = !self.would_overflow(data.len() as u64);
         if let Some((prev_addr, prev_data)) = self.entries.last_mut() {
             if prev_addr.raw() + prev_data.len() as u64 == addr.raw() {
                 // Streaming append: extend the previous entry in place.
-                if fits {
-                    prev_data.extend_from_slice(data);
-                    self.bytes += data.len() as u64;
-                    self.coalesced += 1;
-                    return;
-                }
+                prev_data.extend_from_slice(data);
+                self.bytes += data.len() as u64;
+                self.coalesced += 1;
+                return;
             } else if *prev_addr == addr && prev_data.len() == data.len() {
                 // Same-range overwrite: only the last value matters.
                 prev_data.copy_from_slice(data);
@@ -98,21 +57,8 @@ impl WriteLog {
                 return;
             }
         }
-        if self.would_overflow(data.len() as u64) {
-            self.overflow = Some(WriteLogOverflow {
-                limit: self.limit.unwrap_or(u64::MAX),
-                attempted: self.bytes + data.len() as u64,
-            });
-            self.entries = Vec::new();
-            self.bytes = 0;
-            return;
-        }
         self.entries.push((addr, data.to_vec()));
         self.bytes += data.len() as u64;
-    }
-
-    fn would_overflow(&self, extra: u64) -> bool {
-        self.limit.is_some_and(|limit| self.bytes + extra > limit)
     }
 }
 
@@ -432,21 +378,12 @@ impl PmSpace {
     // Media write log (deterministic replay)
     // ------------------------------------------------------------------
 
-    /// Starts recording every media mutation with no byte limit. Enable
-    /// this immediately after construction (while the space is still
-    /// zeroed) so the log is a complete mutation history of the image.
+    /// Starts recording every media mutation. Enable this immediately after
+    /// construction (while the space is still zeroed) so the log is a
+    /// complete mutation history of the image.
     pub fn enable_write_log(&mut self) {
         if self.write_log.is_none() {
-            self.write_log = Some(WriteLog::new(None));
-        }
-    }
-
-    /// Starts recording with a payload-byte cap. When coalesced payload
-    /// bytes would exceed `max_bytes`, the log drops its entries and
-    /// records a [`WriteLogOverflow`] instead of growing without bound.
-    pub fn enable_write_log_with_limit(&mut self, max_bytes: u64) {
-        if self.write_log.is_none() {
-            self.write_log = Some(WriteLog::new(Some(max_bytes)));
+            self.write_log = Some(WriteLog::default());
         }
     }
 
@@ -456,7 +393,7 @@ impl PmSpace {
     }
 
     /// Number of recorded mutations after coalescing (0 when the log is
-    /// disabled or has overflowed).
+    /// disabled).
     pub fn write_log_len(&self) -> usize {
         self.write_log.as_ref().map_or(0, |l| l.entries.len())
     }
@@ -471,20 +408,11 @@ impl PmSpace {
         self.write_log.as_ref().map_or(0, |l| l.coalesced)
     }
 
-    /// The typed overflow error, if the log exceeded its byte limit.
-    pub fn write_log_overflow(&self) -> Option<WriteLogOverflow> {
-        self.write_log.as_ref().and_then(|l| l.overflow)
-    }
-
     /// Replays the recorded mutation history onto a fresh zeroed heap space
     /// of the same geometry and returns the resulting per-device images.
-    /// `None` when the log was never enabled or has overflowed (the
-    /// history is incomplete).
+    /// `None` when the log was never enabled.
     pub fn replay_write_log(&self) -> Option<Vec<Vec<u8>>> {
         let log = self.write_log.as_ref()?;
-        if log.overflow.is_some() {
-            return None;
-        }
         let mut fresh = PmSpace::new(self.capacity, self.interleave);
         for (addr, data) in &log.entries {
             fresh.write(*addr, data);
@@ -494,8 +422,7 @@ impl PmSpace {
 
     /// Differential replay check: true iff replaying the write log onto a
     /// fresh space reproduces the current image byte for byte. False when
-    /// the log is disabled or overflowed (there is nothing to verify
-    /// against).
+    /// the log is disabled (there is nothing to verify against).
     pub fn replay_matches(&self) -> bool {
         match self.replay_write_log() {
             Some(replayed) => self
@@ -630,24 +557,6 @@ mod tests {
         assert_eq!(s.write_log_len(), 1);
         assert_eq!(s.write_log_coalesced(), 3);
         assert!(s.replay_matches());
-    }
-
-    #[test]
-    fn bounded_write_log_overflows_with_typed_error() {
-        let mut s = PmSpace::single(1 << 16);
-        s.enable_write_log_with_limit(100);
-        s.write(PhysAddr(0), &[1; 64]);
-        assert!(s.write_log_overflow().is_none());
-        s.write(PhysAddr(1000), &[2; 64]); // 128 > 100 → overflow
-        let err = s.write_log_overflow().expect("must overflow");
-        assert_eq!(err.limit, 100);
-        assert_eq!(err.attempted, 128);
-        assert!(err.to_string().contains("100-byte limit"), "{err}");
-        // Entries are dropped; replay is unavailable but writes still land.
-        assert_eq!(s.write_log_len(), 0);
-        assert!(s.replay_write_log().is_none());
-        assert!(!s.replay_matches());
-        assert_eq!(s.read_vec(PhysAddr(1000), 2), vec![2, 2]);
     }
 
     #[test]

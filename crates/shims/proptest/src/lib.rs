@@ -49,20 +49,20 @@ pub trait Strategy {
     /// Generated value type.
     type Value;
     /// Draws one value.
-    fn sample(&self, rng: &mut TestRng) -> Self::Value;
+    fn draw(&self, rng: &mut TestRng) -> Self::Value;
 }
 
 macro_rules! impl_range_strategy {
     ($($t:ty),*) => {$(
         impl Strategy for Range<$t> {
             type Value = $t;
-            fn sample(&self, rng: &mut TestRng) -> $t {
+            fn draw(&self, rng: &mut TestRng) -> $t {
                 rng.gen_range(self.clone())
             }
         }
         impl Strategy for RangeInclusive<$t> {
             type Value = $t;
-            fn sample(&self, rng: &mut TestRng) -> $t {
+            fn draw(&self, rng: &mut TestRng) -> $t {
                 rng.gen_range(self.clone())
             }
         }
@@ -77,7 +77,7 @@ pub struct Just<T: Clone>(pub T);
 
 impl<T: Clone> Strategy for Just<T> {
     type Value = T;
-    fn sample(&self, _rng: &mut TestRng) -> T {
+    fn draw(&self, _rng: &mut TestRng) -> T {
         self.0.clone()
     }
 }
@@ -102,9 +102,9 @@ pub mod collection {
 
     impl<S: Strategy> Strategy for VecStrategy<S> {
         type Value = Vec<S::Value>;
-        fn sample(&self, rng: &mut TestRng) -> Vec<S::Value> {
+        fn draw(&self, rng: &mut TestRng) -> Vec<S::Value> {
             let n = rng.gen_range(self.len.clone());
-            (0..n).map(|_| self.elem.sample(rng)).collect()
+            (0..n).map(|_| self.elem.draw(rng)).collect()
         }
     }
 }
@@ -147,7 +147,7 @@ macro_rules! __proptest_fns {
                 let config: $crate::ProptestConfig = $cfg;
                 let mut rng = $crate::rng_for(stringify!($name));
                 for _case in 0..config.cases {
-                    $(let $arg = $crate::Strategy::sample(&($strat), &mut rng);)*
+                    $(let $arg = $crate::Strategy::draw(&($strat), &mut rng);)*
                     $body
                 }
             }

@@ -586,14 +586,6 @@ impl TaskGraph {
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// Sum of the durations of tasks bound to one resource — O(1).
-    pub fn resource_work(&self, resource: Resource) -> SimDuration {
-        self.resource_busy
-            .get(&resource)
-            .copied()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
     /// End-to-end simulated time of the schedule so far (latest task finish,
     /// including zero-length barriers) — O(1).
     pub fn makespan(&self) -> SimDuration {

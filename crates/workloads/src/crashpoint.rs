@@ -508,7 +508,7 @@ impl Driver {
 }
 
 /// FNV-1a over every backing device's full media image (any backend).
-pub(crate) fn media_hash(sys: &NearPmSystem) -> u64 {
+fn media_hash(sys: &NearPmSystem) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for d in 0..sys.media_count() {
         for &b in &sys.device_image(d) {

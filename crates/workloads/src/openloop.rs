@@ -476,7 +476,7 @@ pub fn run_open_loop(options: &OpenLoopOptions) -> Result<OpenLoopReport> {
         if w != current_window {
             // Window closed: snapshot the incremental report (this is also
             // the compaction point when trace compaction is on).
-            windows[current_window].report = Some(sys.sample());
+            windows[current_window].report = Some(sys.report());
             current_window = w;
         }
         if windows[w].first_arrival.is_none() {
@@ -511,7 +511,7 @@ pub fn run_open_loop(options: &OpenLoopOptions) -> Result<OpenLoopReport> {
     }
 
     runner.finish_epochs(&mut sys, &mut threads);
-    windows[current_window].report = Some(sys.sample());
+    windows[current_window].report = Some(sys.report());
     let report = sys.report();
     let hist = sys.latency_histogram().clone();
     let makespan_end = SimTime::from_ps(report.makespan.as_ps());

@@ -27,7 +27,7 @@
 //! the crashed system instead of the whole process — the on-disk image is
 //! identical either way, because `FileMedia` writes through on every store.
 
-use crate::crashpoint::{self, CcMech, Driver, ExplorerConfig, PipelineMode};
+use crate::crashpoint::{CcMech, Driver, ExplorerConfig, PipelineMode};
 use nearpm_core::{
     BoundaryKind, CrashPlan, ExecMode, MediaConfig, NearPmSystem, Result, SystemConfig, SystemError,
 };
@@ -345,12 +345,6 @@ pub fn drop_and_reopen(spec: &RestartSpec) -> Result<RestartOutcome> {
         });
     }
     verify_restarted_recovery(spec)
-}
-
-/// FNV-1a hash of the reopened on-disk image (for reports).
-pub fn reopened_image_hash(spec: &RestartSpec) -> Result<u64> {
-    let sys = NearPmSystem::reopen_from(spec.system_config(), &spec.dir)?;
-    Ok(crashpoint::media_hash(&sys))
 }
 
 #[cfg(test)]

@@ -151,11 +151,12 @@ impl WorkloadSpec {
 /// Which transaction pipeline drives the crash-consistency mechanisms.
 ///
 /// The selection only changes mechanisms whose per-site flow interleaves
-/// CPU work and waits with the posting — today that is shadow paging
-/// (`ShadowPaging::update_many` vs per-site `update`). Logging and
-/// checkpointing post their offload groups split-phase under both settings
-/// (their per-txn/per-epoch batches never wait mid-phase), so the pipelined
-/// and oracle runs are identical there by construction; the differential
+/// CPU work and waits with the posting — today that is shadow paging (one
+/// `ShadowPaging::update_many` over all of an operation's sites vs one
+/// `update`, a one-site `update_many`, per site). Logging and checkpointing
+/// post their offload groups split-phase under both settings (their
+/// per-txn/per-epoch batches never wait mid-phase), so the pipelined and
+/// per-site runs are identical there by construction; the differential
 /// tests cover them as an invariance check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TxnPipeline {
@@ -165,10 +166,10 @@ pub enum TxnPipeline {
     /// `ShadowPaging::update_many`.
     #[default]
     SplitPhase,
-    /// Serial oracle: one update site at a time, each driven to completion
-    /// before the next (the pre-pipelining behavior). Retained for
-    /// differential testing — both pipelines produce byte-identical PM
-    /// images and equal PPO violation lists; only the modeled overlap
+    /// Serial oracle: one update site per call, each driven to completion
+    /// before the next (the pre-pipelining behavior). The per-site reference
+    /// of the pipeline differential — both pipelines produce byte-identical
+    /// PM images and equal PPO violation lists; only the modeled overlap
     /// differs.
     SerialOracle,
 }
@@ -351,7 +352,7 @@ impl Runner {
     }
 
     /// Runs the workload, sampling a mid-run [`RunReport`] every
-    /// `sample_every` operations via [`NearPmSystem::sample`] — the in-run
+    /// `sample_every` operations via [`NearPmSystem::report`] — the in-run
     /// time-series driving. Sampling is pure observation (it only advances
     /// the cached checker), so the final report is identical to an
     /// unsampled run's; a differential test pins this.
@@ -363,7 +364,7 @@ impl Runner {
         let mut samples = Vec::new();
         let (report, sys) = self.run_with_system_observed(|sys, done| {
             if done % every == 0 {
-                samples.push(sys.sample());
+                samples.push(sys.report());
             }
         })?;
         Ok((samples, report, sys))
@@ -678,7 +679,6 @@ pub struct MultiClientHarness {
     units_per_device: usize,
     fifo_depth: Option<usize>,
     decode_lanes: usize,
-    pipeline: TxnPipeline,
     seed: u64,
     media: MediaConfig,
     track_latency: bool,
@@ -721,7 +721,6 @@ impl MultiClientHarness {
             units_per_device: 4,
             fifo_depth: None,
             decode_lanes: 1,
-            pipeline: TxnPipeline::default(),
             seed: 1,
             media: MediaConfig::default(),
             track_latency: false,
@@ -768,13 +767,6 @@ impl MultiClientHarness {
         self
     }
 
-    /// Transaction pipeline (split-phase by default).
-    pub fn with_pipeline(mut self, pipeline: TxnPipeline) -> Self {
-        self.pipeline = pipeline;
-        self.invalidate_baseline();
-        self
-    }
-
     /// RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -803,7 +795,6 @@ impl MultiClientHarness {
             .with_threads(self.clients)
             .with_units(self.units_per_device)
             .with_decode_lanes(self.decode_lanes)
-            .with_pipeline(self.pipeline)
             .with_seed(self.seed)
             .with_media(self.media.clone())
             .with_latency_tracking(self.track_latency);

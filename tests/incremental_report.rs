@@ -1,12 +1,12 @@
 //! End-to-end differential tests of the incremental observe path.
 //!
-//! At every step of a run, the incremental `report()`/`sample()` — graph
+//! At every step of a run, the incremental `report()` — graph
 //! aggregates maintained as tasks are added, timeline merged on the fly,
 //! violation-level cached checking — must produce a [`RunReport`] equal
 //! **field for field** to `report_oracle()`, the retained O(n) recompute
 //! path (full schedule re-aggregation + from-scratch trace check). Covered
 //! here: all four crash-consistency mechanisms (undo logging, redo logging,
-//! checkpointing, shadow paging) across execution modes, multi-`sample()`
+//! checkpointing, shadow paging) across execution modes, multi-sample
 //! interleavings (a sampled run's final report is identical to an unsampled
 //! one's), crash/recovery (a failure event arriving after the writes it
 //! bounds), and a mid-run trace reset rebuilding the cached checker.
@@ -21,7 +21,7 @@ use nearpm::workloads::{RunOptions, Runner, Workload};
 /// field (the oracle is taken first; it reads no caches).
 fn assert_matches_oracle(sys: &mut NearPmSystem, ctx: &str) {
     let oracle = sys.report_oracle();
-    let sample = sys.sample();
+    let sample = sys.report();
     assert_eq!(
         sample, oracle,
         "incremental vs oracle report diverged: {ctx}"

@@ -1,11 +1,10 @@
 //! Differential tests for the split-phase transaction pipeline: under every
 //! crash-consistency mechanism and execution mode, the pipelined
-//! (post-all / complete-later) path and the serial one-site-at-a-time oracle
-//! must produce **byte-identical PM images** and **equal PPO violation
-//! lists** (both empty) — only the modeled overlap may differ. This is the
-//! same differential pattern as `schedule::oracle` and
-//! `submit_single_stage`: the refactor changes when work is in flight, never
-//! what it computes.
+//! (post-all / complete-later) path and the serial one-site-per-call
+//! reference (`TxnPipeline::SerialOracle`) must produce **byte-identical PM
+//! images** and **equal PPO violation lists** (both empty) — only the
+//! modeled overlap may differ. Pipelining changes when work is in flight,
+//! never what it computes.
 
 use nearpm_cc::Mechanism;
 use nearpm_core::{ExecMode, NearPmSystem};
