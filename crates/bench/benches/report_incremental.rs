@@ -1,22 +1,14 @@
 //! Criterion bench: the incremental observe path against the O(n) oracle
-//! recompute, at two scales each for the two halves of the pipeline.
-//!
-//! * `report_incremental/*` — a live fig20-shaped system: steady-state
-//!   `report()` (aggregates maintained, checker cached, no new events
-//!   between iterations — the cost a continuously self-sampling run pays
-//!   per sample) vs `report_oracle()` (full re-aggregation + from-scratch
-//!   trace check per call).
-//! * `schedule_snapshot/*` — the scheduler half in isolation:
-//!   `Schedule::compute` (a copy of the graph's incrementally maintained
-//!   state) vs `schedule::oracle::aggregate` (the retained full aggregation
-//!   pass re-merging every busy interval).
+//! recompute, at two scales, on a live fig20-shaped system: steady-state
+//! `report()` (aggregates maintained, checker cached, no new events between
+//! iterations — the cost a continuously self-sampling run pays per sample)
+//! vs `report_oracle()` (full re-aggregation + from-scratch trace check per
+//! call).
 //!
 //! Run with: `cargo bench -p nearpm-bench --bench report_incremental`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nearpm_bench::synthetic::{drive_fig20_system, synthetic_fig18_graph};
-use nearpm_sim::schedule::oracle;
-use nearpm_sim::Schedule;
+use nearpm_bench::synthetic::drive_fig20_system;
 
 fn report_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("report_incremental");
@@ -41,24 +33,5 @@ fn report_paths(c: &mut Criterion) {
     group.finish();
 }
 
-fn schedule_snapshot(c: &mut Criterion) {
-    let mut group = c.benchmark_group("schedule_snapshot");
-    group.sample_size(10);
-    for &tasks in &[20_000usize, 80_000] {
-        let graph = synthetic_fig18_graph(tasks);
-        group.bench_with_input(
-            BenchmarkId::new("incremental_snapshot", tasks),
-            &tasks,
-            |b, _| b.iter(|| Schedule::compute(&graph)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("oracle_aggregate", tasks),
-            &tasks,
-            |b, _| b.iter(|| oracle::aggregate(&graph)),
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, report_paths, schedule_snapshot);
+criterion_group!(benches, report_paths);
 criterion_main!(benches);

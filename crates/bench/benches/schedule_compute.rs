@@ -1,10 +1,9 @@
-//! Criterion bench of the schedule/overlap analysis: the merged
-//! busy-interval timeline built once by `Schedule::compute` vs the retained
-//! rescanning oracle that re-merges intervals per query.
+//! Criterion bench of the schedule/overlap analysis: the task graph's
+//! incrementally maintained sums and timeline vs the retained rescanning
+//! oracle that re-merges intervals per query.
 //!
 //! Both sides answer the same fig18-style analysis battery (makespan,
-//! critical path, busy/overlap totals, per-region times, per-resource
-//! utilization / busy-until / idle gaps, and windowed busy queries). The
+//! busy/overlap totals, per-region times, per-resource utilization). The
 //! `schedule_smoke` binary performs the fig18-scale head-to-head with the
 //! ≥10x assertion.
 
@@ -12,7 +11,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nearpm_bench::synthetic::{
     rescanning_schedule_analysis, synthetic_fig18_graph, timeline_schedule_analysis,
 };
-use nearpm_sim::Schedule;
 
 fn bench_schedule_compute(c: &mut Criterion) {
     let mut group = c.benchmark_group("schedule_compute");
@@ -22,9 +20,6 @@ fn bench_schedule_compute(c: &mut Criterion) {
         let graph = synthetic_fig18_graph(tasks);
         group.bench_with_input(BenchmarkId::new("timeline", tasks), &graph, |b, g| {
             b.iter(|| timeline_schedule_analysis(g))
-        });
-        group.bench_with_input(BenchmarkId::new("compute_only", tasks), &graph, |b, g| {
-            b.iter(|| Schedule::compute(g).makespan())
         });
     }
 

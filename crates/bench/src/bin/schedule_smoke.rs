@@ -1,12 +1,12 @@
 //! fig18-scale schedule-analysis smoke test: timeline vs rescanning oracle.
 //!
 //! Builds a synthetic task graph with the shape of a fig18 parallelism run
-//! (≥100k tasks), answers the same analysis battery with the merged
-//! busy-interval timeline and with the retained per-query rescanning oracle,
-//! verifies both produce the identical checksum (same makespan, overlap,
-//! region, utilization, idle-gap, and window answers), and asserts the
-//! timeline implementation is at least 10× faster. Exits nonzero on any
-//! mismatch or if the speedup target is missed.
+//! (≥100k tasks), answers the same analysis battery with the graph's
+//! incrementally maintained sums and timeline and with the retained
+//! per-query rescanning oracle, verifies both produce the identical checksum
+//! (same makespan, CPU/NDP busy, overlap, region, and utilization answers),
+//! and asserts the timeline implementation is at least 10× faster. Exits
+//! nonzero on any mismatch or if the speedup target is missed.
 //!
 //! Run with: `cargo run --release -p nearpm-bench --bin schedule_smoke`
 

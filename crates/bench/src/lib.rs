@@ -15,7 +15,6 @@ pub mod synthetic;
 
 use nearpm_cc::Mechanism;
 use nearpm_core::{ExecMode, RunReport};
-use nearpm_sim::stats::geomean;
 use nearpm_workloads::{
     run_open_loop, ArrivalProcess, MultiClientHarness, OpenLoopOptions, OpenLoopReport, RunOptions,
     Runner, Workload,
@@ -74,9 +73,15 @@ pub fn header(title: &str, columns: &[&str]) {
     println!("{}", columns.join("\t"));
 }
 
-/// Geometric mean helper re-exported for the binaries.
+/// Geometric mean of the positive values (non-positive ones are skipped;
+/// 0 if none remain) — the speedup aggregation across workloads.
 pub fn gmean(values: &[f64]) -> f64 {
-    geomean(values.iter().copied())
+    let positive: Vec<f64> = values.iter().copied().filter(|v| *v > 0.0).collect();
+    if positive.is_empty() {
+        return 0.0;
+    }
+    let log_sum: f64 = positive.iter().map(|v| v.ln()).sum();
+    (log_sum / positive.len() as f64).exp()
 }
 
 /// All (mechanism, per-mechanism paper averages) used in several figures.
@@ -306,7 +311,7 @@ pub fn p99_monotone(points: &[OpenLoopPoint], slack: f64) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_ops;
+    use super::{gmean, parse_ops};
 
     fn args(list: &[&str]) -> impl Iterator<Item = String> {
         list.iter()
@@ -330,5 +335,16 @@ mod tests {
         assert_eq!(parse_ops(args(&["--ops", "banana"]), 48), 48);
         assert_eq!(parse_ops(args(&["--ops=-3"]), 48), 48);
         assert_eq!(parse_ops(args(&["--ops"]), 48), 48);
+    }
+
+    #[test]
+    fn gmean_skips_non_positive_samples() {
+        assert!((gmean(&[1.0, 4.0, 16.0]) - 4.0).abs() < 1e-9);
+        assert!((gmean(&[2.0, 8.0]) - 4.0).abs() < 1e-9);
+        // Non-positive samples are skipped; nothing left means 0.
+        assert!((gmean(&[0.0, 4.0, 4.0]) - 4.0).abs() < 1e-9);
+        assert!((gmean(&[-1.0, 4.0]) - 4.0).abs() < 1e-9);
+        assert_eq!(gmean(&[]), 0.0);
+        assert_eq!(gmean(&[0.0, -2.0]), 0.0);
     }
 }

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use nearpm_core::{AddrRange, ExecMode, NearPmOp, NearPmSystem, OffloadBatch, SystemConfig};
 use nearpm_ppo::{Agent, EventKind, Interval, ProcId, Sharing, Trace};
 use nearpm_sim::schedule::oracle;
-use nearpm_sim::{Region, Resource, Schedule, SimDuration, SimTime, TaskGraph};
+use nearpm_sim::{Region, Resource, SimDuration, TaskGraph};
 
 /// Shape of a synthetic undo-log trace.
 #[derive(Debug, Clone, Copy)]
@@ -384,34 +384,20 @@ pub fn drive_fig20_system_configured(
     sys
 }
 
-/// The schedule-analysis battery a figure regeneration performs: makespan,
-/// critical path, CPU/NDP busy and overlap, every region's busy time, and
-/// per-resource utilization, busy-until, idle gaps, and windowed busy time.
-/// Answered from the merged busy-interval [`Timeline`](nearpm_sim::Timeline)
-/// built once by `Schedule::compute`. Returns a picosecond checksum so
-/// benchmark loops cannot be optimized away.
+/// The schedule-analysis battery a report or figure regeneration reads:
+/// makespan, CPU/NDP busy and overlap, every region's busy time, and
+/// per-resource utilization. Answered from the task graph's incrementally
+/// maintained sums and [`Timeline`](nearpm_sim::Timeline). Returns a
+/// picosecond checksum so benchmark loops cannot be optimized away.
 pub fn timeline_schedule_analysis(graph: &TaskGraph) -> u64 {
-    let s = Schedule::compute(graph);
-    let tl = s.timeline();
-    let horizon = tl.horizon();
-    let mut acc = s.makespan().as_ps() + s.critical_path().as_ps();
-    acc += s.cpu_busy().as_ps() + s.ndp_busy().as_ps() + s.cpu_ndp_overlap().as_ps();
+    let tl = graph.timeline();
+    let mut acc = graph.makespan().as_ps();
+    acc += tl.cpu().total().as_ps() + tl.ndp().total().as_ps() + tl.overlap().as_ps();
     for r in Region::all() {
-        acc += s.region_time(r).as_ps();
+        acc += graph.region_work(r).as_ps();
     }
     for resource in analysis_resources() {
-        acc += s.resource_time(resource).as_ps();
-        acc += tl.busy_until(resource).as_ps();
-        acc += (tl.utilization(resource) * 1e6) as u64;
-        if let Some(set) = tl.resource(resource) {
-            acc += set.longest_idle_gap(horizon).as_ps();
-            for (from, to) in analysis_windows(horizon) {
-                acc += set.covered_in(from, to).as_ps();
-            }
-        }
-    }
-    for (from, to) in analysis_windows(horizon) {
-        acc += tl.overlap().covered_in(from, to).as_ps();
+        acc += (graph.utilization(resource) * 1e6) as u64;
     }
     acc
 }
@@ -421,8 +407,8 @@ pub fn timeline_schedule_analysis(graph: &TaskGraph) -> u64 {
 /// rescan of the task list with per-query sort/merge.
 pub fn rescanning_schedule_analysis(graph: &TaskGraph) -> u64 {
     let timings = oracle::compute_timings(graph);
-    let horizon = SimTime::ZERO + oracle::makespan(&timings);
-    let mut acc = oracle::makespan(&timings).as_ps() + oracle::critical_path(graph).as_ps();
+    let makespan = oracle::makespan(&timings);
+    let mut acc = makespan.as_ps();
     acc += oracle::cpu_busy(graph, &timings).as_ps()
         + oracle::ndp_busy(graph, &timings).as_ps()
         + oracle::cpu_ndp_overlap(graph, &timings).as_ps();
@@ -430,23 +416,7 @@ pub fn rescanning_schedule_analysis(graph: &TaskGraph) -> u64 {
         acc += oracle::region_time(graph, r).as_ps();
     }
     for resource in analysis_resources() {
-        let busy = oracle::resource_time(graph, resource);
-        acc += busy.as_ps();
-        acc += oracle::busy_until(graph, &timings, resource).as_ps();
-        acc += (busy.ratio(horizon.since(SimTime::ZERO)) * 1e6) as u64;
-        if !busy.is_zero() {
-            acc += oracle::resource_idle_gaps(graph, &timings, resource, horizon)
-                .into_iter()
-                .map(|(s, e)| (e - s).as_ps())
-                .max()
-                .unwrap_or(0);
-            for (from, to) in analysis_windows(horizon) {
-                acc += oracle::resource_busy_in_window(graph, &timings, resource, from, to).as_ps();
-            }
-        }
-    }
-    for (from, to) in analysis_windows(horizon) {
-        acc += oracle::overlap_in_window(graph, &timings, from, to).as_ps();
+        acc += (oracle::resource_time(graph, resource).ratio(makespan) * 1e6) as u64;
     }
     acc
 }
@@ -462,19 +432,6 @@ fn analysis_resources() -> Vec<Resource> {
         }
     }
     out
-}
-
-/// Sixty-four deterministic query windows spanning the schedule horizon
-/// (the per-window utilization sampling a figure sweep performs).
-fn analysis_windows(horizon: SimTime) -> Vec<(SimTime, SimTime)> {
-    let total = horizon.as_ps().max(64);
-    (0..64)
-        .map(|i| {
-            let from = total * i / 64;
-            let to = total * (i + 8).min(64) / 64;
-            (SimTime::from_ps(from), SimTime::from_ps(to))
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! System configuration: execution modes and platform parameters.
 
 use nearpm_pm::MediaConfig;
-use nearpm_sim::{LatencyModel, Topology};
+use nearpm_sim::LatencyModel;
 
 /// Which of the paper's four evaluated configurations to run (Section 8.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -205,11 +205,6 @@ impl SystemConfig {
         self.track_latency = track;
         self
     }
-
-    /// The scheduling topology implied by this configuration.
-    pub fn topology(&self) -> Topology {
-        Topology::with_devices(self.cpu_threads, self.devices, self.units_per_device)
-    }
 }
 
 #[cfg(test)]
@@ -247,10 +242,7 @@ mod tests {
         assert_eq!(c.units_per_device, 2);
         assert_eq!(c.pm_capacity, 1 << 20);
         assert_eq!(c.cpu_threads, 8);
-        let t = c.topology();
-        assert_eq!(t.devices, 2);
-        assert_eq!(t.units_per_device, 2);
-        assert_eq!(t.cpu_threads, 8);
+        assert_eq!(c.devices, 2);
         // Thread count never drops below one.
         assert_eq!(SystemConfig::baseline().with_cpu_threads(0).cpu_threads, 1);
     }

@@ -1332,7 +1332,7 @@ impl NearPmSystem {
     /// perturbs the simulated timeline — it only advances the cached
     /// checker — so a sampled run's final report is byte-identical to an
     /// unsampled one's. The retained O(n) recompute path is
-    /// [`NearPmSystem::report_oracle`].
+    /// `NearPmSystem::report_oracle` (feature `oracle`).
     pub fn report(&mut self) -> RunReport {
         self.build_report()
     }
@@ -1373,9 +1373,12 @@ impl NearPmSystem {
         )
     }
 
-    /// Per-unit utilization read off `timeline` (shared by both assembly
-    /// paths; they differ only in which timeline they pass).
-    fn unit_utilization(&self, timeline: &nearpm_sim::Timeline) -> Vec<((usize, usize), f64)> {
+    /// Per-unit utilization as `utilization` answers it (shared by both
+    /// assembly paths; they differ only in the schedule they read).
+    fn unit_utilization(
+        &self,
+        utilization: impl Fn(Resource) -> f64,
+    ) -> Vec<((usize, usize), f64)> {
         let mut out = Vec::new();
         for dev in &self.devices {
             for unit in 0..dev.unit_count() {
@@ -1383,7 +1386,7 @@ impl NearPmSystem {
                     device: dev.id(),
                     unit,
                 };
-                out.push(((dev.id(), unit), timeline.utilization(resource)));
+                out.push(((dev.id(), unit), utilization(resource)));
             }
         }
         out
@@ -1403,14 +1406,13 @@ impl NearPmSystem {
             region_time.insert(r.name(), t);
         }
         let makespan = self.graph.makespan();
-        let timeline = self.graph.timeline();
-        let cpu_ndp_overlap = timeline.overlap().total();
+        let cpu_ndp_overlap = self.graph.timeline().overlap();
         let overlap_fraction = if makespan.is_zero() {
             0.0
         } else {
             cpu_ndp_overlap.ratio(makespan)
         };
-        let ndp_unit_utilization = self.unit_utilization(timeline);
+        let ndp_unit_utilization = self.unit_utilization(|r| self.graph.utilization(r));
         let (ndp_bytes_moved, ndp_requests, fifo_high_watermark, fifo_stall_time, fifo_stalls) =
             self.device_report_fields();
         let report = RunReport {
@@ -1450,8 +1452,8 @@ impl NearPmSystem {
     }
 
     /// The retained O(n)-per-call recompute path: re-aggregates the whole
-    /// task list into a fresh schedule/timeline
-    /// (`nearpm_sim::schedule::oracle::aggregate`) and folds the whole trace
+    /// task list from scratch, re-merging every resource's busy intervals
+    /// (`nearpm_sim::schedule::oracle::aggregate`), and folds the whole trace
     /// once through a fresh `IncrementalChecker` (what `nearpm_ppo::check_all`
     /// does), reading both the violation list and the relaxed-persist count
     /// off that one checker.
@@ -1466,7 +1468,7 @@ impl NearPmSystem {
         for r in Region::all() {
             region_time.insert(r.name(), schedule.region_time(r));
         }
-        let ndp_unit_utilization = self.unit_utilization(schedule.timeline());
+        let ndp_unit_utilization = self.unit_utilization(|r| schedule.utilization(r));
         let (ndp_bytes_moved, ndp_requests, fifo_high_watermark, fifo_stall_time, fifo_stalls) =
             self.device_report_fields();
         let mut checker = nearpm_ppo::IncrementalChecker::new();
@@ -1550,8 +1552,8 @@ impl NearPmSystem {
         self.graph.len()
     }
 
-    /// Read-only access to the timing graph (diagnostics: per-resource busy
-    /// time, bottleneck analysis of a finished run).
+    /// Read-only access to the timing graph (diagnostics: per-task timings,
+    /// per-resource utilization, the busy-interval timeline).
     pub fn graph(&self) -> &TaskGraph {
         &self.graph
     }

@@ -611,7 +611,6 @@ mod tests {
     use super::*;
     use crate::metadata::LogEntryHeader;
     use crate::request::NearPmOp;
-    use nearpm_sim::Schedule;
 
     fn setup() -> (NearPmDevice, PmSpace, TaskGraph, LatencyModel) {
         let mut dev = NearPmDevice::new(DeviceConfig::prototype(0));
@@ -886,13 +885,16 @@ mod tests {
                 &[],
             )
             .unwrap();
-        let s = Schedule::compute(&graph);
+        let busy = |resource: Resource| -> SimDuration {
+            graph
+                .tasks()
+                .filter(|t| t.resource == resource)
+                .map(|t| t.duration)
+                .sum()
+        };
+        assert_eq!(busy(dev.dispatcher_resource()), model.ndp_decode());
         assert_eq!(
-            s.resource_time(dev.dispatcher_resource()),
-            model.ndp_decode()
-        );
-        assert_eq!(
-            s.resource_time(Resource::IssueQueue {
+            busy(Resource::IssueQueue {
                 device: 0,
                 unit: exec.unit,
             }),
@@ -967,7 +969,7 @@ mod tests {
                 )
                 .unwrap();
             }
-            Schedule::compute(&graph).makespan()
+            graph.makespan()
         };
         let one = run(1);
         let two = run(2);

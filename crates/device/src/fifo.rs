@@ -304,10 +304,10 @@ impl RequestFifo {
     /// on the control path, not in the FIFO).
     ///
     /// Answered from a prefix/range-max structure over the full residency
-    /// history ([`OccupancyIndex`]): O(log m) per window after a lazy O(m
-    /// log m) build amortized over all queries since the history last grew.
-    /// The original O(m log m)-per-window line sweep is preserved as
-    /// [`RequestFifo::occupancy_in_sweep`], the differential oracle.
+    /// history (the private `OccupancyIndex`): O(log m) per window after a
+    /// lazy O(m log m) build amortized over all queries since the history
+    /// last grew. The original O(m log m)-per-window line sweep is kept as
+    /// the test-only oracle `occupancy_in_sweep`.
     pub fn occupancy_in(&self, from: SimTime, to: SimTime) -> usize {
         if to <= from {
             return 0;
@@ -325,8 +325,8 @@ impl RequestFifo {
     /// driver reports as the device's offered admission rate.
     ///
     /// Answered in O(log m) from the sorted arrival-instant list of the
-    /// lazily built [`OccupancyIndex`]; [`RequestFifo::admissions_in_sweep`]
-    /// is the O(m) differential oracle.
+    /// lazily built `OccupancyIndex`; the test-only `admissions_in_sweep` is
+    /// the O(m) differential oracle.
     pub fn admissions_in(&self, from: SimTime, to: SimTime) -> usize {
         if to <= from {
             return 0;
@@ -341,8 +341,9 @@ impl RequestFifo {
 
     /// O(m) scan over the residency history counting admissions in
     /// `[from, to)` — the reference oracle [`RequestFifo::admissions_in`] is
-    /// differentially tested against.
-    pub fn admissions_in_sweep(&self, from: SimTime, to: SimTime) -> usize {
+    /// checked against by `indexed_admissions_match_sweep_oracle`.
+    #[cfg(test)]
+    fn admissions_in_sweep(&self, from: SimTime, to: SimTime) -> usize {
         if to <= from {
             return 0;
         }
@@ -354,8 +355,10 @@ impl RequestFifo {
 
     /// The original per-window line sweep over the residency history —
     /// O(m log m) per call. Kept as the reference oracle the indexed
-    /// [`RequestFifo::occupancy_in`] is differentially tested against.
-    pub fn occupancy_in_sweep(&self, from: SimTime, to: SimTime) -> usize {
+    /// [`RequestFifo::occupancy_in`] is checked against by
+    /// `indexed_occupancy_matches_sweep_oracle`.
+    #[cfg(test)]
+    fn occupancy_in_sweep(&self, from: SimTime, to: SimTime) -> usize {
         if to <= from {
             return 0;
         }

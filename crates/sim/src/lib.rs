@@ -7,16 +7,17 @@
 //! * [`LatencyModel`] — latency/bandwidth parameters of the evaluation
 //!   platform (PM latency, PCIe / AXI bandwidth, NearPM unit clock, flush and
 //!   fence costs), defaulting to the paper's FPGA prototype.
-//! * [`Resource`] / [`Topology`] — the exclusive execution resources of the
-//!   platform: CPU threads, NearPM units, per-device dispatchers, and the
+//! * [`Resource`] — the exclusive execution resources of the platform: CPU
+//!   threads, NearPM units, per-device dispatchers and issue queues, and the
 //!   host↔device control path.
 //! * [`TaskGraph`] / [`TaskRef`] / [`Region`] — the task-DAG representation
 //!   (a struct-of-arrays arena) that every crash-consistency operation and
-//!   application step is lowered to.
-//! * [`Schedule`] — the deterministic list scheduler and its analysis
-//!   (makespan, per-region breakdown, CPU/NDP overlap, critical path).
-//! * [`stats`] — mean / standard deviation / geometric-mean summaries used by
-//!   the benchmark harness.
+//!   application step is lowered to. The graph schedules each task as it is
+//!   added and maintains what the reports read: per-region and per-resource
+//!   busy sums, the makespan, and per-resource utilization.
+//! * [`Timeline`] / [`IntervalSet`] — the graph's merged CPU and NDP busy
+//!   intervals, their running overlap total (the Figure 18 parallelism
+//!   numerator), and the busy horizon.
 //! * [`hist`] — the log-bucketed [`LatencyHistogram`] (≤ 1 % relative error,
 //!   O(1) record) behind the open-loop driver's p50/p99/p999 tail-latency
 //!   reporting, with the exact sorted-percentile oracle for differentials.
@@ -28,7 +29,7 @@
 //! ## Example
 //!
 //! ```
-//! use nearpm_sim::{LatencyModel, Region, Resource, Schedule, TaskGraph};
+//! use nearpm_sim::{LatencyModel, Region, Resource, SimTime, TaskGraph};
 //!
 //! let model = LatencyModel::default();
 //! let mut graph = TaskGraph::new();
@@ -50,7 +51,7 @@
 //! );
 //! // The in-place update persists only after the log copy (PPO shared-address
 //! // ordering) and after the application produced the new value.
-//! let _update = graph.add(
+//! let update = graph.add(
 //!     "in-place update",
 //!     Resource::Cpu(0),
 //!     model.cpu_inplace_update(64),
@@ -58,8 +59,9 @@
 //!     &[log, compute],
 //! );
 //!
-//! let schedule = Schedule::compute(&graph);
-//! assert!(schedule.cpu_ndp_overlap().as_ns() > 0.0);
+//! // The update ends the schedule, and the log copy overlapped CPU work.
+//! assert_eq!(graph.makespan(), graph.task_finish(update).since(SimTime::ZERO));
+//! assert!(graph.timeline().overlap().as_ns() > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -69,14 +71,12 @@ pub mod hist;
 pub mod latency;
 pub mod resource;
 pub mod schedule;
-pub mod stats;
 pub mod task;
 pub mod time;
 
 pub use hist::{exact_percentile, LatencyHistogram};
 pub use latency::{LatencyModel, CACHE_LINE, PM_PAGE};
-pub use resource::{Resource, Topology};
-pub use schedule::{IntervalSet, Schedule, TaskTiming, Timeline};
-pub use stats::Summary;
+pub use resource::Resource;
+pub use schedule::{IntervalSet, Timeline};
 pub use task::{Region, TaskGraph, TaskId, TaskRef};
 pub use time::{SimDuration, SimTime};

@@ -64,17 +64,6 @@ impl Resource {
     pub fn is_cpu(&self) -> bool {
         matches!(self, Resource::Cpu(_))
     }
-
-    /// Device index for device-local resources.
-    pub fn device(&self) -> Option<usize> {
-        match self {
-            Resource::NdpUnit { device, .. }
-            | Resource::IssueQueue { device, .. }
-            | Resource::DispatcherLane { device, .. }
-            | Resource::Dispatcher(device) => Some(*device),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Resource {
@@ -92,75 +81,6 @@ impl fmt::Display for Resource {
     }
 }
 
-/// Describes the resources available to a simulation: how many CPU threads,
-/// how many NearPM devices, and how many execution units per device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Topology {
-    /// Number of CPU hardware threads available to the application.
-    pub cpu_threads: usize,
-    /// Number of NearPM devices (0 = CPU-only baseline).
-    pub devices: usize,
-    /// NearPM execution units per device (4 in the prototype).
-    pub units_per_device: usize,
-}
-
-impl Default for Topology {
-    fn default() -> Self {
-        Topology {
-            cpu_threads: 1,
-            devices: 2,
-            units_per_device: 4,
-        }
-    }
-}
-
-impl Topology {
-    /// CPU-only topology used by the baseline configuration.
-    pub fn cpu_only(cpu_threads: usize) -> Self {
-        Topology {
-            cpu_threads,
-            devices: 0,
-            units_per_device: 0,
-        }
-    }
-
-    /// Topology with `devices` NearPM devices of `units` units each.
-    pub fn with_devices(cpu_threads: usize, devices: usize, units: usize) -> Self {
-        Topology {
-            cpu_threads,
-            devices,
-            units_per_device: units,
-        }
-    }
-
-    /// Total number of NearPM execution units in the system.
-    pub fn total_units(&self) -> usize {
-        self.devices * self.units_per_device
-    }
-
-    /// Iterates over every exclusive resource in this topology.
-    pub fn resources(&self) -> Vec<Resource> {
-        let mut out = Vec::new();
-        for c in 0..self.cpu_threads {
-            out.push(Resource::Cpu(c));
-        }
-        out.push(Resource::ControlPath);
-        for d in 0..self.devices {
-            out.push(Resource::Dispatcher(d));
-            for u in 0..self.units_per_device {
-                out.push(Resource::IssueQueue { device: d, unit: u });
-                out.push(Resource::NdpUnit { device: d, unit: u });
-            }
-        }
-        out
-    }
-
-    /// True if the topology has at least one NearPM device.
-    pub fn has_ndp(&self) -> bool {
-        self.devices > 0 && self.units_per_device > 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,59 +92,10 @@ mod tests {
         assert!(Resource::NdpUnit { device: 1, unit: 2 }.is_ndp());
         assert!(Resource::Dispatcher(0).is_ndp());
         assert!(Resource::DispatcherLane { device: 0, lane: 1 }.is_ndp());
-        assert_eq!(
-            Resource::DispatcherLane { device: 2, lane: 1 }.device(),
-            Some(2)
-        );
         assert!(Resource::IssueQueue { device: 0, unit: 1 }.is_ndp());
         assert!(!Resource::IssueQueue { device: 0, unit: 1 }.is_cpu());
         assert!(!Resource::ControlPath.is_ndp());
-        assert_eq!(Resource::NdpUnit { device: 1, unit: 2 }.device(), Some(1));
-        assert_eq!(
-            Resource::IssueQueue { device: 1, unit: 2 }.device(),
-            Some(1)
-        );
-        assert_eq!(Resource::Dispatcher(3).device(), Some(3));
-        assert_eq!(Resource::Cpu(0).device(), None);
-        assert_eq!(Resource::ControlPath.device(), None);
-    }
-
-    #[test]
-    fn default_topology_matches_prototype() {
-        let t = Topology::default();
-        assert_eq!(t.devices, 2);
-        assert_eq!(t.units_per_device, 4);
-        assert_eq!(t.total_units(), 8);
-        assert!(t.has_ndp());
-    }
-
-    #[test]
-    fn cpu_only_topology() {
-        let t = Topology::cpu_only(4);
-        assert_eq!(t.cpu_threads, 4);
-        assert_eq!(t.total_units(), 0);
-        assert!(!t.has_ndp());
-        // Resources: 4 CPUs + control path.
-        assert_eq!(t.resources().len(), 5);
-    }
-
-    #[test]
-    fn resource_enumeration_counts() {
-        let t = Topology::with_devices(2, 2, 4);
-        let rs = t.resources();
-        // 2 CPUs + control path + 2 dispatchers + 8 issue queues + 8 units.
-        assert_eq!(rs.len(), 21);
-        let units = rs
-            .iter()
-            .filter(|r| matches!(r, Resource::NdpUnit { .. }))
-            .count();
-        assert_eq!(units, 8);
-        // One issue queue per unit.
-        let queues = rs
-            .iter()
-            .filter(|r| matches!(r, Resource::IssueQueue { .. }))
-            .count();
-        assert_eq!(queues, units);
+        assert!(!Resource::ControlPath.is_cpu());
     }
 
     #[test]

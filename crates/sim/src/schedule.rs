@@ -1,72 +1,43 @@
-//! List scheduler and schedule analysis over merged busy-interval timelines.
+//! The busy-interval timeline behind every reported CPU/NDP figure.
 //!
-//! The scheduler assigns start and finish times to every task in a
-//! [`TaskGraph`]: a task starts at the later of (a) the finish time of its
-//! last dependency and (b) the time its resource becomes free. Tasks are
-//! processed in insertion order, which corresponds to program order on each
-//! resource, so the schedule is deterministic. The graph maintains these
-//! times incrementally as tasks are added, so [`Schedule::compute`] is a
-//! single aggregation pass, not a re-derivation.
+//! A [`TaskGraph`](crate::TaskGraph) schedules each task the moment it is
+//! added (`start = max(dep finishes, resource free time)`) and folds the
+//! task's busy interval into a [`Timeline`]: the merged CPU-side and
+//! NDP-side union [`IntervalSet`]s, a running CPU∩NDP overlap total, and the
+//! busy horizon. Reports read these totals in O(1) (`RunReport`'s overlap and,
+//! with the graph's per-resource duration sums, per-unit utilization);
+//! `fig_timeline` reads windowed NDP busy time off the union set
+//! ([`IntervalSet::covered_in`], O(log n)).
 //!
-//! The resulting [`Schedule`] exposes the quantities the paper reports:
-//! makespan (end-to-end time), per-region busy time (Figure 1 breakdowns),
-//! per-resource busy time, and the CPU/NDP overlap used for the
-//! parallelizable-fraction analysis (Figure 18).
+//! ## Oracles
 //!
-//! ## The timeline
+//! The `oracle` submodule (compiled under `cfg(test)` or the `oracle`
+//! feature) re-derives these numbers from the raw task list, independently
+//! of the incremental bookkeeping. Each retained piece backs one gate:
 //!
-//! All wall-clock analyses are answered by a [`Timeline`] built once per
-//! `compute`: per-resource **merged busy intervals** (already sorted because
-//! every resource serializes its tasks) with prefix sums of covered time,
-//! plus union timelines for the CPU side and the NDP side and their
-//! intersection. On top of this structure
-//!
-//! * totals (`cpu_busy`, `ndp_busy`, `cpu_ndp_overlap`, per-resource busy
-//!   time, utilization) are O(1) reads of precomputed sums,
-//! * windowed queries (`covered_in`, `contains`) are O(log n) binary
-//!   searches against the prefix sums, and
-//! * idle-gap analyses enumerate the complement of a merged interval set.
-//!
-//! The pre-timeline implementation — rescanning the task list and re-merging
-//! intervals for every query — is preserved verbatim in [`oracle`]
-//! (compiled under `cfg(test)` or the `oracle` feature). Randomized
-//! differential tests assert both produce identical timings, overlap,
-//! region, and makespan answers; the `schedule_compute` bench quantifies the
-//! speedup at fig18 scale.
-
-use std::collections::HashMap;
+//! * `oracle::aggregate` rebuilds every per-resource merged set, both unions
+//!   and their intersection from scratch (`IntervalSet::from_intervals`,
+//!   `IntervalSet::intersect`). It is the only schedule reference behind
+//!   `NearPmSystem::report_oracle`, so it backs the incremental==oracle
+//!   report gates (`tests/incremental_report.rs`, `report_smoke`) and this
+//!   module's `prefix_replay_snapshot_matches_oracle_aggregation` test, which
+//!   proves the per-resource duration sums equal the merged coverage.
+//! * `oracle::compute_timings` and the per-query rescans (`makespan`,
+//!   `cpu_busy`, `ndp_busy`, `cpu_ndp_overlap`, `region_time`,
+//!   `resource_time`) back `schedule_smoke`'s checksum equality and ≥10× bar
+//!   and the `differential_timeline_vs_rescanning_oracle` test.
 
 use crate::resource::Resource;
-use crate::task::{Region, TaskGraph};
 use crate::time::{SimDuration, SimTime};
 
-/// Start/finish assignment for one task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskTiming {
-    /// Scheduled start time.
-    pub start: SimTime,
-    /// Scheduled finish time.
-    pub finish: SimTime,
-}
-
-impl TaskTiming {
-    /// Execution duration (finish - start).
-    pub fn duration(&self) -> SimDuration {
-        self.finish - self.start
-    }
-}
-
 /// A merged set of disjoint, sorted busy intervals with prefix sums of the
-/// covered time. All queries are O(log n) or better.
+/// covered time.
 ///
-/// Besides batch construction ([`IntervalSet::from_intervals`]), the set
-/// supports **incremental insertion** ([`IntervalSet::insert`]): one interval
-/// is merged in place (coalescing with anything it overlaps or touches) and
-/// the prefix sums are rebuilt from the first modified index only. Busy
-/// intervals are produced in roughly increasing simulated time, so insertion
-/// streams are append-mostly and pay O(1) amortized per insert; this is what
-/// lets the task graph maintain its timeline while it is being built instead
-/// of re-merging everything per `report()`.
+/// The live set grows by **incremental insertion**: one interval is merged
+/// in place (coalescing with anything it overlaps or touches) and the prefix
+/// sums are rebuilt from the first modified index only. Busy intervals are
+/// produced in roughly increasing simulated time, so insertion streams are
+/// append-mostly and pay O(1) amortized per insert.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalSet {
     /// Disjoint intervals sorted by start; no two touch (`end < next start`).
@@ -76,73 +47,13 @@ pub struct IntervalSet {
 }
 
 impl IntervalSet {
-    /// The empty set.
-    pub fn empty() -> Self {
-        IntervalSet::default()
-    }
-
-    /// Builds a set from arbitrary (possibly overlapping, unsorted)
-    /// intervals. Zero-length intervals are dropped.
-    pub fn from_intervals(mut intervals: Vec<(SimTime, SimTime)>) -> Self {
-        intervals.retain(|(s, e)| e > s);
-        intervals.sort_unstable_by_key(|(s, _)| *s);
-        Self::merge_sorted(intervals)
-    }
-
-    /// Builds a set from intervals already sorted by start and pairwise
-    /// non-overlapping (the shape a serialized resource produces); touching
-    /// intervals are coalesced.
-    fn from_sorted_disjoint(intervals: Vec<(SimTime, SimTime)>) -> Self {
-        debug_assert!(intervals.windows(2).all(|w| w[0].1 <= w[1].0));
-        Self::merge_sorted(intervals)
-    }
-
-    fn merge_sorted(intervals: Vec<(SimTime, SimTime)>) -> Self {
-        let mut merged: Vec<(SimTime, SimTime)> = Vec::with_capacity(intervals.len());
-        for (s, e) in intervals {
-            if e <= s {
-                continue;
-            }
-            match merged.last_mut() {
-                Some((_, last_end)) if s <= *last_end => {
-                    if e > *last_end {
-                        *last_end = e;
-                    }
-                }
-                _ => merged.push((s, e)),
-            }
-        }
-        let mut prefix = Vec::with_capacity(merged.len() + 1);
-        let mut acc = 0u64;
-        prefix.push(0);
-        for (s, e) in &merged {
-            acc += (*e - *s).as_ps();
-            prefix.push(acc);
-        }
-        IntervalSet {
-            intervals: merged,
-            prefix,
-        }
-    }
-
-    /// Inserts one interval, coalescing it with every existing interval it
-    /// overlaps or touches (the same rule batch construction applies).
-    /// Prefix sums are rebuilt from the first modified index, so an
-    /// append-mostly insertion stream costs O(1) amortized per insert.
-    pub fn insert(&mut self, start: SimTime, end: SimTime) {
-        self.insert_with(start, end, None);
-    }
-
-    /// [`IntervalSet::insert`] that additionally appends to `newly` the
-    /// sub-intervals of `[start, end)` that were **not** previously covered —
-    /// the coverage delta a union timeline feeds into the incremental
-    /// CPU/NDP-overlap maintenance.
-    pub(crate) fn insert_with(
-        &mut self,
-        start: SimTime,
-        end: SimTime,
-        mut newly: Option<&mut Vec<(SimTime, SimTime)>>,
-    ) {
+    /// Inserts `[start, end)`, coalescing it with every existing interval it
+    /// overlaps or touches, and appends to `newly` the sub-intervals that
+    /// were **not** previously covered — the coverage delta the timeline's
+    /// overlap total is maintained from. Prefix sums are rebuilt from the
+    /// first modified index, so an append-mostly insertion stream costs O(1)
+    /// amortized per insert.
+    fn insert(&mut self, start: SimTime, end: SimTime, newly: &mut Vec<(SimTime, SimTime)>) {
         if end <= start {
             return;
         }
@@ -157,20 +68,16 @@ impl IntervalSet {
         let mut cursor = start;
         while j < self.intervals.len() && self.intervals[j].0 <= end {
             let (cs, ce) = self.intervals[j];
-            if let Some(out) = newly.as_deref_mut() {
-                if cs > cursor && cursor < end {
-                    out.push((cursor, cs.min(end)));
-                }
+            if cs > cursor && cursor < end {
+                newly.push((cursor, cs.min(end)));
             }
             cursor = cursor.max(ce);
             merged.0 = merged.0.min(cs);
             merged.1 = merged.1.max(ce);
             j += 1;
         }
-        if let Some(out) = newly {
-            if cursor < end {
-                out.push((cursor, end));
-            }
+        if cursor < end {
+            newly.push((cursor, end));
         }
         self.intervals.splice(i..j, std::iter::once(merged));
         // `intervals[..i]` (and so `prefix[..=i]`) are untouched: rebuild the
@@ -188,34 +95,13 @@ impl IntervalSet {
         &self.intervals
     }
 
-    /// Number of merged intervals.
-    pub fn count(&self) -> usize {
-        self.intervals.len()
-    }
-
-    /// True if nothing is covered.
-    pub fn is_empty(&self) -> bool {
-        self.intervals.is_empty()
-    }
-
     /// Total covered time — O(1) from the precomputed prefix sums.
     pub fn total(&self) -> SimDuration {
         SimDuration::from_ps(*self.prefix.last().unwrap_or(&0))
     }
 
-    /// End of the last busy interval (`None` if the set is empty).
-    pub fn end(&self) -> Option<SimTime> {
-        self.intervals.last().map(|&(_, e)| e)
-    }
-
-    /// True if instant `t` falls inside a busy interval — O(log n).
-    pub fn contains(&self, t: SimTime) -> bool {
-        let k = self.intervals.partition_point(|&(s, _)| s <= t);
-        k > 0 && self.intervals[k - 1].1 > t
-    }
-
     /// Covered time in `[0, t)` — O(log n) via the prefix sums.
-    pub fn covered_before(&self, t: SimTime) -> SimDuration {
+    fn covered_before(&self, t: SimTime) -> SimDuration {
         let k = self.intervals.partition_point(|&(s, _)| s < t);
         // `get` keeps a default-constructed (never-inserted) set queryable.
         let mut ps = self.prefix.get(k).copied().unwrap_or(0);
@@ -233,204 +119,51 @@ impl IntervalSet {
         self.covered_before(to)
             .saturating_sub(self.covered_before(from))
     }
-
-    /// Intersection with another set — linear sweep over both interval
-    /// lists, producing a new merged set.
-    pub fn intersect(&self, other: &IntervalSet) -> IntervalSet {
-        let a = &self.intervals;
-        let b = &other.intervals;
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            let (as_, ae) = a[i];
-            let (bs, be) = b[j];
-            let start = as_.max(bs);
-            let end = ae.min(be);
-            if end > start {
-                out.push((start, end));
-            }
-            if ae <= be {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        IntervalSet::from_sorted_disjoint(out)
-    }
-
-    /// Idle gaps in `[0, horizon)`: the maximal sub-intervals not covered by
-    /// any busy interval.
-    pub fn idle_gaps(&self, horizon: SimTime) -> Vec<(SimTime, SimTime)> {
-        let mut gaps = Vec::new();
-        let mut cursor = SimTime::ZERO;
-        for &(s, e) in &self.intervals {
-            if s >= horizon {
-                break;
-            }
-            if s > cursor {
-                gaps.push((cursor, s.min(horizon)));
-            }
-            cursor = cursor.max(e);
-        }
-        if cursor < horizon {
-            gaps.push((cursor, horizon));
-        }
-        gaps
-    }
-
-    /// Length of the longest idle gap in `[0, horizon)`.
-    pub fn longest_idle_gap(&self, horizon: SimTime) -> SimDuration {
-        self.idle_gaps(horizon)
-            .into_iter()
-            .map(|(s, e)| e - s)
-            .max()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Total idle time in `[0, horizon)`.
-    pub fn idle_before(&self, horizon: SimTime) -> SimDuration {
-        horizon
-            .since(SimTime::ZERO)
-            .saturating_sub(self.covered_before(horizon))
-    }
 }
 
-/// The merged busy-interval timeline of one schedule: per-resource merged
-/// busy intervals plus the CPU-side and NDP-side union timelines and their
-/// intersection, all with prefix sums.
+/// The busy-interval timeline of one schedule: the merged CPU-side and
+/// NDP-side union sets, the running total of their intersection, and the
+/// busy horizon.
 ///
-/// The timeline is **incrementally mergeable**: [`Timeline::record`] folds a
-/// single busy interval into the per-resource set, the CPU/NDP union of its
-/// side, and — via the union's coverage delta intersected with the other
-/// side — the overlap set. The task graph calls it as tasks are added, so a
-/// `report()` reads a fully maintained timeline instead of re-merging all
-/// intervals. [`Timeline::build`] (the batch construction) is retained for
-/// the oracle aggregation pass.
+/// The task graph folds every task into it as the task is added, so a
+/// report reads maintained totals instead of re-merging all intervals.
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
-    /// Sorted by resource for binary-search lookup.
-    per_resource: Vec<(Resource, IntervalSet)>,
     cpu: IntervalSet,
     ndp: IntervalSet,
-    overlap: IntervalSet,
+    /// Time covered by both unions.
+    overlap: SimDuration,
+    /// Latest finish of a non-zero-length task.
     horizon: SimTime,
     /// Reusable coverage-delta buffer for [`Timeline::record`].
     scratch: Vec<(SimTime, SimTime)>,
 }
 
 impl Timeline {
-    /// Folds one busy interval into the timeline: the resource's merged set,
-    /// the CPU/NDP union of the resource's side, and the overlap set (the
-    /// union's newly covered sub-intervals intersected with the other side —
-    /// every point of the final intersection is counted exactly once, at the
-    /// later of its two union arrivals). Zero-length intervals record
-    /// nothing, mirroring the batch construction's filter.
-    pub fn record(&mut self, resource: Resource, start: SimTime, finish: SimTime) {
+    /// Folds one busy interval of `resource` into the timeline: the horizon,
+    /// the union of the resource's side, and the overlap total. Each newly
+    /// covered piece of that union adds its intersection with the other
+    /// side; the piece was not covered before, so it is disjoint from what
+    /// is already counted — every point of the final intersection is counted
+    /// exactly once, at the later of its two union arrivals. Zero-length
+    /// intervals record nothing.
+    pub(crate) fn record(&mut self, resource: Resource, start: SimTime, finish: SimTime) {
         if finish <= start {
             return;
         }
         self.horizon = self.horizon.max(finish);
-        let idx = match self
-            .per_resource
-            .binary_search_by_key(&resource, |(r, _)| *r)
-        {
-            Ok(i) => i,
-            Err(i) => {
-                self.per_resource
-                    .insert(i, (resource, IntervalSet::empty()));
-                i
-            }
-        };
-        self.per_resource[idx].1.insert(start, finish);
-        let mut fresh = std::mem::take(&mut self.scratch);
-        fresh.clear();
-        if resource.is_cpu() {
-            self.cpu.insert_with(start, finish, Some(&mut fresh));
-            for &(s, e) in &fresh {
-                Self::fold_intersection(&self.ndp, s, e, &mut self.overlap);
-            }
+        let (side, other) = if resource.is_cpu() {
+            (&mut self.cpu, &self.ndp)
         } else if resource.is_ndp() {
-            self.ndp.insert_with(start, finish, Some(&mut fresh));
-            for &(s, e) in &fresh {
-                Self::fold_intersection(&self.cpu, s, e, &mut self.overlap);
-            }
+            (&mut self.ndp, &self.cpu)
+        } else {
+            return;
+        };
+        self.scratch.clear();
+        side.insert(start, finish, &mut self.scratch);
+        for &(s, e) in &self.scratch {
+            self.overlap += other.covered_in(s, e);
         }
-        self.scratch = fresh;
-    }
-
-    /// Inserts `[s, e) ∩ other` into `overlap`. `[s, e)` is a coverage delta
-    /// of the opposite union, so the pieces are disjoint from everything the
-    /// overlap already holds (insert only coalesces touching neighbors).
-    fn fold_intersection(other: &IntervalSet, s: SimTime, e: SimTime, overlap: &mut IntervalSet) {
-        let from = other.intervals.partition_point(|&(_, oe)| oe <= s);
-        for &(os, oe) in &other.intervals[from..] {
-            if os >= e {
-                break;
-            }
-            let a = os.max(s);
-            let b = oe.min(e);
-            if b > a {
-                overlap.insert(a, b);
-            }
-        }
-    }
-    /// Builds the timeline from per-resource busy intervals (each list in
-    /// task insertion order: sorted and disjoint on an in-order serialized
-    /// resource, possibly out of order on an arrival-ordered front-end
-    /// resource, whose gap-filled intervals are sorted here first). Batch
-    /// construction is only used by [`oracle::aggregate`] now; the live
-    /// timeline is maintained via [`Timeline::record`].
-    #[cfg(any(test, feature = "oracle"))]
-    fn build(per_resource_raw: Vec<(Resource, Vec<(SimTime, SimTime)>)>) -> Timeline {
-        let mut cpu_all = Vec::new();
-        let mut ndp_all = Vec::new();
-        let mut per_resource: Vec<(Resource, IntervalSet)> = per_resource_raw
-            .into_iter()
-            .map(|(r, intervals)| {
-                if r.is_cpu() {
-                    cpu_all.extend_from_slice(&intervals);
-                } else if r.is_ndp() {
-                    ndp_all.extend_from_slice(&intervals);
-                }
-                let in_insertion_order = intervals.windows(2).all(|w| w[0].1 <= w[1].0);
-                if in_insertion_order {
-                    (r, IntervalSet::from_sorted_disjoint(intervals))
-                } else {
-                    (r, IntervalSet::from_intervals(intervals))
-                }
-            })
-            .collect();
-        per_resource.sort_by_key(|(r, _)| *r);
-        let cpu = IntervalSet::from_intervals(cpu_all);
-        let ndp = IntervalSet::from_intervals(ndp_all);
-        let overlap = cpu.intersect(&ndp);
-        let horizon = per_resource
-            .iter()
-            .filter_map(|(_, set)| set.end())
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        Timeline {
-            per_resource,
-            cpu,
-            ndp,
-            overlap,
-            horizon,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// The merged busy intervals of one resource (`None` if it never ran a
-    /// non-zero-length task).
-    pub fn resource(&self, resource: Resource) -> Option<&IntervalSet> {
-        self.per_resource
-            .binary_search_by_key(&resource, |(r, _)| *r)
-            .ok()
-            .map(|i| &self.per_resource[i].1)
-    }
-
-    /// Iterates over every resource with busy time, in `Resource` order.
-    pub fn resources(&self) -> impl Iterator<Item = (Resource, &IntervalSet)> {
-        self.per_resource.iter().map(|(r, set)| (*r, set))
     }
 
     /// Union timeline of all CPU threads.
@@ -438,229 +171,216 @@ impl Timeline {
         &self.cpu
     }
 
-    /// Union timeline of all NDP resources (units and dispatchers).
+    /// Union timeline of all NDP resources (units, dispatchers, issue
+    /// queues).
     pub fn ndp(&self) -> &IntervalSet {
         &self.ndp
     }
 
-    /// Intersection of the CPU and NDP union timelines.
-    pub fn overlap(&self) -> &IntervalSet {
-        &self.overlap
+    /// Wall-clock time during which a CPU thread and an NDP resource were
+    /// busy simultaneously — the "parallelizable fraction" numerator of
+    /// Figure 18. O(1).
+    pub fn overlap(&self) -> SimDuration {
+        self.overlap
     }
 
-    /// Finish time of the latest busy interval (equals the makespan end).
+    /// Finish time of the latest non-zero-length task (the busy horizon).
     pub fn horizon(&self) -> SimTime {
         self.horizon
     }
-
-    /// Fraction of the schedule horizon during which `resource` was busy.
-    /// Zero for an empty timeline (guarding the undefined 0/0 case).
-    pub fn utilization(&self, resource: Resource) -> f64 {
-        if self.horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        match self.resource(resource) {
-            Some(set) => set.total().ratio(self.horizon.since(SimTime::ZERO)),
-            None => 0.0,
-        }
-    }
-
-    /// Time at which `resource` runs its last task to completion (time zero
-    /// if it is never used).
-    pub fn busy_until(&self, resource: Resource) -> SimTime {
-        self.resource(resource)
-            .and_then(|set| set.end())
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Total idle time of `resource` within the schedule horizon.
-    pub fn idle_time(&self, resource: Resource) -> SimDuration {
-        match self.resource(resource) {
-            Some(set) => set.idle_before(self.horizon),
-            None => self.horizon.since(SimTime::ZERO),
-        }
-    }
 }
 
-/// The result of scheduling a task graph.
-#[derive(Debug, Clone)]
-pub struct Schedule {
-    makespan: SimDuration,
-    region_busy: HashMap<Region, SimDuration>,
-    resource_busy: HashMap<Resource, SimDuration>,
-    critical_path: SimDuration,
-    timeline: Timeline,
-}
-
-impl Schedule {
-    /// Snapshots `graph`'s **incrementally maintained** schedule state.
-    ///
-    /// The graph keeps every aggregate up to date as tasks are added —
-    /// per-region and per-resource busy sums, makespan, critical path, and
-    /// the merged busy-interval [`Timeline`] — so this is a plain copy, not
-    /// a re-derivation. The snapshot is **timings-free**: it no longer
-    /// copies the per-task start/finish vectors (an O(n) allocation per
-    /// snapshot at million-task scale); per-task timings stay with the graph
-    /// ([`TaskGraph::task_start`] / [`TaskGraph::task_finish`]). The
-    /// original full aggregation pass (one scan over the task list
-    /// rebuilding everything) moved to [`oracle::aggregate`] next to the
-    /// pre-timeline rescanners; differential tests assert the snapshot and
-    /// the re-aggregation agree at every prefix of a growing graph.
-    pub fn compute(graph: &TaskGraph) -> Schedule {
-        Schedule {
-            makespan: graph.makespan(),
-            region_busy: graph.region_busy_map().clone(),
-            resource_busy: graph.resource_busy_map().clone(),
-            critical_path: graph.critical_path(),
-            timeline: graph.timeline().clone(),
-        }
-    }
-
-    /// End-to-end simulated time (completion of the last task).
-    pub fn makespan(&self) -> SimDuration {
-        self.makespan
-    }
-
-    /// The merged busy-interval timeline of this schedule.
-    pub fn timeline(&self) -> &Timeline {
-        &self.timeline
-    }
-
-    /// Total busy time attributed to a region (summed across resources, so it
-    /// can exceed the makespan when work overlaps).
-    pub fn region_time(&self, region: Region) -> SimDuration {
-        self.region_busy
-            .get(&region)
-            .copied()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Total busy time of one resource.
-    pub fn resource_time(&self, resource: Resource) -> SimDuration {
-        self.resource_busy
-            .get(&resource)
-            .copied()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Sum of all crash-consistency region time.
-    pub fn crash_consistency_time(&self) -> SimDuration {
-        Region::all()
-            .into_iter()
-            .filter(|r| r.is_crash_consistency())
-            .map(|r| self.region_time(r))
-            .sum()
-    }
-
-    /// Sum of application-logic region time (including the application's own
-    /// in-place persists, which the paper counts as application logic).
-    pub fn application_time(&self) -> SimDuration {
-        self.region_time(Region::Application) + self.region_time(Region::AppPersist)
-    }
-
-    /// Wall-clock time during which at least one CPU thread was busy.
-    pub fn cpu_busy(&self) -> SimDuration {
-        self.timeline.cpu().total()
-    }
-
-    /// Wall-clock time during which at least one NearPM resource was busy.
-    pub fn ndp_busy(&self) -> SimDuration {
-        self.timeline.ndp().total()
-    }
-
-    /// Wall-clock time during which the CPU and a NearPM resource were busy
-    /// simultaneously — the "parallelizable fraction" numerator of Figure 18.
-    pub fn cpu_ndp_overlap(&self) -> SimDuration {
-        self.timeline.overlap().total()
-    }
-
-    /// Fraction of the makespan during which CPU and NDP overlap. Zero for
-    /// an empty schedule (guarding the undefined 0/0 case).
-    pub fn overlap_fraction(&self) -> f64 {
-        if self.makespan.is_zero() {
-            return 0.0;
-        }
-        self.cpu_ndp_overlap().ratio(self.makespan)
-    }
-
-    /// Length of the longest dependency chain (lower bound on makespan with
-    /// infinite resources).
-    pub fn critical_path(&self) -> SimDuration {
-        self.critical_path
-    }
-
-    /// Per-region breakdown as fractions of total busy time. All-zero for an
-    /// empty schedule (guarding the undefined 0/0 case).
-    pub fn region_breakdown(&self) -> Vec<(Region, f64)> {
-        let total: SimDuration = Region::all().into_iter().map(|r| self.region_time(r)).sum();
-        Region::all()
-            .into_iter()
-            .map(|r| {
-                let frac = if total.is_zero() {
-                    0.0
-                } else {
-                    self.region_time(r).ratio(total)
-                };
-                (r, frac)
-            })
-            .collect()
-    }
-}
-
-/// The pre-timeline rescanning analyses, kept verbatim as reference oracles.
-///
-/// Every function re-derives its answer from the raw task list: timings via
-/// the original scheduling recurrence, busy/overlap figures by collecting and
-/// re-merging intervals per call, windowed queries by clipping and re-merging
-/// per call. They exist so differential tests and the `schedule_compute`
-/// bench can compare the timeline implementation against the original
-/// semantics. Compiled under `cfg(test)` or the `oracle` cargo feature.
+/// From-scratch reference aggregations of a task graph, independent of the
+/// incremental bookkeeping (see the module docs for the gate each one
+/// backs). Compiled under `cfg(test)` or the `oracle` cargo feature.
 ///
 /// [`oracle::compute_timings`] re-derives timings with the *in-order*
-/// recurrence, so it reproduces graphs built with [`TaskGraph::add`] only;
-/// graphs containing arrival-ordered tasks
-/// ([`TaskGraph::add_arrival_ordered`]) are outside its contract — for
-/// those, the graph's incrementally maintained timings are authoritative.
+/// recurrence, so it reproduces graphs built with
+/// [`TaskGraph::add`](crate::TaskGraph::add) only; graphs containing
+/// arrival-ordered tasks are outside its contract — for those, the graph's
+/// incrementally maintained timings are authoritative.
 #[cfg(any(test, feature = "oracle"))]
 pub mod oracle {
-    use super::*;
+    use std::collections::HashMap;
 
-    /// The full aggregation pass that used to be `Schedule::compute`: one
-    /// scan over the task list re-deriving every aggregate (region/resource
-    /// busy sums, makespan, critical path) and re-merging all busy intervals
-    /// into a fresh [`Timeline`]. Timings are read from the graph (they are
-    /// authoritative for arrival-ordered tasks); everything downstream is
-    /// rebuilt from scratch. This is the O(n)-per-report recompute path the
-    /// incremental snapshot is measured against.
+    use super::IntervalSet;
+    use crate::resource::Resource;
+    use crate::task::{Region, TaskGraph};
+    use crate::time::{SimDuration, SimTime};
+
+    /// Start/finish assignment for one task.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct TaskTiming {
+        /// Scheduled start time.
+        pub start: SimTime,
+        /// Scheduled finish time.
+        pub finish: SimTime,
+    }
+
+    impl IntervalSet {
+        /// Builds a set from arbitrary (possibly overlapping, unsorted)
+        /// intervals. Zero-length intervals are dropped.
+        pub fn from_intervals(mut intervals: Vec<(SimTime, SimTime)>) -> Self {
+            intervals.retain(|(s, e)| e > s);
+            intervals.sort_unstable_by_key(|(s, _)| *s);
+            Self::merge_sorted(intervals)
+        }
+
+        /// Intersection with another set — linear sweep over both interval
+        /// lists, producing a new merged set.
+        pub fn intersect(&self, other: &IntervalSet) -> IntervalSet {
+            let a = &self.intervals;
+            let b = &other.intervals;
+            let mut out = Vec::new();
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() && j < b.len() {
+                let (as_, ae) = a[i];
+                let (bs, be) = b[j];
+                let start = as_.max(bs);
+                let end = ae.min(be);
+                if end > start {
+                    out.push((start, end));
+                }
+                if ae <= be {
+                    i += 1;
+                } else {
+                    j += 1;
+                }
+            }
+            Self::merge_sorted(out)
+        }
+
+        /// Coalesces start-sorted intervals and computes the prefix sums.
+        fn merge_sorted(intervals: Vec<(SimTime, SimTime)>) -> Self {
+            let mut merged: Vec<(SimTime, SimTime)> = Vec::with_capacity(intervals.len());
+            for (s, e) in intervals {
+                match merged.last_mut() {
+                    Some((_, last_end)) if s <= *last_end => {
+                        if e > *last_end {
+                            *last_end = e;
+                        }
+                    }
+                    _ => merged.push((s, e)),
+                }
+            }
+            let mut prefix = Vec::with_capacity(merged.len() + 1);
+            let mut acc = 0u64;
+            prefix.push(0);
+            for (s, e) in &merged {
+                acc += (*e - *s).as_ps();
+                prefix.push(acc);
+            }
+            IntervalSet {
+                intervals: merged,
+                prefix,
+            }
+        }
+    }
+
+    /// A task graph aggregated from scratch by [`aggregate`]: region busy
+    /// sums, the makespan, every resource's merged busy set, the CPU/NDP
+    /// unions and their intersection.
+    #[derive(Debug, Clone)]
+    pub struct Schedule {
+        makespan: SimDuration,
+        region_busy: HashMap<Region, SimDuration>,
+        per_resource: HashMap<Resource, IntervalSet>,
+        cpu: IntervalSet,
+        ndp: IntervalSet,
+        overlap: IntervalSet,
+        horizon: SimTime,
+    }
+
+    impl Schedule {
+        /// End-to-end simulated time (completion of the last task).
+        pub fn makespan(&self) -> SimDuration {
+            self.makespan
+        }
+
+        /// Finish time of the latest busy interval.
+        pub fn horizon(&self) -> SimTime {
+            self.horizon
+        }
+
+        /// Total busy time attributed to a region (summed across resources,
+        /// so it can exceed the makespan when work overlaps).
+        pub fn region_time(&self, region: Region) -> SimDuration {
+            self.region_busy
+                .get(&region)
+                .copied()
+                .unwrap_or(SimDuration::ZERO)
+        }
+
+        /// Sum of all crash-consistency region time.
+        pub fn crash_consistency_time(&self) -> SimDuration {
+            Region::all()
+                .into_iter()
+                .filter(|r| r.is_crash_consistency())
+                .map(|r| self.region_time(r))
+                .sum()
+        }
+
+        /// Sum of application-logic region time (including the
+        /// application's own in-place persists, which the paper counts as
+        /// application logic).
+        pub fn application_time(&self) -> SimDuration {
+            self.region_time(Region::Application) + self.region_time(Region::AppPersist)
+        }
+
+        /// Union timeline of all CPU threads.
+        pub fn cpu(&self) -> &IntervalSet {
+            &self.cpu
+        }
+
+        /// Union timeline of all NDP resources.
+        pub fn ndp(&self) -> &IntervalSet {
+            &self.ndp
+        }
+
+        /// Total of the CPU/NDP union intersection.
+        pub fn cpu_ndp_overlap(&self) -> SimDuration {
+            self.overlap.total()
+        }
+
+        /// Fraction of the makespan during which CPU and NDP overlap. Zero
+        /// for an empty schedule (guarding the undefined 0/0 case).
+        pub fn overlap_fraction(&self) -> f64 {
+            if self.makespan.is_zero() {
+                return 0.0;
+            }
+            self.cpu_ndp_overlap().ratio(self.makespan)
+        }
+
+        /// Fraction of the horizon covered by `resource`'s merged busy set.
+        /// Zero for an empty schedule (guarding the undefined 0/0 case).
+        pub fn utilization(&self, resource: Resource) -> f64 {
+            if self.horizon == SimTime::ZERO {
+                return 0.0;
+            }
+            match self.per_resource.get(&resource) {
+                Some(set) => set.total().ratio(self.horizon.since(SimTime::ZERO)),
+                None => 0.0,
+            }
+        }
+    }
+
+    /// One scan over the task list re-deriving every aggregate (region busy
+    /// sums, makespan) and re-merging all busy intervals from scratch.
+    /// Timings are read from the graph (they are authoritative for
+    /// arrival-ordered tasks); everything downstream is rebuilt. This is the
+    /// O(n)-per-report recompute path the incremental bookkeeping is
+    /// measured against.
     pub fn aggregate(graph: &TaskGraph) -> Schedule {
         let mut region_busy: HashMap<Region, SimDuration> = HashMap::new();
-        let mut resource_busy: HashMap<Resource, SimDuration> = HashMap::new();
-        // Longest dependency chain ending at each task (critical path).
-        let mut chain: Vec<SimDuration> = Vec::with_capacity(graph.len());
-        // Per-resource busy intervals in insertion order (sorted + disjoint
-        // on an in-order serialized resource).
+        // Per-resource busy intervals in insertion order (out of order on an
+        // arrival-ordered resource; merging sorts them).
         let mut per_resource: HashMap<Resource, Vec<(SimTime, SimTime)>> = HashMap::new();
-
         let mut makespan = SimDuration::ZERO;
         for task in graph.tasks() {
             let start = graph.task_start(task.id);
             let finish = graph.task_finish(task.id);
             *region_busy.entry(task.region).or_insert(SimDuration::ZERO) += task.duration;
-            *resource_busy
-                .entry(task.resource)
-                .or_insert(SimDuration::ZERO) += task.duration;
-
-            let dep_chain = task
-                .deps
-                .iter()
-                .map(|d| chain[d.index()])
-                .max()
-                .unwrap_or(SimDuration::ZERO);
-            chain.push(dep_chain + task.duration);
-
-            if finish.since(SimTime::ZERO) > makespan {
-                makespan = finish.since(SimTime::ZERO);
-            }
+            makespan = makespan.max(finish.since(SimTime::ZERO));
             if !task.duration.is_zero() {
                 per_resource
                     .entry(task.resource)
@@ -668,16 +388,45 @@ pub mod oracle {
                     .push((start, finish));
             }
         }
+        build(makespan, region_busy, per_resource)
+    }
 
-        let critical_path = chain.iter().copied().max().unwrap_or(SimDuration::ZERO);
-        let timeline = Timeline::build(per_resource.into_iter().collect());
-
+    /// Merges each resource's busy intervals into its own set and into the
+    /// CPU or NDP union, then intersects the unions.
+    fn build(
+        makespan: SimDuration,
+        region_busy: HashMap<Region, SimDuration>,
+        per_resource_raw: HashMap<Resource, Vec<(SimTime, SimTime)>>,
+    ) -> Schedule {
+        let mut cpu_all = Vec::new();
+        let mut ndp_all = Vec::new();
+        let per_resource: HashMap<Resource, IntervalSet> = per_resource_raw
+            .into_iter()
+            .map(|(r, intervals)| {
+                if r.is_cpu() {
+                    cpu_all.extend_from_slice(&intervals);
+                } else if r.is_ndp() {
+                    ndp_all.extend_from_slice(&intervals);
+                }
+                (r, IntervalSet::from_intervals(intervals))
+            })
+            .collect();
+        let cpu = IntervalSet::from_intervals(cpu_all);
+        let ndp = IntervalSet::from_intervals(ndp_all);
+        let overlap = cpu.intersect(&ndp);
+        let horizon = per_resource
+            .values()
+            .filter_map(|set| set.intervals.last().map(|&(_, e)| e))
+            .max()
+            .unwrap_or(SimTime::ZERO);
         Schedule {
             makespan,
             region_busy,
-            resource_busy,
-            critical_path,
-            timeline,
+            per_resource,
+            cpu,
+            ndp,
+            overlap,
+            horizon,
         }
     }
 
@@ -707,7 +456,7 @@ pub mod oracle {
 
     /// Sorts and merges intervals in place, returning their total covered
     /// length (the original per-query helper).
-    pub fn merged_length(intervals: &mut Vec<(SimTime, SimTime)>) -> SimDuration {
+    fn merged_length(intervals: &mut Vec<(SimTime, SimTime)>) -> SimDuration {
         if intervals.is_empty() {
             return SimDuration::ZERO;
         }
@@ -730,7 +479,7 @@ pub mod oracle {
 
     /// Total length of the intersection of two sets of *merged, sorted*
     /// intervals.
-    pub fn intersection_length(a: &[(SimTime, SimTime)], b: &[(SimTime, SimTime)]) -> SimDuration {
+    fn intersection_length(a: &[(SimTime, SimTime)], b: &[(SimTime, SimTime)]) -> SimDuration {
         let mut i = 0;
         let mut j = 0;
         let mut total = SimDuration::ZERO;
@@ -810,93 +559,6 @@ pub mod oracle {
             .map(|t| t.duration)
             .sum()
     }
-
-    /// Critical path: rescan with the chain recurrence.
-    pub fn critical_path(graph: &TaskGraph) -> SimDuration {
-        let mut chain: Vec<SimDuration> = Vec::with_capacity(graph.len());
-        for task in graph.tasks() {
-            let dep_chain = task
-                .deps
-                .iter()
-                .map(|d| chain[d.index()])
-                .max()
-                .unwrap_or(SimDuration::ZERO);
-            chain.push(dep_chain + task.duration);
-        }
-        chain.into_iter().max().unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Busy time of one resource inside `[from, to)`: rescan, clip, merge.
-    pub fn resource_busy_in_window(
-        graph: &TaskGraph,
-        timings: &[TaskTiming],
-        resource: Resource,
-        from: SimTime,
-        to: SimTime,
-    ) -> SimDuration {
-        let mut v: Vec<(SimTime, SimTime)> = collect(graph, timings, |r| r == resource)
-            .into_iter()
-            .map(|(s, e)| (s.max(from), e.min(to)))
-            .filter(|(s, e)| e > s)
-            .collect();
-        merged_length(&mut v)
-    }
-
-    /// CPU/NDP overlap inside `[from, to)`: rescan and re-merge both sides.
-    pub fn overlap_in_window(
-        graph: &TaskGraph,
-        timings: &[TaskTiming],
-        from: SimTime,
-        to: SimTime,
-    ) -> SimDuration {
-        let clip = |v: Vec<(SimTime, SimTime)>| -> Vec<(SimTime, SimTime)> {
-            v.into_iter()
-                .map(|(s, e)| (s.max(from), e.min(to)))
-                .filter(|(s, e)| e > s)
-                .collect()
-        };
-        let mut cpu = clip(collect(graph, timings, |r| r.is_cpu()));
-        let mut ndp = clip(collect(graph, timings, |r| r.is_ndp()));
-        merged_length(&mut cpu);
-        merged_length(&mut ndp);
-        intersection_length(&cpu, &ndp)
-    }
-
-    /// Finish time of the last non-zero-length task on `resource`: rescan.
-    pub fn busy_until(graph: &TaskGraph, timings: &[TaskTiming], resource: Resource) -> SimTime {
-        collect(graph, timings, |r| r == resource)
-            .into_iter()
-            .map(|(_, e)| e)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Idle gaps of one resource in `[0, horizon)`: rescan and walk the
-    /// complement.
-    pub fn resource_idle_gaps(
-        graph: &TaskGraph,
-        timings: &[TaskTiming],
-        resource: Resource,
-        horizon: SimTime,
-    ) -> Vec<(SimTime, SimTime)> {
-        let mut busy = collect(graph, timings, |r| r == resource);
-        merged_length(&mut busy);
-        let mut gaps = Vec::new();
-        let mut cursor = SimTime::ZERO;
-        for (s, e) in busy {
-            if s >= horizon {
-                break;
-            }
-            if s > cursor {
-                gaps.push((cursor, s.min(horizon)));
-            }
-            cursor = cursor.max(e);
-        }
-        if cursor < horizon {
-            gaps.push((cursor, horizon));
-        }
-        gaps
-    }
 }
 
 #[cfg(test)]
@@ -920,12 +582,15 @@ mod tests {
         let a = g.add("a", CPU, ns(10.0), Region::Application, &[]);
         let b = g.add("b", CPU, ns(20.0), Region::CcDataMovement, &[a]);
         let _c = g.add("c", CPU, ns(5.0), Region::CcMetadata, &[b]);
-        let s = Schedule::compute(&g);
-        assert!((s.makespan().as_ns() - 35.0).abs() < 1e-9);
-        assert!((s.crash_consistency_time().as_ns() - 25.0).abs() < 1e-9);
-        assert!((s.application_time().as_ns() - 10.0).abs() < 1e-9);
-        assert!((s.critical_path().as_ns() - 35.0).abs() < 1e-9);
-        assert_eq!(s.cpu_ndp_overlap(), SimDuration::ZERO);
+        let cc: SimDuration = Region::all()
+            .into_iter()
+            .filter(|r| r.is_crash_consistency())
+            .map(|r| g.region_work(r))
+            .sum();
+        assert!((g.makespan().as_ns() - 35.0).abs() < 1e-9);
+        assert!((cc.as_ns() - 25.0).abs() < 1e-9);
+        assert!((g.region_work(Region::Application).as_ns() - 10.0).abs() < 1e-9);
+        assert_eq!(g.timeline().overlap(), SimDuration::ZERO);
     }
 
     #[test]
@@ -933,11 +598,8 @@ mod tests {
         let mut g = TaskGraph::new();
         let _a = g.add("a", CPU, ns(10.0), Region::Application, &[]);
         let _b = g.add("b", CPU, ns(10.0), Region::Application, &[]);
-        let s = Schedule::compute(&g);
         // Independent but same resource: must serialize.
-        assert!((s.makespan().as_ns() - 20.0).abs() < 1e-9);
-        // Critical path ignores resource contention.
-        assert!((s.critical_path().as_ns() - 10.0).abs() < 1e-9);
+        assert!((g.makespan().as_ns() - 20.0).abs() < 1e-9);
     }
 
     #[test]
@@ -945,9 +607,8 @@ mod tests {
         let mut g = TaskGraph::new();
         let _a = g.add("log-a", UNIT0, ns(100.0), Region::CcDataMovement, &[]);
         let _b = g.add("log-b", UNIT1, ns(100.0), Region::CcDataMovement, &[]);
-        let s = Schedule::compute(&g);
-        assert!((s.makespan().as_ns() - 100.0).abs() < 1e-9);
-        assert!((s.ndp_busy().as_ns() - 100.0).abs() < 1e-9);
+        assert!((g.makespan().as_ns() - 100.0).abs() < 1e-9);
+        assert!((g.timeline().ndp().total().as_ns() - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -956,10 +617,9 @@ mod tests {
         // NDP copies for 100 ns while the CPU computes for 60 ns concurrently.
         let _n = g.add("ndp-copy", UNIT0, ns(100.0), Region::CcDataMovement, &[]);
         let _c = g.add("cpu-work", CPU, ns(60.0), Region::Application, &[]);
-        let s = Schedule::compute(&g);
-        assert!((s.makespan().as_ns() - 100.0).abs() < 1e-9);
-        assert!((s.cpu_ndp_overlap().as_ns() - 60.0).abs() < 1e-9);
-        assert!((s.overlap_fraction() - 0.6).abs() < 1e-9);
+        assert!((g.makespan().as_ns() - 100.0).abs() < 1e-9);
+        assert!((g.timeline().overlap().as_ns() - 60.0).abs() < 1e-9);
+        assert!((oracle::aggregate(&g).overlap_fraction() - 0.6).abs() < 1e-9);
     }
 
     #[test]
@@ -967,10 +627,9 @@ mod tests {
         let mut g = TaskGraph::new();
         let n = g.add("ndp-log", UNIT0, ns(50.0), Region::CcDataMovement, &[]);
         let u = g.add("cpu-update", CPU, ns(10.0), Region::AppPersist, &[n]);
-        let s = Schedule::compute(&g);
         assert!((g.task_start(u).as_ns() - 50.0).abs() < 1e-9);
-        assert!((s.makespan().as_ns() - 60.0).abs() < 1e-9);
-        assert_eq!(s.cpu_ndp_overlap(), SimDuration::ZERO);
+        assert!((g.makespan().as_ns() - 60.0).abs() < 1e-9);
+        assert_eq!(g.timeline().overlap(), SimDuration::ZERO);
     }
 
     #[test]
@@ -980,37 +639,23 @@ mod tests {
         let b = g.add("b", UNIT1, ns(70.0), Region::CcDataMovement, &[]);
         let j = g.barrier("join", CPU, &[a, b]);
         let c = g.add("commit", CPU, ns(10.0), Region::CcCommit, &[j]);
-        let s = Schedule::compute(&g);
         assert!((g.task_start(c).as_ns() - 70.0).abs() < 1e-9);
-        assert!((s.makespan().as_ns() - 80.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn region_breakdown_sums_to_one() {
-        let mut g = TaskGraph::new();
-        let a = g.add("a", CPU, ns(30.0), Region::Application, &[]);
-        let _b = g.add("b", CPU, ns(70.0), Region::CcDataMovement, &[a]);
-        let s = Schedule::compute(&g);
-        let breakdown = s.region_breakdown();
-        let total: f64 = breakdown.iter().map(|(_, f)| f).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        let dm = breakdown
-            .iter()
-            .find(|(r, _)| *r == Region::CcDataMovement)
-            .unwrap()
-            .1;
-        assert!((dm - 0.7).abs() < 1e-9);
+        assert!((g.makespan().as_ns() - 80.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_graph_schedules_to_zero() {
         let g = TaskGraph::new();
-        let s = Schedule::compute(&g);
-        assert_eq!(s.makespan(), SimDuration::ZERO);
-        assert_eq!(s.critical_path(), SimDuration::ZERO);
-        assert_eq!(s.cpu_busy(), SimDuration::ZERO);
-        assert!(s.timeline().cpu().is_empty());
-        assert_eq!(s.timeline().horizon(), SimTime::ZERO);
+        assert_eq!(g.makespan(), SimDuration::ZERO);
+        assert_eq!(g.timeline().cpu().total(), SimDuration::ZERO);
+        assert!(g.timeline().cpu().intervals().is_empty());
+        assert_eq!(g.timeline().overlap(), SimDuration::ZERO);
+        assert_eq!(g.timeline().horizon(), SimTime::ZERO);
+        assert_eq!(g.utilization(CPU), 0.0);
+        let full = oracle::aggregate(&g);
+        assert_eq!(full.makespan(), SimDuration::ZERO);
+        assert_eq!(full.horizon(), SimTime::ZERO);
+        assert_eq!(full.utilization(CPU), 0.0);
     }
 
     #[test]
@@ -1021,9 +666,7 @@ mod tests {
             (SimTime::from_ns(20.0), SimTime::from_ns(25.0)),
         ]);
         assert!((set.total().as_ns() - 20.0).abs() < 1e-9);
-        assert_eq!(set.count(), 2);
-        assert!(set.contains(SimTime::from_ns(7.0)));
-        assert!(!set.contains(SimTime::from_ns(17.0)));
+        assert_eq!(set.intervals().len(), 2);
         assert!((set.covered_before(SimTime::from_ns(12.0)).as_ns() - 12.0).abs() < 1e-9);
         assert!(
             (set.covered_in(SimTime::from_ns(10.0), SimTime::from_ns(22.0))
@@ -1032,7 +675,7 @@ mod tests {
                 .abs()
                 < 1e-9
         );
-        assert_eq!(set.end(), Some(SimTime::from_ns(25.0)));
+        assert_eq!(set.intervals().last().unwrap().1, SimTime::from_ns(25.0));
     }
 
     #[test]
@@ -1047,45 +690,18 @@ mod tests {
     }
 
     #[test]
-    fn interval_set_idle_gaps() {
-        let set = IntervalSet::from_intervals(vec![
-            (SimTime::from_ns(10.0), SimTime::from_ns(20.0)),
-            (SimTime::from_ns(30.0), SimTime::from_ns(40.0)),
-        ]);
-        let gaps = set.idle_gaps(SimTime::from_ns(50.0));
-        assert_eq!(
-            gaps,
-            vec![
-                (SimTime::ZERO, SimTime::from_ns(10.0)),
-                (SimTime::from_ns(20.0), SimTime::from_ns(30.0)),
-                (SimTime::from_ns(40.0), SimTime::from_ns(50.0)),
-            ]
-        );
-        assert!((set.longest_idle_gap(SimTime::from_ns(50.0)).as_ns() - 10.0).abs() < 1e-9);
-        assert!((set.idle_before(SimTime::from_ns(50.0)).as_ns() - 30.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn timeline_per_resource_queries() {
         let mut g = TaskGraph::new();
         let a = g.add("a", UNIT0, ns(40.0), Region::CcDataMovement, &[]);
         let _b = g.add("b", UNIT1, ns(10.0), Region::CcDataMovement, &[]);
         let _c = g.add("c", UNIT0, ns(20.0), Region::CcDataMovement, &[a]);
         let _d = g.add("d", CPU, ns(30.0), Region::Application, &[]);
-        let s = Schedule::compute(&g);
-        let tl = s.timeline();
-        assert_eq!(tl.busy_until(UNIT0), SimTime::from_ns(60.0));
-        assert_eq!(tl.busy_until(UNIT1), SimTime::from_ns(10.0));
-        assert_eq!(tl.horizon(), SimTime::from_ns(60.0));
-        assert!((tl.utilization(UNIT0) - 1.0).abs() < 1e-9);
-        assert!((tl.utilization(UNIT1) - 10.0 / 60.0).abs() < 1e-9);
-        assert!((tl.idle_time(UNIT1).as_ns() - 50.0).abs() < 1e-9);
-        // Adjacent busy intervals on UNIT0 coalesce into one.
-        assert_eq!(tl.resource(UNIT0).unwrap().count(), 1);
+        assert_eq!(g.timeline().horizon(), SimTime::from_ns(60.0));
+        assert!((g.utilization(UNIT0) - 1.0).abs() < 1e-9);
+        assert!((g.utilization(UNIT1) - 10.0 / 60.0).abs() < 1e-9);
+        assert!((g.utilization(CPU) - 0.5).abs() < 1e-9);
         // Unused resource.
-        assert!(tl.resource(Resource::Cpu(7)).is_none());
-        assert_eq!(tl.busy_until(Resource::Cpu(7)), SimTime::ZERO);
-        assert!((tl.utilization(Resource::Cpu(7))).abs() < 1e-9);
+        assert!((g.utilization(Resource::Cpu(7))).abs() < 1e-9);
     }
 
     /// The pipelined front-end shape: decode on the dispatcher, issue on the
@@ -1114,17 +730,20 @@ mod tests {
             &[issue],
         );
         let _ = (compute, copy);
-        let s = Schedule::compute(&g);
+        let tl = g.timeline();
         // Dispatcher (10) + issue queue (25) + unit (40) merge into one
         // contiguous NDP busy window.
-        assert!((s.ndp_busy().as_ns() - 75.0).abs() < 1e-9);
-        assert!((s.resource_time(iq).as_ns() - 25.0).abs() < 1e-9);
+        assert!((tl.ndp().total().as_ns() - 75.0).abs() < 1e-9);
+        assert!((g.utilization(iq) - 0.25).abs() < 1e-9);
         // The CPU compute covers the whole NDP window: full overlap.
-        assert!((s.cpu_ndp_overlap().as_ns() - 75.0).abs() < 1e-9);
+        assert!((tl.overlap().as_ns() - 75.0).abs() < 1e-9);
         let timings = oracle::compute_timings(&g);
-        assert_eq!(s.ndp_busy(), oracle::ndp_busy(&g, &timings));
-        assert_eq!(s.cpu_ndp_overlap(), oracle::cpu_ndp_overlap(&g, &timings));
-        assert_eq!(s.resource_time(iq), oracle::resource_time(&g, iq));
+        assert_eq!(tl.ndp().total(), oracle::ndp_busy(&g, &timings));
+        assert_eq!(tl.overlap(), oracle::cpu_ndp_overlap(&g, &timings));
+        assert_eq!(
+            g.utilization(iq),
+            oracle::resource_time(&g, iq).ratio(g.makespan())
+        );
     }
 
     /// Builds a random task graph over a mixed CPU/NDP topology.
@@ -1174,13 +793,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         for _round in 0..60 {
             let n = rng.gen_range(0usize..60);
-            let mut incremental = IntervalSet::empty();
+            let mut incremental = IntervalSet::default();
             let mut all: Vec<(SimTime, SimTime)> = Vec::new();
             for _ in 0..n {
                 let s = SimTime::from_ps(rng.gen_range(0u64..2_000));
                 let e = s + SimDuration::from_ps(rng.gen_range(0u64..300));
                 let mut fresh = Vec::new();
-                incremental.insert_with(s, e, Some(&mut fresh));
+                incremental.insert(s, e, &mut fresh);
                 // The coverage delta equals [s, e) minus what was covered.
                 let before = IntervalSet::from_intervals(all.clone());
                 let expected: u64 = e
@@ -1205,28 +824,33 @@ mod tests {
         }
     }
 
-    /// Prefix replay: after **every** added task (in-order and
-    /// arrival-ordered alike), the O(1) snapshot (`Schedule::compute`) must
-    /// agree with the full re-aggregation pass (`oracle::aggregate`) on
-    /// timings, totals, and the merged timeline down to the exact interval
-    /// lists.
+    /// Prefix replay under all three adders — in-order, arrival-ordered and
+    /// pinned markers (some past the last busy interval): at every sampled
+    /// prefix the graph's maintained numbers must equal the from-scratch
+    /// `oracle::aggregate` — makespan, busy horizon, the CPU/NDP union
+    /// intervals, the overlap total, region sums, and every resource's
+    /// utilization (duration sum ÷ horizon against merged coverage ÷
+    /// horizon, which proves a resource never overlaps itself).
     #[test]
     fn prefix_replay_snapshot_matches_oracle_aggregation() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let in_order: [Resource; 4] = [
+        let in_order: [Resource; 5] = [
             Resource::Cpu(0),
             Resource::Cpu(1),
             Resource::NdpUnit { device: 0, unit: 0 },
             Resource::NdpUnit { device: 1, unit: 1 },
+            Resource::ControlPath,
         ];
         let arrival: [Resource; 3] = [
             Resource::Dispatcher(0),
             Resource::IssueQueue { device: 0, unit: 0 },
             Resource::IssueQueue { device: 0, unit: 1 },
         ];
+        let every: Vec<Resource> = in_order.iter().chain(&arrival).copied().collect();
         let regions = Region::all();
         let mut rng = StdRng::seed_from_u64(77);
+        let mut markers_past_horizon = 0;
         for _round in 0..15 {
             let mut g = TaskGraph::new();
             let tasks = rng.gen_range(1usize..90);
@@ -1245,7 +869,23 @@ mod tests {
                     deps.sort_unstable();
                     deps.dedup();
                 }
-                if rng.gen_bool(0.35) {
+                let roll = rng.gen_range(0..20);
+                if roll < 3 {
+                    // An arrival marker: inside the busy span, or past the
+                    // last busy interval (later tasks depending on it start
+                    // no earlier).
+                    let horizon = g.timeline().horizon();
+                    let at = if roll == 0 {
+                        horizon + SimDuration::from_ps(rng.gen_range(1..6_000))
+                    } else {
+                        SimTime::from_ps(rng.gen_range(0..=horizon.as_ps()))
+                    };
+                    if at > horizon {
+                        markers_past_horizon += 1;
+                    }
+                    let r = every[rng.gen_range(0..every.len())];
+                    g.add_pinned_marker("arrival", r, at, region);
+                } else if rng.gen_bool(0.35) {
                     let r = arrival[rng.gen_range(0..arrival.len())];
                     g.add_arrival_ordered("t", r, duration, region, &deps);
                 } else {
@@ -1255,43 +895,27 @@ mod tests {
                 if rng.gen_range(0..4) != 0 && i != tasks - 1 {
                     continue;
                 }
-                let snap = Schedule::compute(&g);
                 let full = oracle::aggregate(&g);
-                assert_eq!(snap.makespan(), full.makespan());
-                assert_eq!(snap.critical_path(), full.critical_path());
-                assert_eq!(snap.cpu_busy(), full.cpu_busy());
-                assert_eq!(snap.ndp_busy(), full.ndp_busy());
-                assert_eq!(snap.cpu_ndp_overlap(), full.cpu_ndp_overlap());
+                let tl = g.timeline();
+                assert_eq!(g.makespan(), full.makespan());
+                assert_eq!(tl.horizon(), full.horizon());
+                assert_eq!(tl.cpu().intervals(), full.cpu().intervals());
+                assert_eq!(tl.ndp().intervals(), full.ndp().intervals());
+                assert_eq!(tl.cpu().total(), full.cpu().total());
+                assert_eq!(tl.ndp().total(), full.ndp().total());
+                assert_eq!(tl.overlap(), full.cpu_ndp_overlap());
                 for r in Region::all() {
-                    assert_eq!(snap.region_time(r), full.region_time(r));
+                    assert_eq!(g.region_work(r), full.region_time(r), "{r:?}");
                 }
-                assert_eq!(snap.timeline().horizon(), full.timeline().horizon());
-                assert_eq!(
-                    snap.timeline().cpu().intervals(),
-                    full.timeline().cpu().intervals()
-                );
-                assert_eq!(
-                    snap.timeline().ndp().intervals(),
-                    full.timeline().ndp().intervals()
-                );
-                assert_eq!(
-                    snap.timeline().overlap().intervals(),
-                    full.timeline().overlap().intervals()
-                );
-                for (res, set) in full.timeline().resources() {
-                    let live = snap
-                        .timeline()
-                        .resource(res)
-                        .unwrap_or_else(|| panic!("{res} missing from the live timeline"));
-                    assert_eq!(live.intervals(), set.intervals(), "{res}");
-                    assert_eq!(live.total(), set.total(), "{res}");
+                for &r in &every {
+                    assert_eq!(g.utilization(r), full.utilization(r), "{r}");
                 }
-                assert_eq!(
-                    snap.timeline().resources().count(),
-                    full.timeline().resources().count()
-                );
             }
         }
+        assert!(
+            markers_past_horizon > 0,
+            "no marker landed past the last busy interval"
+        );
     }
 
     #[test]
@@ -1302,7 +926,7 @@ mod tests {
         for round in 0..40 {
             let tasks = rng.gen_range(0..120);
             let g = random_graph(&mut rng, tasks);
-            let s = Schedule::compute(&g);
+            let tl = g.timeline();
             let oracle_timings = oracle::compute_timings(&g);
 
             // Incremental timings match the original recurrence exactly.
@@ -1312,81 +936,33 @@ mod tests {
             }
 
             // Aggregate answers match the per-query rescans.
-            assert_eq!(s.makespan(), oracle::makespan(&oracle_timings));
-            assert_eq!(s.cpu_busy(), oracle::cpu_busy(&g, &oracle_timings));
-            assert_eq!(s.ndp_busy(), oracle::ndp_busy(&g, &oracle_timings));
-            assert_eq!(
-                s.cpu_ndp_overlap(),
-                oracle::cpu_ndp_overlap(&g, &oracle_timings)
-            );
-            assert_eq!(s.critical_path(), oracle::critical_path(&g));
+            assert_eq!(g.makespan(), oracle::makespan(&oracle_timings));
+            assert_eq!(tl.cpu().total(), oracle::cpu_busy(&g, &oracle_timings));
+            assert_eq!(tl.ndp().total(), oracle::ndp_busy(&g, &oracle_timings));
+            assert_eq!(tl.overlap(), oracle::cpu_ndp_overlap(&g, &oracle_timings));
             for r in Region::all() {
-                assert_eq!(s.region_time(r), oracle::region_time(&g, r));
+                assert_eq!(g.region_work(r), oracle::region_time(&g, r));
             }
 
-            // Per-resource totals, windows, and idle gaps.
-            let horizon = s.timeline().horizon();
+            // Per-resource utilization: duration sum ÷ busy horizon.
+            let horizon = tl.horizon().since(SimTime::ZERO);
             for resource in [
                 Resource::Cpu(0),
                 Resource::Cpu(1),
                 Resource::NdpUnit { device: 0, unit: 0 },
                 Resource::IssueQueue { device: 0, unit: 0 },
                 Resource::Dispatcher(0),
+                Resource::ControlPath,
             ] {
+                let expected = if horizon.is_zero() {
+                    0.0
+                } else {
+                    oracle::resource_time(&g, resource).ratio(horizon)
+                };
                 assert_eq!(
-                    s.resource_time(resource),
-                    oracle::resource_time(&g, resource)
-                );
-                let set_total = s
-                    .timeline()
-                    .resource(resource)
-                    .map(|set| set.total())
-                    .unwrap_or(SimDuration::ZERO);
-                assert_eq!(
-                    set_total,
-                    oracle::resource_busy_in_window(
-                        &g,
-                        &oracle_timings,
-                        resource,
-                        SimTime::ZERO,
-                        SimTime::from_ps(u64::MAX),
-                    )
-                );
-                let gaps = s
-                    .timeline()
-                    .resource(resource)
-                    .map(|set| set.idle_gaps(horizon))
-                    .unwrap_or_else(|| {
-                        if horizon > SimTime::ZERO {
-                            vec![(SimTime::ZERO, horizon)]
-                        } else {
-                            Vec::new()
-                        }
-                    });
-                assert_eq!(
-                    gaps,
-                    oracle::resource_idle_gaps(&g, &oracle_timings, resource, horizon)
-                );
-                for _ in 0..4 {
-                    let a = SimTime::from_ps(rng.gen_range(0..6_000 * 120));
-                    let b = a + SimDuration::from_ps(rng.gen_range(0..10_000));
-                    let timeline_win = s
-                        .timeline()
-                        .resource(resource)
-                        .map(|set| set.covered_in(a, b))
-                        .unwrap_or(SimDuration::ZERO);
-                    assert_eq!(
-                        timeline_win,
-                        oracle::resource_busy_in_window(&g, &oracle_timings, resource, a, b)
-                    );
-                }
-            }
-            for _ in 0..6 {
-                let a = SimTime::from_ps(rng.gen_range(0..6_000 * 120));
-                let b = a + SimDuration::from_ps(rng.gen_range(0..10_000));
-                assert_eq!(
-                    s.timeline().overlap().covered_in(a, b),
-                    oracle::overlap_in_window(&g, &oracle_timings, a, b)
+                    g.utilization(resource),
+                    expected,
+                    "round {round} {resource}"
                 );
             }
         }

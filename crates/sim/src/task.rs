@@ -3,9 +3,10 @@
 //! Every operation in the system — an application compute burst, a CPU
 //! in-place persist, a NearPM DMA copy, a synchronization wait — is lowered
 //! to a task bound to one [`Resource`] with an explicit dependency list.
-//! A [`TaskGraph`] accumulates these tasks; the scheduler in
-//! [`crate::schedule`] then derives start/finish times, overlap, and region
-//! breakdowns from it.
+//! A [`TaskGraph`] accumulates these tasks, schedules each one as it is
+//! added, and maintains what the reports read: region and resource duration
+//! sums, the makespan, and the busy-interval [`Timeline`] of
+//! [`crate::schedule`].
 //!
 //! ## Storage layout
 //!
@@ -166,23 +167,18 @@ pub struct TaskGraph {
     /// zero-length barriers, which contribute nothing but create the entry —
     /// matching the oracle aggregation exactly).
     region_busy: HashMap<Region, SimDuration>,
-    /// Incremental per-resource busy sums.
+    /// Incremental per-resource busy sums (a resource never overlaps
+    /// itself, so each equals the resource's busy time).
     resource_busy: HashMap<Resource, SimDuration>,
     /// Latest task finish (the makespan end), including zero-length tasks.
     max_finish: SimTime,
-    /// Longest dependency chain ending at each task (same index as `tasks`).
-    chain: Vec<SimDuration>,
-    /// Running maximum of `chain` (the critical path).
-    critical_path: SimDuration,
-    /// Sum of all task durations (serial work).
-    total_work: SimDuration,
     /// Incrementally merged busy-interval timeline of the schedule so far.
     timeline: Timeline,
     /// Number of leading tasks whose descriptive columns (labels, resources,
     /// durations, regions, dependencies) were evicted by
     /// [`TaskGraph::retire_tasks_before`]. The timing columns (`starts`,
-    /// `finishes`, `chain`) are kept in full — new tasks may depend on
-    /// arbitrarily old ones — so scheduling is unaffected.
+    /// `finishes`) are kept in full — new tasks may depend on arbitrarily
+    /// old ones — so scheduling is unaffected.
     retired: usize,
     /// Dependency-pool entries dropped for retired tasks (`dep_offsets`
     /// values stay absolute; subtract this on access).
@@ -204,11 +200,6 @@ impl TaskGraph {
     /// True if no task was ever added.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of leading tasks whose descriptive columns were evicted.
-    pub fn retired_tasks(&self) -> usize {
-        self.retired
     }
 
     /// Number of tasks whose descriptive columns are still resident.
@@ -278,16 +269,14 @@ impl TaskGraph {
         self.regions.push(region);
     }
 
-    /// Folds one just-scheduled task into the incrementally maintained
-    /// aggregates: region/resource busy sums, makespan, critical-path chain,
-    /// total work, and the merged busy-interval [`Timeline`]. Called by both
-    /// adders, so `Schedule::compute` is a snapshot rather than a rescan.
+    /// Folds one just-scheduled task into what the reports read: the
+    /// region and resource busy sums, the makespan, and the busy-interval
+    /// [`Timeline`]. Called by every adder.
     fn account(
         &mut self,
         resource: Resource,
         duration: SimDuration,
         region: Region,
-        deps: &[TaskId],
         start: SimTime,
         finish: SimTime,
     ) {
@@ -297,18 +286,7 @@ impl TaskGraph {
             .entry(resource)
             .or_insert(SimDuration::ZERO) += duration;
         self.max_finish = self.max_finish.max(finish);
-        let dep_chain = deps
-            .iter()
-            .map(|d| self.chain[d.0])
-            .max()
-            .unwrap_or(SimDuration::ZERO);
-        let chain = dep_chain + duration;
-        self.critical_path = self.critical_path.max(chain);
-        self.chain.push(chain);
-        self.total_work += duration;
-        if !duration.is_zero() {
-            self.timeline.record(resource, start, finish);
-        }
+        self.timeline.record(resource, start, finish);
     }
 
     /// Asserts one scheduling discipline per resource. Zero-duration tasks
@@ -375,7 +353,7 @@ impl TaskGraph {
         self.starts.push(start);
         self.finishes.push(finish);
         self.resource_free.insert(resource, finish);
-        self.account(resource, duration, region, deps, start, finish);
+        self.account(resource, duration, region, start, finish);
         self.push_task(label, resource, duration, region, deps);
         id
     }
@@ -445,7 +423,7 @@ impl TaskGraph {
         self.finishes.push(finish);
         let free = self.resource_free.entry(resource).or_insert(SimTime::ZERO);
         *free = (*free).max(finish);
-        self.account(resource, duration, region, deps, start, finish);
+        self.account(resource, duration, region, start, finish);
         self.push_task(label, resource, duration, region, deps);
         id
     }
@@ -474,7 +452,7 @@ impl TaskGraph {
         self.finishes.push(at);
         let free = self.resource_free.entry(resource).or_insert(SimTime::ZERO);
         *free = (*free).max(at);
-        self.account(resource, SimDuration::ZERO, region, &[], at, at);
+        self.account(resource, SimDuration::ZERO, region, at, at);
         self.push_task(label, resource, SimDuration::ZERO, region, &[]);
         id
     }
@@ -524,15 +502,6 @@ impl TaskGraph {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Finish time of the latest-finishing task (the schedule horizon).
-    pub fn horizon(&self) -> SimTime {
-        self.resource_free
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
     /// Adds a zero-length barrier task on `resource` depending on `deps`.
     ///
     /// Barriers are used to express "wait until all of these finish" without
@@ -571,12 +540,6 @@ impl TaskGraph {
         }
     }
 
-    /// Sum of the durations of all tasks (serial work) — O(1), maintained as
-    /// tasks are added.
-    pub fn total_work(&self) -> SimDuration {
-        self.total_work
-    }
-
     /// Sum of the durations of tasks in a given region — O(1), maintained as
     /// tasks are added.
     pub fn region_work(&self, region: Region) -> SimDuration {
@@ -592,25 +555,27 @@ impl TaskGraph {
         self.max_finish.since(SimTime::ZERO)
     }
 
-    /// Length of the longest dependency chain so far — O(1).
-    pub fn critical_path(&self) -> SimDuration {
-        self.critical_path
-    }
-
     /// The incrementally merged busy-interval timeline of the schedule so
     /// far. Totals are O(1) reads; windowed queries are O(log n).
     pub fn timeline(&self) -> &Timeline {
         &self.timeline
     }
 
-    /// The incremental per-region busy sums (snapshot support).
-    pub(crate) fn region_busy_map(&self) -> &HashMap<Region, SimDuration> {
-        &self.region_busy
-    }
-
-    /// The incremental per-resource busy sums (snapshot support).
-    pub(crate) fn resource_busy_map(&self) -> &HashMap<Resource, SimDuration> {
-        &self.resource_busy
+    /// Fraction of the busy horizon ([`Timeline::horizon`]) during which
+    /// `resource` was busy: its duration sum ÷ the horizon — O(1). The sum
+    /// is the resource's busy time because a resource never runs two tasks
+    /// at once: in-order tasks start at or after the resource's free time,
+    /// arrival-ordered tasks only fill gaps, and mixing the two on one
+    /// resource panics. Zero before any busy interval (guarding the
+    /// undefined 0/0 case).
+    pub fn utilization(&self, resource: Resource) -> f64 {
+        let horizon = self.timeline.horizon().since(SimTime::ZERO);
+        if horizon.is_zero() {
+            return 0.0;
+        }
+        self.resource_busy
+            .get(&resource)
+            .map_or(0.0, |busy| busy.ratio(horizon))
     }
 
     /// Appends another graph, offsetting its task ids, and making its first
@@ -675,7 +640,6 @@ mod tests {
         let b = g.add("b", Resource::Cpu(0), ns(5.0), Region::CcDataMovement, &[a]);
         assert_eq!(g.len(), 2);
         assert_eq!(g.task(b).deps, &[a][..]);
-        assert!((g.total_work().as_ns() - 15.0).abs() < 1e-9);
         assert!((g.region_work(Region::Application).as_ns() - 10.0).abs() < 1e-9);
         assert!((g.region_work(Region::CcDataMovement).as_ns() - 5.0).abs() < 1e-9);
         assert!(g.region_work(Region::CcSync).is_zero());
@@ -800,16 +764,17 @@ mod tests {
         let b = g.add("b", Resource::Cpu(0), ns(5.0), Region::CcDataMovement, &[a]);
         let c = g.add("c", Resource::Cpu(1), ns(2.0), Region::Application, &[a, b]);
         let makespan = g.makespan();
-        let total = g.total_work();
+        let app = g.region_work(Region::Application);
+        let util = g.utilization(Resource::Cpu(0));
 
         assert_eq!(g.retire_tasks_before(2), 2);
-        assert_eq!(g.retired_tasks(), 2);
         assert_eq!(g.resident_tasks(), 1);
         assert_eq!(g.len(), 3);
         assert!(!g.is_empty());
         // Aggregates are incremental: untouched by retirement.
         assert_eq!(g.makespan(), makespan);
-        assert_eq!(g.total_work(), total);
+        assert_eq!(g.region_work(Region::Application), app);
+        assert_eq!(g.utilization(Resource::Cpu(0)), util);
         // Timing columns survive; new tasks may depend on retired ones.
         assert_eq!(g.task_finish(a).as_ps(), 10_000);
         let d = g.add("d", Resource::Cpu(1), ns(1.0), Region::Application, &[a, c]);

@@ -8,15 +8,15 @@
 //! **open-loop** driver over the same [`Runner`] machinery: request arrival
 //! times come from a seeded stochastic process ([`ArrivalProcess`]), each
 //! request is admitted at its arrival time via a zero-duration pinned marker
-//! on the serving CPU thread ([`NearPmSystem::admit_request_at`]), and the
-//! request's latency is measured **from arrival to commit retire** — any
-//! wait in the modeled host backlog (the server still busy with earlier
-//! requests) and any stall at a full device FIFO count against it.
+//! on the serving CPU thread
+//! ([`NearPmSystem::admit_request_at`](nearpm_core::NearPmSystem::admit_request_at)),
+//! and the request's latency is measured **from arrival to commit retire**
+//! — any wait in the modeled host backlog (the server still busy with
+//! earlier requests) and any stall at a full device FIFO count against it.
 //!
-//! Per-request latencies feed the log-bucketed
-//! [`LatencyHistogram`](nearpm_sim::LatencyHistogram) (≤ 1 % relative
-//! error, O(1) record) plus an optional exact sample retained per window for
-//! differential tests ([`LatencyWindow::matches_exact_oracle`]). The
+//! Per-request latencies feed the log-bucketed [`LatencyHistogram`] (≤ 1 %
+//! relative error, O(1) record) plus an optional exact sample retained per
+//! window for differential tests ([`LatencyWindow::matches_exact_oracle`]). The
 //! `fig22_open_loop` bench sweeps offered load per CC mechanism over this
 //! driver to produce the throughput-vs-offered-load and p99-vs-offered-load
 //! knee curves.
@@ -419,10 +419,11 @@ struct WindowAccum {
 ///
 /// Per request: draw the arrival time, pick the server thread whose CPU
 /// frees earliest, pin a zero-duration admission marker at the arrival
-/// instant ([`NearPmSystem::admit_request_at`]) so service — including any
-/// FIFO-full stall of the host control path — cannot begin earlier, execute
-/// the operation through the shared [`Runner`] op flow, and record
-/// `retire − arrival` into the histogram. All accounting is incremental
+/// instant
+/// ([`NearPmSystem::admit_request_at`](nearpm_core::NearPmSystem::admit_request_at))
+/// so service — including any FIFO-full stall of the host control path —
+/// cannot begin earlier, execute the operation through the shared
+/// [`Runner`] op flow, and record `retire − arrival` into the histogram. All accounting is incremental
 /// (span extrema over the timing columns, O(log n) FIFO window queries) —
 /// no full-trace rescans, so million-op runs stay in the gate budget with
 /// trace compaction on.

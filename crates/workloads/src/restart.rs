@@ -117,7 +117,7 @@ impl RestartSpec {
         SystemConfig::for_mode(self.mode).with_capacity(CAPACITY)
     }
 
-    /// Serializes the spec into the environment variables [`from_env`]
+    /// Serializes the spec into the environment variables [`RestartSpec::from_env`]
     /// reads, plus the [`CHILD_ENV`] marker.
     pub fn to_env(&self) -> Vec<(String, String)> {
         vec![

@@ -3,17 +3,15 @@
 //! Facade crate of the NearPM reproduction (EuroSys 2023). It re-exports the
 //! workspace crates so that applications can depend on a single crate:
 //!
-//! * [`core`](nearpm_core) — the [`NearPmSystem`](nearpm_core::NearPmSystem)
-//!   facade: configuration, CPU model, offload path, PPO trace, run reports.
-//! * [`cc`](nearpm_cc) — crash-consistency mechanisms (undo/redo logging,
+//! * [`core`] — the [`NearPmSystem`] facade: configuration, CPU model,
+//!   offload path, PPO trace, run reports.
+//! * [`cc`] — crash-consistency mechanisms (undo/redo logging,
 //!   checkpointing, shadow paging) with CPU and NearPM backends.
-//! * [`pmdk`](nearpm_pmdk) — a PMDK-like transactional object layer.
-//! * [`kv`](nearpm_kv) — crash-consistent key-value structures.
-//! * [`workloads`](nearpm_workloads) — the nine evaluation workloads and
-//!   their generators.
-//! * [`sim`](nearpm_sim), [`pm`](nearpm_pm), [`ppo`](nearpm_ppo),
-//!   [`device`](nearpm_device) — the simulation, emulated-PM, ordering-model,
-//!   and hardware-model substrates.
+//! * [`pmdk`] — a PMDK-like transactional object layer.
+//! * [`kv`] — crash-consistent key-value structures.
+//! * [`workloads`] — the nine evaluation workloads and their generators.
+//! * [`sim`], [`pm`], [`ppo`], [`device`] — the simulation, emulated-PM,
+//!   ordering-model, and hardware-model substrates.
 //!
 //! See `examples/` for runnable end-to-end programs and `crates/bench` for
 //! the binaries that regenerate every figure of the paper's evaluation.
