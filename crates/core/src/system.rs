@@ -1139,6 +1139,13 @@ impl NearPmSystem {
         self.space.replay_matches()
     }
 
+    /// Digest of the whole persistent image in O(pages written) (see
+    /// [`nearpm_pm::PmSpace::content_digest`]): equal images digest equal,
+    /// whatever their write history.
+    pub fn media_digest(&self) -> u64 {
+        self.space.content_digest()
+    }
+
     /// Borrow of one backing device's full media image (diagnostics and the
     /// pipelined-vs-serial differential tests, which assert byte equality of
     /// the whole persistent image).

@@ -22,6 +22,13 @@
 //! Everything that is *not* yet in a `PmMedia` (CPU cache lines that have not
 //! been written back, device buffers outside the persistence domain) is lost
 //! on a simulated failure.
+//!
+//! `PmMedia` also keeps one *written* bit per [`SPARSE_PAGE`]-sized page. A
+//! medium that starts zeroed starts all-clear, and every mutation sets the
+//! bits it covers, so a clear bit proves the page still reads zero. That
+//! lets image checks ([`crate::PmSpace::content_digest`],
+//! [`crate::PmSpace::replay_matches`]) cost O(pages written) rather than
+//! O(capacity).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -30,7 +37,8 @@ use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-/// Page granularity of [`SparseMedia`] allocation.
+/// Page granularity of [`SparseMedia`] allocation and of the written-page
+/// bitmap every [`PmMedia`] keeps.
 pub const SPARSE_PAGE: usize = 4096;
 
 /// Which storage engine backs a [`PmMedia`].
@@ -95,7 +103,7 @@ impl MediaConfig {
                 Box::new(FileMedia::create(&device_path(dir, device), capacity)?)
             }
         };
-        Ok(PmMedia::from_backend(backend))
+        Ok(PmMedia::zeroed(backend))
     }
 
     /// Reopens an existing backend for device `device` without zeroing it.
@@ -475,11 +483,15 @@ impl MediaBackend for SparseMedia {
     }
 }
 
-/// Persistent storage medium of a single PM device: access statistics plus a
-/// pluggable [`MediaBackend`] holding the bytes.
+/// Persistent storage medium of a single PM device: access statistics and
+/// the written-page bitmap, plus a pluggable [`MediaBackend`] holding the
+/// bytes.
 #[derive(Debug)]
 pub struct PmMedia {
     backend: Box<dyn MediaBackend>,
+    /// One bit per [`SPARSE_PAGE`] page; a clear bit proves the page reads
+    /// zero.
+    written: Vec<u64>,
     writes: u64,
     bytes_written: u64,
     reads: u64,
@@ -491,6 +503,7 @@ impl Clone for PmMedia {
     fn clone(&self) -> Self {
         PmMedia {
             backend: Box::new(self.backend.snapshot()),
+            written: self.written.clone(),
             writes: self.writes,
             bytes_written: self.bytes_written,
             reads: self.reads,
@@ -502,18 +515,63 @@ impl Clone for PmMedia {
 impl PmMedia {
     /// Creates a zero-initialized heap-backed medium of `capacity` bytes.
     pub fn new(capacity: usize) -> Self {
-        PmMedia::from_backend(Box::new(HeapMedia::new(capacity)))
+        PmMedia::zeroed(Box::new(HeapMedia::new(capacity)))
     }
 
-    /// Wraps an existing backend with fresh statistics.
+    /// Wraps an existing backend with fresh statistics. Its contents are
+    /// unknown (a reopened file, say), so every page counts as written.
     pub fn from_backend(backend: Box<dyn MediaBackend>) -> Self {
+        let mut media = PmMedia::zeroed(backend);
+        media.mark_written(0, media.capacity());
+        media
+    }
+
+    /// Wraps a backend known to read all zero: no page counts as written.
+    fn zeroed(backend: Box<dyn MediaBackend>) -> Self {
+        let pages = backend.capacity().div_ceil(SPARSE_PAGE);
         PmMedia {
             backend,
+            written: vec![0; pages.div_ceil(64)],
             writes: 0,
             bytes_written: 0,
             reads: 0,
             bytes_read: 0,
         }
+    }
+
+    /// Sets the written bit of every page the `len` bytes at `offset` cover.
+    fn mark_written(&mut self, offset: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        for page in offset / SPARSE_PAGE..=(offset + len - 1) / SPARSE_PAGE {
+            self.written[page / 64] |= 1 << (page % 64);
+        }
+    }
+
+    /// Indices of the pages a mutation has covered (every page, for a
+    /// backend wrapped with unknown contents), ascending. Every other page
+    /// reads zero.
+    pub(crate) fn written_pages(&self) -> impl Iterator<Item = usize> + '_ {
+        self.written.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let page = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    page
+                })
+            })
+        })
+    }
+
+    /// Stat-free read of page `page` into `buf`; returns the page's bytes,
+    /// shorter than a full page only at the end of the medium.
+    pub(crate) fn peek_page<'a>(&self, page: usize, buf: &'a mut [u8; SPARSE_PAGE]) -> &'a [u8] {
+        let start = page * SPARSE_PAGE;
+        let bytes = &mut buf[..SPARSE_PAGE.min(self.capacity() - start)];
+        self.peek(start, bytes);
+        bytes
     }
 
     /// Capacity in bytes.
@@ -584,6 +642,7 @@ impl PmMedia {
             "PM write out of bounds: {offset}..{end}"
         );
         self.backend.write_at(offset, data);
+        self.mark_written(offset, data.len());
         self.writes += 1;
         self.bytes_written += data.len() as u64;
     }
@@ -596,6 +655,7 @@ impl PmMedia {
             "PM fill out of bounds: {offset}..{end}"
         );
         self.backend.fill_at(offset, len, value);
+        self.mark_written(offset, len);
         self.writes += 1;
         self.bytes_written += len as u64;
     }
@@ -615,6 +675,7 @@ impl PmMedia {
             self.backend.read_at(src, &mut buf);
             self.backend.write_at(dst, &buf);
         }
+        self.mark_written(dst, len);
         self.reads += 1;
         self.bytes_read += len as u64;
         self.writes += 1;
@@ -644,6 +705,7 @@ impl PmMedia {
                 dst.backend.write_at(dst_offset, &buf);
             }
         }
+        dst.mark_written(dst_offset, len);
         self.reads += 1;
         self.bytes_read += len as u64;
         dst.writes += 1;
@@ -805,6 +867,44 @@ mod tests {
         }
         drop(file);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Every page whose written bit is clear reads zero after writes, fills,
+    /// zero-fills, local copies and cross-media copies, on every backend.
+    #[test]
+    fn clear_written_bits_prove_zero_pages() {
+        const CAP: usize = 16 * SPARSE_PAGE + 100; // a partial last page
+        let dir = temp_path("written-bits");
+        for cfg in [
+            MediaConfig::Heap,
+            MediaConfig::Sparse,
+            MediaConfig::File { dir: dir.clone() },
+        ] {
+            let mut m = cfg.create_device(0, CAP).unwrap();
+            assert_eq!(m.written_pages().count(), 0, "{}", cfg.kind());
+            m.write(SPARSE_PAGE - 2, &[7; 4]); // straddles pages 0 and 1
+            m.fill(3 * SPARSE_PAGE, 2 * SPARSE_PAGE, 0xC3);
+            m.fill(4 * SPARSE_PAGE, SPARSE_PAGE, 0); // zero-fill after use
+            m.copy_within(3 * SPARSE_PAGE, 8 * SPARSE_PAGE + 10, 20);
+            m.write(CAP - 1, &[1]);
+            let mut src = PmMedia::new(CAP);
+            src.write(0, &[9; 64]);
+            src.copy_to(0, &mut m, 11 * SPARSE_PAGE, 64);
+            let written: Vec<usize> = m.written_pages().collect();
+            assert_eq!(written, [0, 1, 3, 4, 8, 11, 16], "{}", cfg.kind());
+            let image = m.image();
+            for (page, bytes) in image.chunks(SPARSE_PAGE).enumerate() {
+                if !written.contains(&page) {
+                    assert!(bytes.iter().all(|&b| b == 0), "{} page {page}", cfg.kind());
+                }
+            }
+            let mut buf = [0u8; SPARSE_PAGE];
+            assert_eq!(m.peek_page(16, &mut buf), &image[16 * SPARSE_PAGE..]);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        // Wrapped backends come with unknown contents: every page counts.
+        let wrapped = PmMedia::from_backend(Box::new(HeapMedia::new(CAP)));
+        assert_eq!(wrapped.written_pages().count(), 17);
     }
 
     #[test]

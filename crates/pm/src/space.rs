@@ -7,7 +7,7 @@
 
 use crate::addr::PhysAddr;
 use crate::interleave::{DeviceList, InterleaveConfig};
-use crate::media::{MediaConfig, MediaError, MediaKind, PmMedia};
+use crate::media::{MediaConfig, MediaError, MediaKind, PmMedia, SPARSE_PAGE};
 
 /// Aggregate PM traffic statistics across all devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -234,15 +234,19 @@ impl PmSpace {
         );
         // Overlapping ranges need the source buffered before any chunk is
         // written (a later chunk may re-read bytes an earlier chunk already
-        // overwrote); the hot paths only ever copy disjoint ranges. The
-        // buffered path also serves write logging, which needs the moved
-        // bytes materialized to record them.
-        if self.write_log.is_some()
-            || (src.raw() < dst.raw() + len as u64 && dst.raw() < src.raw() + len as u64)
-        {
+        // overwrote); the hot paths only ever copy disjoint ranges.
+        if src.raw() < dst.raw() + len as u64 && dst.raw() < src.raw() + len as u64 {
             let data = self.read_vec(src, len);
             self.write(dst, &data);
             return;
+        }
+        // The write log records the moved bytes with a stat-free peek, so a
+        // logged copy counts the same media traffic as an unlogged one.
+        if self.write_log.is_some() {
+            let data = self.peek_vec(src, len);
+            if let Some(log) = &mut self.write_log {
+                log.record(dst, &data);
+            }
         }
         let src_spans = self.interleave.split(src, len as u64);
         let dst_spans = self.interleave.split(dst, len as u64);
@@ -374,6 +378,34 @@ impl PmSpace {
         self.media.iter().map(|m| m.image()).collect()
     }
 
+    /// FNV-1a digest of the full persistent image in O(pages written): it
+    /// hashes (device, page index, bytes) of every written page that is not
+    /// all zero. Every other page reads zero, so equal images digest equal
+    /// whatever their write history — a page zero-filled after use hashes
+    /// like a page never touched.
+    pub fn content_digest(&self) -> u64 {
+        fn fnv(h: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *h ^= u64::from(b);
+                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        let mut buf = [0u8; SPARSE_PAGE];
+        for (device, m) in self.media.iter().enumerate() {
+            for page in m.written_pages() {
+                let bytes = m.peek_page(page, &mut buf);
+                if bytes.iter().all(|&b| b == 0) {
+                    continue;
+                }
+                fnv(&mut h, &(device as u64).to_le_bytes());
+                fnv(&mut h, &(page as u64).to_le_bytes());
+                fnv(&mut h, bytes);
+            }
+        }
+        h
+    }
+
     // ------------------------------------------------------------------
     // Media write log (deterministic replay)
     // ------------------------------------------------------------------
@@ -408,30 +440,27 @@ impl PmSpace {
         self.write_log.as_ref().map_or(0, |l| l.coalesced)
     }
 
-    /// Replays the recorded mutation history onto a fresh zeroed heap space
-    /// of the same geometry and returns the resulting per-device images.
-    /// `None` when the log was never enabled.
-    pub fn replay_write_log(&self) -> Option<Vec<Vec<u8>>> {
-        let log = self.write_log.as_ref()?;
-        let mut fresh = PmSpace::new(self.capacity, self.interleave);
-        for (addr, data) in &log.entries {
-            fresh.write(*addr, data);
-        }
-        Some(fresh.snapshot())
-    }
-
     /// Differential replay check: true iff replaying the write log onto a
-    /// fresh space reproduces the current image byte for byte. False when
-    /// the log is disabled (there is nothing to verify against).
+    /// fresh zeroed heap space of the same geometry reproduces the current
+    /// image byte for byte. False when the log is disabled (there is
+    /// nothing to verify against).
+    ///
+    /// Only pages written on either side are compared: every other page
+    /// reads zero on both, so this is still a full-image equality check.
     pub fn replay_matches(&self) -> bool {
-        match self.replay_write_log() {
-            Some(replayed) => self
-                .media
-                .iter()
-                .zip(replayed.iter())
-                .all(|(m, r)| m.image() == *r),
-            None => false,
+        let Some(log) = &self.write_log else {
+            return false;
+        };
+        let mut replayed = PmSpace::new(self.capacity, self.interleave);
+        for (addr, data) in &log.entries {
+            replayed.write(*addr, data);
         }
+        let (mut a, mut b) = ([0u8; SPARSE_PAGE], [0u8; SPARSE_PAGE]);
+        self.media.iter().zip(&replayed.media).all(|(live, fresh)| {
+            live.written_pages()
+                .chain(fresh.written_pages())
+                .all(|page| live.peek_page(page, &mut a) == fresh.peek_page(page, &mut b))
+        })
     }
 }
 
@@ -528,9 +557,32 @@ mod tests {
         // Overlapping copy exercises the buffered path too.
         s.copy(PhysAddr(1024), PhysAddr(3072), 8192);
         assert!(s.write_log_len() >= 4);
-        let replayed = s.replay_write_log().unwrap();
-        assert_eq!(replayed, s.snapshot());
         assert!(s.replay_matches());
+    }
+
+    /// The page-granular compare still sees a page the log never recorded.
+    #[test]
+    fn write_before_logging_fails_the_replay_check() {
+        let mut s = PmSpace::new(1 << 16, InterleaveConfig::new(2, 4096));
+        s.write(PhysAddr(40000), &[1, 2, 3]);
+        s.enable_write_log();
+        s.write(PhysAddr(100), &[4; 64]);
+        assert!(!s.replay_matches());
+    }
+
+    #[test]
+    fn content_digest_depends_on_the_image_only() {
+        let mut touched = PmSpace::new(1 << 16, InterleaveConfig::new(2, 4096));
+        let mut direct = PmSpace::new(1 << 16, InterleaveConfig::new(2, 4096));
+        let empty = touched.content_digest();
+        touched.write(PhysAddr(0), &[5; 9000]);
+        touched.fill(PhysAddr(0), 9000, 0); // written, then zero-filled
+        assert_eq!(touched.content_digest(), empty);
+        touched.write(PhysAddr(20000), &[6; 10]);
+        direct.write(PhysAddr(20000), &[6; 10]);
+        assert_eq!(touched.content_digest(), direct.content_digest());
+        direct.write(PhysAddr(20009), &[7]);
+        assert_ne!(touched.content_digest(), direct.content_digest());
     }
 
     #[test]
@@ -538,7 +590,6 @@ mod tests {
         let mut s = PmSpace::single(4096);
         s.write(PhysAddr(0), &[1, 2, 3]);
         assert_eq!(s.write_log_len(), 0);
-        assert!(s.replay_write_log().is_none());
         assert!(!s.replay_matches());
     }
 

@@ -25,14 +25,18 @@
 //! boundaries enumerates every functionally distinct crash point.
 //!
 //! Replays that land in the same *equivalence class* — same fired boundary
-//! kind, same persistent-image hash at the moment of the crash, and same
+//! kind, same persistent image at the moment of the crash, and same
 //! committed-unit progress — must recover identically; the explorer tracks
-//! the classes and reports the dedup ratio. By default every boundary is
-//! still fully verified (no sampling); [`ExplorerConfig::prune`] skips the
-//! invariant checks for duplicate classes when speed matters. One media
-//! write-log differential (replay of the recorded mutation history onto a
-//! zeroed image must reproduce the live image) runs per class
-//! representative.
+//! the classes and reports the dedup ratio. The image part of the class key
+//! is [`NearPmSystem::media_digest`], a digest of the non-zero pages the run
+//! wrote: equal images digest equal whatever their write history. By
+//! default every boundary is still fully verified (no sampling);
+//! [`ExplorerConfig::prune`] skips the invariant checks for duplicate
+//! classes when speed matters. One media write-log differential (replay of
+//! the recorded mutation history onto a zeroed image must reproduce the
+//! live image) runs per class representative. It compares only the pages
+//! written on either side, since every other page is zero on both, so both
+//! image checks cost O(pages written) rather than O(capacity).
 
 use nearpm_cc::{Checkpoint, RedoLog, ShadowPaging, UndoLog};
 use nearpm_core::{
@@ -183,7 +187,7 @@ pub struct ExplorationReport {
     pub verified: u64,
     /// Crash points skipped as duplicates of a verified class (prune mode).
     pub pruned: u64,
-    /// Distinct equivalence classes (kind, image hash, progress).
+    /// Distinct equivalence classes (kind, image digest, progress).
     pub classes: u64,
     /// Media write-log differential replays performed (one per class).
     pub write_log_checks: u64,
@@ -507,18 +511,6 @@ impl Driver {
     }
 }
 
-/// FNV-1a over every backing device's full media image (any backend).
-fn media_hash(sys: &NearPmSystem) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for d in 0..sys.media_count() {
-        for &b in &sys.device_image(d) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// Explores one matrix cell: enumerates the run's boundaries with a
 /// counting [`CrashPlan`], records the committed-prefix oracle images, then
 /// replays the run once per boundary with the crash injected there and
@@ -593,7 +585,7 @@ pub fn explore(cfg: &ExplorerConfig) -> Result<ExplorationReport> {
             continue;
         }
         let plan = drv.sys.disarm_crash_plan().expect("plan still armed");
-        let key = (plan.fired_kind(), media_hash(&drv.sys), u_ok);
+        let key = (plan.fired_kind(), drv.sys.media_digest(), u_ok);
         let new_class = seen.insert(key);
         if new_class {
             report.classes += 1;

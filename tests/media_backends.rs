@@ -2,8 +2,10 @@
 //! interleaved multi-device geometry and any operation sequence, the three
 //! storage engines (`HeapMedia`, `FileMedia`, `SparseMedia`) must be
 //! indistinguishable through the `PmSpace` API — byte-identical device
-//! images, identical traffic stats, and identical write-log replays. The
-//! heap engine is the oracle; the others must never diverge from it.
+//! images, identical traffic stats, matching write-log replays, and
+//! identical content digests. The heap engine is the oracle; the others
+//! must never diverge from it. Write logging must not change the traffic
+//! stats either, so an unlogged heap space is the traffic oracle.
 
 use nearpm::pm::{InterleaveConfig, MediaConfig, MediaKind, PhysAddr, PmSpace};
 use proptest::prelude::*;
@@ -78,11 +80,51 @@ fn images(space: &PmSpace) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// Writes device 0's first page and then zero-fills it: a written page
+/// that reads zero, which must digest like a page never touched.
+fn wipe_first_page(il: InterleaveConfig, capacity: u64) -> Vec<Op> {
+    let granule = il.granularity;
+    let granules = il.per_device_capacity(capacity).min(4096) / granule;
+    (0..granules)
+        .flat_map(|k| {
+            let addr = k * il.devices as u64 * granule;
+            [
+                Op::Write {
+                    addr,
+                    data: vec![0xEE; granule as usize],
+                },
+                Op::Fill {
+                    addr,
+                    len: granule,
+                    byte: 0,
+                },
+            ]
+        })
+        .collect()
+}
+
+/// A fresh heap space holding the physical `image` that writes only its
+/// non-zero interleave granules. A granule is at most one page here, so
+/// every page it writes is non-zero.
+fn nonzero_only(il: InterleaveConfig, capacity: u64, image: &[u8]) -> PmSpace {
+    let mut space = PmSpace::new(capacity, il);
+    for (k, granule) in image.chunks(il.granularity as usize).enumerate() {
+        if granule.iter().any(|&b| b != 0) {
+            space.write(PhysAddr(k as u64 * il.granularity), granule);
+        }
+    }
+    space
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Heap == File == Sparse: images, traffic, and write-log replay agree
-    /// on random op sequences over random interleaved geometries.
+    /// Heap == File == Sparse: images, traffic and write-log replay agree
+    /// on random op sequences over random interleaved geometries, and
+    /// traffic equals an unlogged space's. The content digest agrees too,
+    /// and equals that of a space that only wrote the final non-zero
+    /// granules, both after the random ops and after a page is written and
+    /// then zero-filled on top of them.
     #[test]
     fn backends_are_indistinguishable(
         seed in 0u64..u32::MAX as u64,
@@ -97,6 +139,8 @@ proptest! {
         let ops = gen_ops(&mut rng, capacity, op_count);
         let dir = temp_dir("indist", seed);
 
+        let mut unlogged = PmSpace::with_media(capacity, il, &MediaConfig::Heap).unwrap();
+        apply(&mut unlogged, &ops);
         let mut spaces = vec![
             PmSpace::with_media(capacity, il, &MediaConfig::Heap).unwrap(),
             PmSpace::with_media(capacity, il, &MediaConfig::File { dir: dir.clone() }).unwrap(),
@@ -108,19 +152,26 @@ proptest! {
         }
 
         let heap_images = images(&spaces[0]);
-        let heap_traffic = spaces[0].traffic();
-        let heap_replay = spaces[0].replay_write_log();
-        prop_assert!(heap_replay.is_some());
-        for space in &spaces[1..] {
+        for space in &spaces {
             prop_assert_eq!(images(space), heap_images.clone(), "images diverged ({})", space.media_kind());
-            prop_assert_eq!(space.traffic(), heap_traffic, "traffic diverged ({})", space.media_kind());
-            prop_assert_eq!(
-                space.replay_write_log(),
-                heap_replay.clone(),
-                "write-log replay diverged ({})",
-                space.media_kind()
-            );
-            prop_assert!(space.replay_matches());
+            prop_assert_eq!(space.traffic(), unlogged.traffic(), "traffic diverged ({})", space.media_kind());
+            prop_assert!(space.replay_matches(), "write-log replay diverged ({})", space.media_kind());
+        }
+
+        for wipe in [Vec::new(), wipe_first_page(il, capacity)] {
+            for space in &mut spaces {
+                apply(space, &wipe);
+            }
+            let nonzero = nonzero_only(il, capacity, &spaces[0].peek_vec(PhysAddr(0), capacity as usize));
+            prop_assert_eq!(images(&nonzero), images(&spaces[0]));
+            for space in &spaces {
+                prop_assert_eq!(
+                    space.content_digest(),
+                    nonzero.content_digest(),
+                    "digest diverged ({})",
+                    space.media_kind()
+                );
+            }
         }
         drop(spaces);
         std::fs::remove_dir_all(&dir).ok();
