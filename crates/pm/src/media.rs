@@ -245,6 +245,20 @@ impl HeapMedia {
     }
 }
 
+/// Shrinks the image to one byte before freeing it. glibc raises its mmap
+/// threshold to the size of each mapping it frees (up to 32 MiB). Past that,
+/// a same-sized image comes from the allocator's heap, and calloc zero-fills
+/// whatever heap memory it reuses. Then a fresh image's build time and
+/// resident size depend on heap history, and so vary from run to run. The
+/// one-byte remnant frees without raising the threshold, so every large
+/// image stays a fresh, lazily zeroed mapping.
+impl Drop for HeapMedia {
+    fn drop(&mut self) {
+        self.bytes.truncate(1);
+        self.bytes.shrink_to_fit();
+    }
+}
+
 impl MediaBackend for HeapMedia {
     fn capacity(&self) -> usize {
         self.bytes.len()
