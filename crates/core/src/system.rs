@@ -236,6 +236,8 @@ pub struct NearPmSystem {
     /// `config.track_latency`; observation only — never feeds scheduling).
     latency_hist: LatencyHistogram,
     trace: TraceBuilder,
+    /// NDP-managed ranges, sorted by start and coalesced: no two overlap or
+    /// touch, so [`NearPmSystem::classify`] is a binary search.
     ndp_managed: Vec<AddrRange>,
     next_txn: u64,
     crashed: bool,
@@ -381,17 +383,36 @@ impl NearPmSystem {
     /// Registers a virtual range as NDP-managed (logs, checkpoints, shadow
     /// pages). Accesses to these ranges are classified accordingly in the
     /// PPO trace and benefit from relaxed persist ordering.
+    ///
+    /// The range is merged with every registered range it overlaps or
+    /// touches; an empty range manages no byte and is ignored.
     pub fn register_ndp_managed(&mut self, range: AddrRange) {
-        self.ndp_managed.push(range);
+        if range.len == 0 {
+            return;
+        }
+        let (mut start, mut end) = (range.start, range.end());
+        let first = self.ndp_managed.partition_point(|r| r.end() < start);
+        let mut last = first;
+        while let Some(r) = self.ndp_managed.get(last).filter(|r| r.start <= end) {
+            start = start.min(r.start);
+            end = end.max(r.end());
+            last += 1;
+        }
+        let merged = AddrRange::new(start, end.offset_from(start));
+        self.ndp_managed
+            .splice(first..last, std::iter::once(merged));
     }
 
-    /// Sharing classification of a virtual range.
+    /// Sharing classification of a virtual range (a zero-length range is
+    /// classified by its first byte).
     pub fn classify(&self, addr: VirtAddr, len: u64) -> Sharing {
         let probe = AddrRange::new(addr, len.max(1));
-        if self.ndp_managed.iter().any(|r| r.overlaps(&probe)) {
-            Sharing::NdpManaged
-        } else {
-            Sharing::Shared
+        // The first range ending past the probe's start is the only one
+        // that can overlap it.
+        let i = self.ndp_managed.partition_point(|r| r.end() <= addr);
+        match self.ndp_managed.get(i) {
+            Some(r) if r.overlaps(&probe) => Sharing::NdpManaged,
+            _ => Sharing::Shared,
         }
     }
 
@@ -1156,7 +1177,7 @@ impl NearPmSystem {
     /// Number of backing media devices (≥ 1 even in the CPU baseline, where
     /// the PM is still interleaved storage without NearPM logic).
     pub fn media_count(&self) -> usize {
-        self.space.interleave().devices
+        self.space.interleave().devices()
     }
 
     /// Owned copy of one backing device's full media image; works for every
@@ -1198,7 +1219,7 @@ impl NearPmSystem {
     pub fn persist_to(&mut self, dir: &std::path::Path) -> Result<()> {
         std::fs::create_dir_all(dir)
             .map_err(|e| MediaError::io(format!("create image dir {}", dir.display()), e))?;
-        let devices = self.space.interleave().devices;
+        let devices = self.space.interleave().devices();
         let file_cfg = MediaConfig::File {
             dir: dir.to_path_buf(),
         };
@@ -1224,7 +1245,7 @@ impl NearPmSystem {
         format!(
             "nearpm-media-manifest v1\ncapacity {}\ndevices {}\ngranularity {}\nepoch {}\n",
             self.config.pm_capacity,
-            self.space.interleave().devices,
+            self.space.interleave().devices(),
             self.config.interleave_granularity,
             self.checkpoint_epoch,
         )
@@ -1821,6 +1842,62 @@ mod tests {
         sys.register_ndp_managed(AddrRange::new(a, 4096));
         assert_eq!(sys.classify(a, 64), Sharing::NdpManaged);
         assert_eq!(sys.classify(a.offset(8192), 64), Sharing::Shared);
+    }
+
+    /// `classify` over the sorted, coalesced ranges answers like a linear
+    /// scan of every raw registration, for overlapping, adjacent, duplicate
+    /// and empty registrations made in random order, probed at every range
+    /// edge with zero and non-zero lengths.
+    #[test]
+    fn classify_matches_a_scan_of_the_raw_registrations() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..32u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut sys = NearPmSystem::new(small_config(ExecMode::NearPmSd));
+            let mut raw: Vec<AddrRange> = Vec::new();
+            for _ in 0..rng.gen_range(1..40usize) {
+                let range = match (rng.gen_range(0..4u32), raw.last().copied()) {
+                    // Adjacent to, or a duplicate of, an earlier registration.
+                    (0, Some(prev)) => AddrRange::new(prev.end(), rng.gen_range(0..300)),
+                    (1, Some(prev)) => prev,
+                    _ => {
+                        AddrRange::new(VirtAddr(rng.gen_range(0..20_000)), rng.gen_range(0..2_000))
+                    }
+                };
+                raw.push(range);
+            }
+            // Register in an order unrelated to the generation order.
+            for i in (1..raw.len()).rev() {
+                raw.swap(i, rng.gen_range(0..=i));
+            }
+            for r in &raw {
+                sys.register_ndp_managed(*r);
+            }
+            let scan = |addr: VirtAddr, len: u64| {
+                let probe = AddrRange::new(addr, len.max(1));
+                if raw.iter().any(|r| r.overlaps(&probe)) {
+                    Sharing::NdpManaged
+                } else {
+                    Sharing::Shared
+                }
+            };
+            let mut probes: Vec<u64> = vec![0, 30_000];
+            for r in &raw {
+                let (s, e) = (r.start.raw(), r.end().raw());
+                probes.extend([s.saturating_sub(1), s, s + 1, e.saturating_sub(1), e, e + 1]);
+            }
+            for &p in &probes {
+                for len in [0, 1, 2, 64, 700] {
+                    let addr = VirtAddr(p);
+                    assert_eq!(
+                        sys.classify(addr, len),
+                        scan(addr, len),
+                        "seed {seed}: {addr} len {len}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

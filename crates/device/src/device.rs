@@ -15,8 +15,6 @@
 //! `nearpm-core`: functional effects are applied immediately; timing is
 //! captured by the tasks the device appends to the shared [`TaskGraph`].
 
-use std::collections::HashMap;
-
 use nearpm_pm::{PhysAddr, PmSpace, PoolId, VirtAddr};
 use nearpm_sim::{LatencyModel, Region, Resource, SimDuration, SimTime, TaskGraph, TaskId};
 
@@ -126,8 +124,6 @@ pub struct ExecutedRequest {
 /// Aggregate device statistics.
 #[derive(Debug, Clone, Default)]
 pub struct DeviceStats {
-    /// Requests executed, by primitive mnemonic.
-    pub by_op: HashMap<&'static str, u64>,
     /// Total requests executed.
     pub requests: u64,
     /// Total payload bytes moved.
@@ -434,7 +430,6 @@ impl NearPmDevice {
         let bytes = request.op.bytes_moved();
         self.stats.requests += 1;
         self.stats.bytes_moved += bytes;
-        *self.stats.by_op.entry(request.op.mnemonic()).or_insert(0) += 1;
         bytes
     }
 
@@ -656,7 +651,6 @@ mod tests {
         assert_eq!(header.txn_id, 7);
         assert_eq!(exec.bytes_moved, 128);
         assert_eq!(dev.stats().requests, 1);
-        assert_eq!(dev.stats().by_op["undolog_create"], 1);
         // Timing: the request occupies a dispatcher and a unit.
         assert!(graph.task_finish(exec.finish) > graph.task_start(exec.dispatch));
     }

@@ -3,14 +3,21 @@
 //! Crash consistency on PM hinges on the distinction between a *store*
 //! (visible to later loads, but volatile) and a *persist* (written back to
 //! the PM media and therefore durable). [`CpuCache`] models exactly that
-//! distinction and nothing more: stores land in a volatile dirty-line map;
+//! distinction and nothing more: stores land in volatile dirty lines;
 //! `clwb`/`flush` writes lines back to the [`PmSpace`]; a crash discards
 //! whatever was still dirty.
 //!
 //! The model is deliberately not a performance model (timing lives in
 //! `nearpm-sim`); it is the functional source of truth for what survives a
 //! failure.
+//!
+//! Dirty lines are grouped by 4 KiB page: one map entry per page holds a
+//! 64-bit dirty mask and the page's bytes, so an access pays one map lookup
+//! per page it touches rather than one per line. The media traffic is still
+//! per line: every line fill, clean-line load and write-back is its own
+//! [`PmSpace`] access, issued in ascending address order.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::addr::PhysAddr;
@@ -18,6 +25,9 @@ use crate::space::PmSpace;
 
 /// Cache-line size in bytes.
 pub const LINE: u64 = 64;
+
+/// Bytes per dirty-line group: 64 lines, one bit each in [`DirtyPage::mask`].
+const PAGE: u64 = LINE * 64;
 
 /// Statistics of CPU cache activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,10 +42,21 @@ pub struct CacheStats {
     pub lines_lost: u64,
 }
 
-/// A write-back, allocate-on-write CPU cache keyed by physical line address.
+/// The dirty lines of one page: bit `i` of `mask` marks line `i` dirty, and
+/// only dirty lines' bytes are meaningful.
+#[derive(Debug, Clone)]
+struct DirtyPage {
+    mask: u64,
+    bytes: Box<[u8; PAGE as usize]>,
+}
+
+/// A write-back, allocate-on-write CPU cache keyed by physical address.
 #[derive(Debug, Clone, Default)]
 pub struct CpuCache {
-    dirty: HashMap<u64, [u8; LINE as usize]>,
+    /// Pages holding at least one dirty line, keyed by page number.
+    pages: HashMap<u64, DirtyPage>,
+    /// Page buffers of drained pages, reused before allocating new ones.
+    spare: Vec<Box<[u8; PAGE as usize]>>,
     stats: CacheStats,
 }
 
@@ -47,7 +68,10 @@ impl CpuCache {
 
     /// Number of dirty (not yet persisted) lines.
     pub fn dirty_lines(&self) -> usize {
-        self.dirty.len()
+        self.pages
+            .values()
+            .map(|p| p.mask.count_ones() as usize)
+            .sum()
     }
 
     /// Cache activity statistics.
@@ -57,31 +81,42 @@ impl CpuCache {
 
     /// True if the line containing `addr` is dirty.
     pub fn is_dirty(&self, addr: PhysAddr) -> bool {
-        self.dirty.contains_key(&line_of(addr.raw()))
+        let a = addr.raw();
+        self.pages
+            .get(&(a / PAGE))
+            .is_some_and(|p| p.mask & line_bit(a) != 0)
     }
 
     /// CPU store: writes `data` at `addr`, dirtying the covered lines.
     /// The data is *not* persistent until the lines are flushed.
     pub fn store(&mut self, space: &mut PmSpace, addr: PhysAddr, data: &[u8]) {
         self.stats.stores += 1;
-        let mut cursor = 0usize;
         let mut a = addr.raw();
-        let end = addr.raw() + data.len() as u64;
+        let end = a + data.len() as u64;
+        let mut src = data;
         while a < end {
-            let line = line_of(a);
-            let offset_in_line = (a - line) as usize;
-            let take = ((LINE as usize - offset_in_line) as u64).min(end - a) as usize;
-            let entry = self.dirty.entry(line).or_insert_with(|| {
-                // Allocate-on-write: fill the line from the persistent image
-                // so that untouched bytes of the line stay correct.
-                let mut buf = [0u8; LINE as usize];
-                space.read(PhysAddr(line), &mut buf);
-                buf
+            let page_no = a / PAGE;
+            let page_end = ((page_no + 1) * PAGE).min(end);
+            let spare = &mut self.spare;
+            let page = self.pages.entry(page_no).or_insert_with(|| DirtyPage {
+                mask: 0,
+                bytes: spare.pop().unwrap_or_else(|| Box::new([0; PAGE as usize])),
             });
-            entry[offset_in_line..offset_in_line + take]
-                .copy_from_slice(&data[cursor..cursor + take]);
-            cursor += take;
-            a += take as u64;
+            while a < page_end {
+                let line = line_of(a);
+                let off = (line % PAGE) as usize;
+                if page.mask & line_bit(a) == 0 {
+                    // Allocate-on-write: fill the line from the persistent
+                    // image so that untouched bytes of the line stay correct.
+                    space.read(PhysAddr(line), &mut page.bytes[off..off + LINE as usize]);
+                    page.mask |= line_bit(a);
+                }
+                let take = ((line + LINE).min(page_end) - a) as usize;
+                let at = (a % PAGE) as usize;
+                page.bytes[at..at + take].copy_from_slice(&src[..take]);
+                src = &src[take..];
+                a += take as u64;
+            }
         }
     }
 
@@ -89,21 +124,26 @@ impl CpuCache {
     /// first and falling back to the persistent image.
     pub fn load(&mut self, space: &mut PmSpace, addr: PhysAddr, buf: &mut [u8]) {
         self.stats.loads += 1;
-        let mut cursor = 0usize;
         let mut a = addr.raw();
-        let end = addr.raw() + buf.len() as u64;
+        let end = a + buf.len() as u64;
+        let mut cursor = 0usize;
         while a < end {
-            let line = line_of(a);
-            let offset_in_line = (a - line) as usize;
-            let take = ((LINE as usize - offset_in_line) as u64).min(end - a) as usize;
-            if let Some(entry) = self.dirty.get(&line) {
-                buf[cursor..cursor + take]
-                    .copy_from_slice(&entry[offset_in_line..offset_in_line + take]);
-            } else {
-                space.read(PhysAddr(a), &mut buf[cursor..cursor + take]);
+            let page_no = a / PAGE;
+            let page_end = ((page_no + 1) * PAGE).min(end);
+            let page = self.pages.get(&page_no);
+            while a < page_end {
+                let take = ((line_of(a) + LINE).min(page_end) - a) as usize;
+                let dst = &mut buf[cursor..cursor + take];
+                match page {
+                    Some(p) if p.mask & line_bit(a) != 0 => {
+                        let at = (a % PAGE) as usize;
+                        dst.copy_from_slice(&p.bytes[at..at + take]);
+                    }
+                    _ => space.read(PhysAddr(a), dst),
+                }
+                cursor += take;
+                a += take as u64;
             }
-            cursor += take;
-            a += take as u64;
         }
     }
 
@@ -118,39 +158,59 @@ impl CpuCache {
     /// This models `clwb`/`clflushopt` over the range followed by the fence
     /// that the caller issues at the language level.
     pub fn flush(&mut self, space: &mut PmSpace, addr: PhysAddr, len: u64) {
-        if len == 0 {
+        if len == 0 || self.pages.is_empty() {
             return;
         }
-        let first = line_of(addr.raw());
-        let last = line_of(addr.raw() + len - 1);
-        let mut line = first;
-        while line <= last {
-            if let Some(data) = self.dirty.remove(&line) {
-                space.write(PhysAddr(line), &data);
-                self.stats.lines_flushed += 1;
-            }
-            line += LINE;
+        let (first, last) = (addr.raw(), addr.raw() + len - 1);
+        for page_no in first / PAGE..=last / PAGE {
+            // Bits of the lines of this page that the range covers.
+            let page_start = page_no * PAGE;
+            let lo = line_index(first.max(page_start));
+            let hi = line_index(last.min(page_start + PAGE - 1));
+            let covered = (u64::MAX >> (63 - hi)) & (u64::MAX << lo);
+            self.write_back(space, page_no, covered);
         }
     }
 
     /// Writes back every dirty line (e.g. an eADR-style full drain, used by
     /// tests that want a fully persisted image).
     pub fn flush_all(&mut self, space: &mut PmSpace) {
-        let mut lines: Vec<u64> = self.dirty.keys().copied().collect();
-        lines.sort_unstable();
-        for line in lines {
-            if let Some(data) = self.dirty.remove(&line) {
-                space.write(PhysAddr(line), &data);
-                self.stats.lines_flushed += 1;
-            }
+        let mut pages: Vec<u64> = self.pages.keys().copied().collect();
+        pages.sort_unstable();
+        for page_no in pages {
+            self.write_back(space, page_no, u64::MAX);
+        }
+    }
+
+    /// Writes back the dirty lines of page `page_no` selected by `lines`, in
+    /// ascending address order, and drops the page once it is clean.
+    fn write_back(&mut self, space: &mut PmSpace, page_no: u64, lines: u64) {
+        let Entry::Occupied(mut entry) = self.pages.entry(page_no) else {
+            return;
+        };
+        let page = entry.get_mut();
+        let mut todo = page.mask & lines;
+        page.mask &= !todo;
+        while todo != 0 {
+            let i = todo.trailing_zeros() as u64;
+            todo &= todo - 1;
+            let off = (i * LINE) as usize;
+            space.write(
+                PhysAddr(page_no * PAGE + i * LINE),
+                &page.bytes[off..off + LINE as usize],
+            );
+            self.stats.lines_flushed += 1;
+        }
+        if page.mask == 0 {
+            self.spare.push(entry.remove().bytes);
         }
     }
 
     /// Simulates a power failure: every dirty line is lost. The persistent
     /// image in `PmSpace` is untouched.
     pub fn crash(&mut self) {
-        self.stats.lines_lost += self.dirty.len() as u64;
-        self.dirty.clear();
+        self.stats.lines_lost += self.dirty_lines() as u64;
+        self.spare.extend(self.pages.drain().map(|(_, p)| p.bytes));
     }
 }
 
@@ -158,12 +218,187 @@ fn line_of(addr: u64) -> u64 {
     addr & !(LINE - 1)
 }
 
+/// Index of the line containing `addr` within its page.
+fn line_index(addr: u64) -> u32 {
+    ((addr % PAGE) / LINE) as u32
+}
+
+/// The dirty-mask bit of the line containing `addr`.
+fn line_bit(addr: u64) -> u64 {
+    1 << line_index(addr)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interleave::InterleaveConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup() -> (PmSpace, CpuCache) {
         (PmSpace::single(1 << 16), CpuCache::new())
+    }
+
+    /// The per-line cache the page-grouped one replaced: one map entry per
+    /// dirty line. Kept as the reference the differential test below
+    /// drives alongside [`CpuCache`].
+    #[derive(Default)]
+    struct LineCache {
+        dirty: HashMap<u64, [u8; LINE as usize]>,
+        stats: CacheStats,
+    }
+
+    impl LineCache {
+        fn store(&mut self, space: &mut PmSpace, addr: PhysAddr, data: &[u8]) {
+            self.stats.stores += 1;
+            let mut cursor = 0usize;
+            let mut a = addr.raw();
+            let end = addr.raw() + data.len() as u64;
+            while a < end {
+                let line = line_of(a);
+                let offset_in_line = (a - line) as usize;
+                let take = ((LINE as usize - offset_in_line) as u64).min(end - a) as usize;
+                let entry = self.dirty.entry(line).or_insert_with(|| {
+                    let mut buf = [0u8; LINE as usize];
+                    space.read(PhysAddr(line), &mut buf);
+                    buf
+                });
+                entry[offset_in_line..offset_in_line + take]
+                    .copy_from_slice(&data[cursor..cursor + take]);
+                cursor += take;
+                a += take as u64;
+            }
+        }
+
+        fn load(&mut self, space: &mut PmSpace, addr: PhysAddr, buf: &mut [u8]) {
+            self.stats.loads += 1;
+            let mut cursor = 0usize;
+            let mut a = addr.raw();
+            let end = addr.raw() + buf.len() as u64;
+            while a < end {
+                let line = line_of(a);
+                let offset_in_line = (a - line) as usize;
+                let take = ((LINE as usize - offset_in_line) as u64).min(end - a) as usize;
+                if let Some(entry) = self.dirty.get(&line) {
+                    buf[cursor..cursor + take]
+                        .copy_from_slice(&entry[offset_in_line..offset_in_line + take]);
+                } else {
+                    space.read(PhysAddr(a), &mut buf[cursor..cursor + take]);
+                }
+                cursor += take;
+                a += take as u64;
+            }
+        }
+
+        fn flush(&mut self, space: &mut PmSpace, addr: PhysAddr, len: u64) {
+            if len == 0 {
+                return;
+            }
+            let mut line = line_of(addr.raw());
+            while line <= line_of(addr.raw() + len - 1) {
+                if let Some(data) = self.dirty.remove(&line) {
+                    space.write(PhysAddr(line), &data);
+                    self.stats.lines_flushed += 1;
+                }
+                line += LINE;
+            }
+        }
+
+        fn flush_all(&mut self, space: &mut PmSpace) {
+            let mut lines: Vec<u64> = self.dirty.keys().copied().collect();
+            lines.sort_unstable();
+            for line in lines {
+                let data = self.dirty.remove(&line).unwrap();
+                space.write(PhysAddr(line), &data);
+                self.stats.lines_flushed += 1;
+            }
+        }
+
+        fn crash(&mut self) {
+            self.stats.lines_lost += self.dirty.len() as u64;
+            self.dirty.clear();
+        }
+    }
+
+    /// Random store/load/flush/flush_all/crash sequences over ranges that
+    /// straddle lines, pages and interleave blocks leave the page-grouped
+    /// cache and the per-line reference indistinguishable: the same loaded
+    /// bytes, media images, traffic, cache statistics and dirty lines, and
+    /// the same write log (so the same write-backs in the same order).
+    #[test]
+    fn page_grouped_cache_matches_the_per_line_reference() {
+        const CAPACITY: u64 = 48 << 10;
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let devices = 1 + seed as usize % 3;
+            let granularity = [256, 4096, 8192][(seed / 3) as usize % 3];
+            let il = InterleaveConfig::new(devices, granularity);
+            let (mut space, mut ref_space) =
+                (PmSpace::new(CAPACITY, il), PmSpace::new(CAPACITY, il));
+            space.enable_write_log();
+            ref_space.enable_write_log();
+            let (mut cache, mut reference) = (CpuCache::new(), LineCache::default());
+            for step in 0..400 {
+                let len = match rng.gen_range(0..4u32) {
+                    0 => rng.gen_range(0..=8u64),
+                    1 => rng.gen_range(1..=200u64),
+                    _ => rng.gen_range(1..=9000u64),
+                };
+                let addr = PhysAddr(rng.gen_range(0..=CAPACITY - len));
+                match rng.gen_range(0..20u32) {
+                    0..=7 => {
+                        let data: Vec<u8> = (0..len).map(|_| rng.gen::<u8>()).collect();
+                        cache.store(&mut space, addr, &data);
+                        reference.store(&mut ref_space, addr, &data);
+                    }
+                    8..=12 => {
+                        let got = cache.load_vec(&mut space, addr, len as usize);
+                        let mut want = vec![0; len as usize];
+                        reference.load(&mut ref_space, addr, &mut want);
+                        assert_eq!(got, want, "seed {seed} step {step}: load");
+                    }
+                    13..=17 => {
+                        cache.flush(&mut space, addr, len);
+                        reference.flush(&mut ref_space, addr, len);
+                    }
+                    18 => {
+                        cache.flush_all(&mut space);
+                        reference.flush_all(&mut ref_space);
+                    }
+                    _ => {
+                        cache.crash();
+                        reference.crash();
+                    }
+                }
+                let ctx = format!("seed {seed} step {step}");
+                assert_eq!(cache.stats(), reference.stats, "{ctx}");
+                assert_eq!(cache.dirty_lines(), reference.dirty.len(), "{ctx}");
+                assert_eq!(space.traffic(), ref_space.traffic(), "{ctx}");
+                assert_eq!(space.write_log_len(), ref_space.write_log_len(), "{ctx}");
+                let probe = PhysAddr(rng.gen_range(0..CAPACITY));
+                assert_eq!(
+                    cache.is_dirty(probe),
+                    reference.dirty.contains_key(&line_of(probe.raw())),
+                    "{ctx}"
+                );
+                if step % 25 == 0 {
+                    for d in 0..devices {
+                        assert_eq!(space.device_image(d), ref_space.device_image(d), "{ctx}");
+                    }
+                }
+            }
+            for d in 0..devices {
+                assert_eq!(
+                    space.device_image(d),
+                    ref_space.device_image(d),
+                    "seed {seed}"
+                );
+            }
+            assert!(
+                space.replay_matches() && ref_space.replay_matches(),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -18,12 +18,18 @@ use crate::addr::PhysAddr;
 pub const DEFAULT_INTERLEAVE: u64 = 4096;
 
 /// Static interleaving configuration.
+///
+/// The fields are private so that [`InterleaveConfig::new`]'s checks always
+/// hold: the address arithmetic shifts and masks by the granularity, which
+/// is only correct for a power of two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InterleaveConfig {
     /// Number of PM devices.
-    pub devices: usize,
+    devices: usize,
     /// Interleave granularity in bytes (power of two).
-    pub granularity: u64,
+    granularity: u64,
+    /// `log2(granularity)`.
+    shift: u32,
 }
 
 /// A physical address range mapped onto one device.
@@ -199,6 +205,7 @@ impl InterleaveConfig {
         InterleaveConfig {
             devices,
             granularity,
+            shift: granularity.trailing_zeros(),
         }
     }
 
@@ -207,16 +214,36 @@ impl InterleaveConfig {
         InterleaveConfig::new(1, DEFAULT_INTERLEAVE)
     }
 
+    /// Number of PM devices.
+    pub fn devices(&self) -> usize {
+        self.devices
+    }
+
+    /// Interleave granularity in bytes (a power of two).
+    pub fn granularity(&self) -> u64 {
+        self.granularity
+    }
+
     /// The device that owns physical address `addr`.
     pub fn device_of(&self, addr: PhysAddr) -> usize {
-        ((addr.raw() / self.granularity) % self.devices as u64) as usize
+        ((addr.raw() >> self.shift) % self.devices as u64) as usize
     }
 
     /// The local byte offset of `addr` within its owning device.
     pub fn local_offset(&self, addr: PhysAddr) -> u64 {
-        let block = addr.raw() / self.granularity;
-        let within = addr.raw() % self.granularity;
-        (block / self.devices as u64) * self.granularity + within
+        let block = addr.raw() >> self.shift;
+        let within = addr.raw() & (self.granularity - 1);
+        ((block / self.devices as u64) << self.shift) | within
+    }
+
+    /// The `(device, local offset)` of a non-empty range that lies inside
+    /// one interleave block, or `None` when the range is empty or crosses a
+    /// block boundary (then [`InterleaveConfig::split`] maps it). This is
+    /// the single-span fast path of every cache-line access.
+    pub(crate) fn within_block(&self, start: PhysAddr, len: u64) -> Option<(usize, u64)> {
+        let last = start.raw() + len.max(1) - 1;
+        (len > 0 && start.raw() >> self.shift == last >> self.shift)
+            .then(|| (self.device_of(start), self.local_offset(start)))
     }
 
     /// Capacity each device must provide so that a global physical space of
@@ -234,7 +261,7 @@ impl InterleaveConfig {
         let mut addr = start.raw();
         let end = start.raw() + len;
         while addr < end {
-            let block_end = (addr / self.granularity + 1) * self.granularity;
+            let block_end = ((addr >> self.shift) + 1) << self.shift;
             let span_end = block_end.min(end);
             let phys = PhysAddr(addr);
             let s = DeviceSpan {
@@ -368,6 +395,31 @@ mod tests {
         let total: u64 = spans.iter().map(|s| s.len).sum();
         assert_eq!(total, 4096 * 8);
         assert_eq!(c.devices_of(PhysAddr(0), 4096 * 8), vec![0, 1, 2, 3]);
+    }
+
+    /// The single-block fast path agrees with `split` wherever it answers.
+    #[test]
+    fn within_block_matches_split() {
+        for (devices, granularity) in [(1, 4096), (2, 4096), (3, 4096), (3, 64), (2, 1)] {
+            let c = InterleaveConfig::new(devices, granularity);
+            for start in (0..3 * 4096 * devices as u64).step_by(61) {
+                for len in [0, 1, 7, 64, 100, 4096, 5000] {
+                    let spans = c.split(PhysAddr(start), len);
+                    let crosses = len > 0 && start / granularity != (start + len - 1) / granularity;
+                    match c.within_block(PhysAddr(start), len) {
+                        Some((device, local)) => {
+                            assert!(!crosses);
+                            assert_eq!(spans.len(), 1);
+                            assert_eq!((spans[0].device, spans[0].local_offset), (device, local));
+                            assert_eq!(spans[0].len, len);
+                        }
+                        None => {
+                            assert!(len == 0 || crosses, "{devices} {granularity} {start} {len}")
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl PmSpace {
         config: &MediaConfig,
     ) -> Result<Self, MediaError> {
         let per_device = interleave.per_device_capacity(capacity) as usize;
-        let media = (0..interleave.devices)
+        let media = (0..interleave.devices())
             .map(|d| config.create_device(d, per_device))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(PmSpace {
@@ -108,7 +108,7 @@ impl PmSpace {
         config: &MediaConfig,
     ) -> Result<Self, MediaError> {
         let per_device = interleave.per_device_capacity(capacity) as usize;
-        let media = (0..interleave.devices)
+        let media = (0..interleave.devices())
             .map(|d| config.reopen_device(d, per_device))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(PmSpace {
@@ -181,6 +181,10 @@ impl PmSpace {
             "PM space read out of bounds at {addr} len {}",
             buf.len()
         );
+        if let Some((device, local)) = self.interleave.within_block(addr, buf.len() as u64) {
+            self.media[device].read(local as usize, buf);
+            return;
+        }
         let mut cursor = 0usize;
         for span in self.interleave.split(addr, buf.len() as u64) {
             let len = span.len as usize;
@@ -207,6 +211,10 @@ impl PmSpace {
         );
         if let Some(log) = &mut self.write_log {
             log.record(addr, data);
+        }
+        if let Some((device, local)) = self.interleave.within_block(addr, data.len() as u64) {
+            self.media[device].write(local as usize, data);
+            return;
         }
         let mut cursor = 0usize;
         for span in self.interleave.split(addr, data.len() as u64) {
@@ -329,7 +337,8 @@ impl PmSpace {
     }
 
     /// Borrowed view of one device's full persistent image — the zero-copy
-    /// alternative to [`PmSpace::snapshot`] when a read-only look suffices.
+    /// alternative to [`PmSpace::device_image`] when a read-only look
+    /// suffices.
     ///
     /// # Panics
     ///
@@ -355,6 +364,10 @@ impl PmSpace {
             "PM space read out of bounds at {addr} len {}",
             buf.len()
         );
+        if let Some((device, local)) = self.interleave.within_block(addr, buf.len() as u64) {
+            self.media[device].peek(local as usize, buf);
+            return;
+        }
         let mut cursor = 0usize;
         for span in self.interleave.split(addr, buf.len() as u64) {
             let len = span.len as usize;
@@ -369,13 +382,6 @@ impl PmSpace {
         let mut v = vec![0; len];
         self.peek(addr, &mut v);
         v
-    }
-
-    /// Snapshot of the full persistent image (used by crash-equivalence
-    /// checks in tests; cloning multi-megabyte spaces is acceptable there).
-    /// Hot paths should use [`PmSpace::device_contents`] instead.
-    pub fn snapshot(&self) -> Vec<Vec<u8>> {
-        self.media.iter().map(|m| m.image()).collect()
     }
 
     /// FNV-1a digest of the full persistent image in O(pages written): it
@@ -537,12 +543,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reflects_persistent_image() {
+    fn device_image_reflects_persistent_image() {
         let mut s = PmSpace::single(8192);
         s.write(PhysAddr(10), &[1, 2, 3]);
-        let snap = s.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(&snap[0][10..13], &[1, 2, 3]);
+        let image = s.device_image(0);
+        assert_eq!(image.len(), 8192);
+        assert_eq!(&image[10..13], &[1, 2, 3]);
     }
 
     #[test]
@@ -636,7 +642,14 @@ mod tests {
             other.write(PhysAddr(100), &data);
             other.fill(PhysAddr(40000), 5000, 0x3C);
             other.copy(PhysAddr(100), PhysAddr(30000), 9000);
-            assert_eq!(heap.snapshot(), other.snapshot(), "{:?}", cfg.kind());
+            for d in 0..il.devices() {
+                assert_eq!(
+                    heap.device_image(d),
+                    other.device_image(d),
+                    "{:?}",
+                    cfg.kind()
+                );
+            }
             assert_eq!(heap.traffic(), other.traffic(), "{:?}", cfg.kind());
         }
         std::fs::remove_dir_all(&dir).unwrap();

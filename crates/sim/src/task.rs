@@ -83,6 +83,11 @@ impl Region {
         }
     }
 
+    /// Position of this region in [`Region::all`].
+    fn index(self) -> usize {
+        self as usize
+    }
+
     /// All regions, in report order.
     pub fn all() -> [Region; 9] {
         [
@@ -120,6 +125,52 @@ pub struct TaskRef<'a> {
     pub region: Region,
 }
 
+/// What the graph tracks per resource.
+#[derive(Debug, Clone, Default)]
+struct ResourceState {
+    /// Time the resource becomes free (max finish among its tasks).
+    free: SimTime,
+    /// Busy sum of its tasks (a resource never overlaps itself, so this is
+    /// the resource's busy time).
+    busy: SimDuration,
+    /// Scheduling discipline the resource was first used with (`true` =
+    /// arrival-ordered). Mixing disciplines on one resource would silently
+    /// schedule overlapping tasks, so it is rejected.
+    discipline: Option<bool>,
+    /// Busy intervals (sorted by start, disjoint) of a resource scheduled in
+    /// *arrival order* via [`TaskGraph::add_arrival_ordered`].
+    arrival_busy: Vec<(SimTime, SimTime)>,
+}
+
+impl ResourceState {
+    /// Asserts one scheduling discipline per resource. Zero-duration tasks
+    /// (barriers) are exempt: they reserve no busy interval, so they cannot
+    /// overlap anything.
+    fn claim_discipline(
+        &mut self,
+        resource: Resource,
+        duration: SimDuration,
+        arrival_ordered: bool,
+        label: &str,
+    ) {
+        if duration.is_zero() {
+            return;
+        }
+        let claimed = *self.discipline.get_or_insert(arrival_ordered);
+        assert!(
+            claimed == arrival_ordered,
+            "task {label:?} schedules {resource} {}-ordered, but the resource is already \
+             {}-ordered; mixing disciplines on one resource would overlap tasks",
+            if arrival_ordered {
+                "arrival"
+            } else {
+                "insertion"
+            },
+            if claimed { "arrival" } else { "insertion" },
+        );
+    }
+}
+
 /// A directed acyclic graph of tasks.
 ///
 /// Tasks are appended in program order; dependencies may only reference
@@ -154,22 +205,11 @@ pub struct TaskGraph {
     starts: Vec<SimTime>,
     /// Incremental finish time of each task.
     finishes: Vec<SimTime>,
-    /// Time each resource becomes free (max finish among its tasks).
-    resource_free: HashMap<Resource, SimTime>,
-    /// Busy intervals (sorted by start, disjoint) of resources scheduled in
-    /// *arrival order* via [`TaskGraph::add_arrival_ordered`].
-    arrival_busy: HashMap<Resource, Vec<(SimTime, SimTime)>>,
-    /// Scheduling discipline each resource was first used with (`true` =
-    /// arrival-ordered). Mixing disciplines on one resource would silently
-    /// schedule overlapping tasks, so it is rejected.
-    arrival_ordered: HashMap<Resource, bool>,
-    /// Incremental per-region busy sums (every task's duration, including
-    /// zero-length barriers, which contribute nothing but create the entry —
-    /// matching the oracle aggregation exactly).
-    region_busy: HashMap<Region, SimDuration>,
-    /// Incremental per-resource busy sums (a resource never overlaps
-    /// itself, so each equals the resource's busy time).
-    resource_busy: HashMap<Resource, SimDuration>,
+    /// Scheduling state of every resource that has carried a task, fetched
+    /// once per added task.
+    per_resource: HashMap<Resource, ResourceState>,
+    /// Incremental per-region busy sums, indexed by [`Region::index`].
+    region_busy: [SimDuration; 9],
     /// Latest task finish (the makespan end), including zero-length tasks.
     max_finish: SimTime,
     /// Incrementally merged busy-interval timeline of the schedule so far.
@@ -213,9 +253,8 @@ impl TaskGraph {
     /// [`TaskGraph::task_finish`] / scheduling against old dependencies keep
     /// working; [`TaskGraph::task`] and [`TaskGraph::tasks`] only cover the
     /// live suffix afterwards, so whole-graph rescans
-    /// (`schedule::oracle::aggregate`, [`TaskGraph::append`]) must not be
-    /// used on a retired graph. All report aggregates are maintained
-    /// incrementally and stay exact.
+    /// (`schedule::oracle::aggregate`) must not be used on a retired graph.
+    /// All report aggregates are maintained incrementally and stay exact.
     pub fn retire_tasks_before(&mut self, floor: usize) -> usize {
         let evict = floor.saturating_sub(self.retired).min(self.labels.len());
         if evict == 0 {
@@ -269,9 +308,27 @@ impl TaskGraph {
         self.regions.push(region);
     }
 
-    /// Folds one just-scheduled task into what the reports read: the
-    /// region and resource busy sums, the makespan, and the busy-interval
-    /// [`Timeline`]. Called by every adder.
+    /// Checks that every dependency precedes the task about to be added and
+    /// returns the latest dependency finish.
+    fn dep_ready(&self, deps: &[TaskId]) -> SimTime {
+        let id = TaskId(self.len());
+        let mut ready = SimTime::ZERO;
+        for d in deps {
+            assert!(
+                d.0 < id.0,
+                "task dependency {:?} does not precede task {:?}",
+                d,
+                id
+            );
+            ready = ready.max(self.finishes[d.0]);
+        }
+        ready
+    }
+
+    /// Records one just-scheduled task's timing and folds it into what the
+    /// reports read: the region sum, the makespan, and the busy-interval
+    /// [`Timeline`] (the adder has already updated the resource's state).
+    /// Called by every adder, right before [`TaskGraph::push_task`].
     fn account(
         &mut self,
         resource: Resource,
@@ -279,35 +336,14 @@ impl TaskGraph {
         region: Region,
         start: SimTime,
         finish: SimTime,
-    ) {
-        *self.region_busy.entry(region).or_insert(SimDuration::ZERO) += duration;
-        *self
-            .resource_busy
-            .entry(resource)
-            .or_insert(SimDuration::ZERO) += duration;
+    ) -> TaskId {
+        let id = TaskId(self.len());
+        self.starts.push(start);
+        self.finishes.push(finish);
+        self.region_busy[region.index()] += duration;
         self.max_finish = self.max_finish.max(finish);
         self.timeline.record(resource, start, finish);
-    }
-
-    /// Asserts one scheduling discipline per resource. Zero-duration tasks
-    /// (barriers) are exempt: they reserve no busy interval, so they cannot
-    /// overlap anything.
-    fn claim_discipline(&mut self, resource: Resource, arrival_ordered: bool, label: &str) {
-        let claimed = self
-            .arrival_ordered
-            .entry(resource)
-            .or_insert(arrival_ordered);
-        assert!(
-            *claimed == arrival_ordered,
-            "task {label:?} schedules {resource} {}-ordered, but the resource is already \
-             {}-ordered; mixing disciplines on one resource would overlap tasks",
-            if arrival_ordered {
-                "arrival"
-            } else {
-                "insertion"
-            },
-            if *claimed { "arrival" } else { "insertion" },
-        );
+        id
     }
 
     /// Adds a task and returns its id.
@@ -326,34 +362,14 @@ impl TaskGraph {
         region: Region,
         deps: &[TaskId],
     ) -> TaskId {
-        let id = TaskId(self.len());
-        for d in deps {
-            assert!(
-                d.0 < id.0,
-                "task dependency {:?} does not precede task {:?}",
-                d,
-                id
-            );
-        }
-        if !duration.is_zero() {
-            self.claim_discipline(resource, false, label);
-        }
-        let dep_ready = deps
-            .iter()
-            .map(|d| self.finishes[d.0])
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let free = self
-            .resource_free
-            .get(&resource)
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        let start = dep_ready.max(free);
+        let dep_ready = self.dep_ready(deps);
+        let state = self.per_resource.entry(resource).or_default();
+        state.claim_discipline(resource, duration, false, label);
+        let start = dep_ready.max(state.free);
         let finish = start + duration;
-        self.starts.push(start);
-        self.finishes.push(finish);
-        self.resource_free.insert(resource, finish);
-        self.account(resource, duration, region, start, finish);
+        state.free = finish;
+        state.busy += duration;
+        let id = self.account(resource, duration, region, start, finish);
         self.push_task(label, resource, duration, region, deps);
         id
     }
@@ -387,24 +403,10 @@ impl TaskGraph {
         region: Region,
         deps: &[TaskId],
     ) -> TaskId {
-        let id = TaskId(self.len());
-        for d in deps {
-            assert!(
-                d.0 < id.0,
-                "task dependency {:?} does not precede task {:?}",
-                d,
-                id
-            );
-        }
-        if !duration.is_zero() {
-            self.claim_discipline(resource, true, label);
-        }
-        let dep_ready = deps
-            .iter()
-            .map(|d| self.finishes[d.0])
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let busy = self.arrival_busy.entry(resource).or_default();
+        let dep_ready = self.dep_ready(deps);
+        let state = self.per_resource.entry(resource).or_default();
+        state.claim_discipline(resource, duration, true, label);
+        let busy = &mut state.arrival_busy;
         // Earliest gap at or after `dep_ready` that fits `duration`.
         let mut start = dep_ready;
         let mut i = busy.partition_point(|&(_, end)| end <= start);
@@ -419,11 +421,9 @@ impl TaskGraph {
         if !duration.is_zero() {
             busy.insert(i, (start, finish));
         }
-        self.starts.push(start);
-        self.finishes.push(finish);
-        let free = self.resource_free.entry(resource).or_insert(SimTime::ZERO);
-        *free = (*free).max(finish);
-        self.account(resource, duration, region, start, finish);
+        state.free = state.free.max(finish);
+        state.busy += duration;
+        let id = self.account(resource, duration, region, start, finish);
         self.push_task(label, resource, duration, region, deps);
         id
     }
@@ -447,12 +447,9 @@ impl TaskGraph {
         at: SimTime,
         region: Region,
     ) -> TaskId {
-        let id = TaskId(self.len());
-        self.starts.push(at);
-        self.finishes.push(at);
-        let free = self.resource_free.entry(resource).or_insert(SimTime::ZERO);
-        *free = (*free).max(at);
-        self.account(resource, SimDuration::ZERO, region, at, at);
+        let state = self.per_resource.entry(resource).or_default();
+        state.free = state.free.max(at);
+        let id = self.account(resource, SimDuration::ZERO, region, at, at);
         self.push_task(label, resource, SimDuration::ZERO, region, &[]);
         id
     }
@@ -496,10 +493,9 @@ impl TaskGraph {
     /// task bound to it, or time zero if it has none. This is the signal the
     /// device dispatcher uses to pick the earliest-available unit.
     pub fn resource_available(&self, resource: Resource) -> SimTime {
-        self.resource_free
+        self.per_resource
             .get(&resource)
-            .copied()
-            .unwrap_or(SimTime::ZERO)
+            .map_or(SimTime::ZERO, |state| state.free)
     }
 
     /// Adds a zero-length barrier task on `resource` depending on `deps`.
@@ -543,10 +539,7 @@ impl TaskGraph {
     /// Sum of the durations of tasks in a given region — O(1), maintained as
     /// tasks are added.
     pub fn region_work(&self, region: Region) -> SimDuration {
-        self.region_busy
-            .get(&region)
-            .copied()
-            .unwrap_or(SimDuration::ZERO)
+        self.region_busy[region.index()]
     }
 
     /// End-to-end simulated time of the schedule so far (latest task finish,
@@ -573,53 +566,9 @@ impl TaskGraph {
         if horizon.is_zero() {
             return 0.0;
         }
-        self.resource_busy
+        self.per_resource
             .get(&resource)
-            .map_or(0.0, |busy| busy.ratio(horizon))
-    }
-
-    /// Appends another graph, offsetting its task ids, and making its first
-    /// tasks additionally depend on `join`. Returns the id offset applied.
-    ///
-    /// Tasks are replayed through the in-order [`TaskGraph::add`], so the
-    /// source graph must not contain arrival-ordered tasks
-    /// ([`TaskGraph::add_arrival_ordered`]) — replaying those in-order would
-    /// silently re-derive different timings and claim the wrong discipline
-    /// for their resources.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` contains arrival-ordered tasks or has retired its
-    /// task columns ([`TaskGraph::retire_tasks_before`]).
-    pub fn append(&mut self, other: &TaskGraph, join: &[TaskId]) -> usize {
-        assert!(
-            other.arrival_ordered.values().all(|&ao| !ao),
-            "append replays tasks with in-order scheduling, but the source graph \
-             contains arrival-ordered tasks"
-        );
-        assert!(
-            other.retired == 0,
-            "append needs every source task, but {} were retired",
-            other.retired
-        );
-        let offset = self.len();
-        let mut deps: Vec<TaskId> = Vec::new();
-        for i in 0..other.len() {
-            let src_deps = other.deps_of(i);
-            deps.clear();
-            deps.extend(src_deps.iter().map(|d| TaskId(d.0 + offset)));
-            if src_deps.is_empty() {
-                deps.extend_from_slice(join);
-            }
-            self.add(
-                other.labels[i],
-                other.resources[i],
-                other.durations[i],
-                other.regions[i],
-                &deps,
-            );
-        }
-        offset
+            .map_or(0.0, |state| state.busy.ratio(horizon))
     }
 }
 
@@ -698,6 +647,7 @@ mod tests {
                 assert!(r.is_crash_consistency(), "{:?}", r);
             }
             assert!(!r.name().is_empty());
+            assert_eq!(Region::all()[r.index()], r);
         }
     }
 
@@ -800,16 +750,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "arrival-ordered tasks")]
-    fn append_rejects_arrival_ordered_source_graphs() {
-        let disp = Resource::Dispatcher(0);
-        let mut src = TaskGraph::new();
-        src.add_arrival_ordered("ndp-decode", disp, ns(10.0), Region::CcOffload, &[]);
-        let mut dst = TaskGraph::new();
-        dst.append(&src, &[]);
-    }
-
-    #[test]
     fn arrival_ordered_zero_duration_reserves_nothing() {
         let disp = Resource::Dispatcher(0);
         let mut g = TaskGraph::new();
@@ -890,23 +830,5 @@ mod tests {
         // Timing columns survive retirement, so spans still answer.
         g.retire_tasks_before(g.len());
         assert_eq!(g.max_finish_since(0), g.task_finish(c));
-    }
-
-    #[test]
-    fn append_offsets_and_joins() {
-        let mut base = TaskGraph::new();
-        let a = base.add("a", Resource::Cpu(0), ns(3.0), Region::Application, &[]);
-
-        let mut tail = TaskGraph::new();
-        let x = tail.add("x", Resource::Cpu(0), ns(2.0), Region::Application, &[]);
-        let _y = tail.add("y", Resource::Cpu(0), ns(2.0), Region::Application, &[x]);
-
-        let offset = base.append(&tail, &[a]);
-        assert_eq!(offset, 1);
-        assert_eq!(base.len(), 3);
-        // The appended root now depends on `a`.
-        assert_eq!(base.task(TaskId(1)).deps, &[a][..]);
-        // The appended second task depends on the offset first task.
-        assert_eq!(base.task(TaskId(2)).deps, &[TaskId(1)][..]);
     }
 }

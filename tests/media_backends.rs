@@ -75,7 +75,7 @@ fn apply(space: &mut PmSpace, ops: &[Op]) {
 }
 
 fn images(space: &PmSpace) -> Vec<Vec<u8>> {
-    (0..space.interleave().devices)
+    (0..space.interleave().devices())
         .map(|d| space.device_image(d))
         .collect()
 }
@@ -83,11 +83,11 @@ fn images(space: &PmSpace) -> Vec<Vec<u8>> {
 /// Writes device 0's first page and then zero-fills it: a written page
 /// that reads zero, which must digest like a page never touched.
 fn wipe_first_page(il: InterleaveConfig, capacity: u64) -> Vec<Op> {
-    let granule = il.granularity;
+    let granule = il.granularity();
     let granules = il.per_device_capacity(capacity).min(4096) / granule;
     (0..granules)
         .flat_map(|k| {
-            let addr = k * il.devices as u64 * granule;
+            let addr = k * il.devices() as u64 * granule;
             [
                 Op::Write {
                     addr,
@@ -108,9 +108,9 @@ fn wipe_first_page(il: InterleaveConfig, capacity: u64) -> Vec<Op> {
 /// every page it writes is non-zero.
 fn nonzero_only(il: InterleaveConfig, capacity: u64, image: &[u8]) -> PmSpace {
     let mut space = PmSpace::new(capacity, il);
-    for (k, granule) in image.chunks(il.granularity as usize).enumerate() {
+    for (k, granule) in image.chunks(il.granularity() as usize).enumerate() {
         if granule.iter().any(|&b| b != 0) {
-            space.write(PhysAddr(k as u64 * il.granularity), granule);
+            space.write(PhysAddr(k as u64 * il.granularity()), granule);
         }
     }
     space
