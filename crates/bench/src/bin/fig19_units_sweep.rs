@@ -10,19 +10,27 @@
 //! baseline, the combined average (the figure's headline curve), and the
 //! min/max per-unit utilization across the NearPM MD runs.
 //!
-//! The sweep itself lives in `nearpm_bench::fig19_sweep`, shared with the
-//! `fig19_smoke` CI gate.
+//! After printing, the binary asserts the figure's shape and exits non-zero
+//! if it breaks: the combined average grows strictly from 1 to 2 to 4
+//! units, no NearPM MD run reports a PPO violation, and the 8-client 4-unit
+//! tail holds its bar.
 //!
 //! Paper reference: speedup increases with more units.
 
-use nearpm_bench::{fig19_sweep, header, ops_from_args, FIG19_CLIENTS};
+use nearpm_bench::{fig19_sweep, header, FIG19_CLIENTS};
 
 /// Operations per client (so heavier client counts do proportionally more
-/// total work, as in fig20); override with `--ops N`.
-const DEFAULT_OPS_PER_CLIENT: usize = 32;
+/// total work, as in fig20).
+const OPS_PER_CLIENT: usize = 32;
+/// Regression bar for the 8-client 4-unit tail of the sweep (measured
+/// 1.634x with the two-lane front-end; the bar sits just under it so real
+/// regressions trip while simulated-time jitter cannot). The sweep's MD
+/// devices run a second decode lane (`with_decode_lanes(2)`) so the
+/// front-end can never re-serialize decode under the 8-client load even if
+/// the decode stage grows; this bar is what keeps that tail pinned.
+const TAIL_8C_4U_BAR: f64 = 1.62;
 
 fn main() {
-    let ops = ops_from_args(DEFAULT_OPS_PER_CLIENT);
     let mut columns = vec!["units".to_string()];
     for c in FIG19_CLIENTS {
         columns.push(format!("c{c}_x"));
@@ -34,7 +42,8 @@ fn main() {
         &column_refs,
     );
 
-    for point in fig19_sweep(ops) {
+    let points = fig19_sweep(OPS_PER_CLIENT);
+    for point in &points {
         let mut row = format!("{}", point.units);
         for s in &point.per_clients {
             row.push_str(&format!("\t{s:.3}"));
@@ -46,4 +55,31 @@ fn main() {
         println!("{row}");
     }
     println!("(paper: average speedup grows monotonically from 1 to 4 units)");
+
+    for pair in points.windows(2) {
+        assert!(
+            pair[1].combined > pair[0].combined,
+            "fig19: average speedup {:.4}x at {} units does not exceed {:.4}x at {} units",
+            pair[1].combined,
+            pair[1].units,
+            pair[0].combined,
+            pair[0].units
+        );
+    }
+    for point in &points {
+        assert_eq!(
+            point.violations, 0,
+            "fig19: PPO violations at {} units",
+            point.units
+        );
+    }
+    // The 8-client 4-unit point is the last row's last client column.
+    let tail = points
+        .last()
+        .and_then(|p| p.per_clients.last().copied())
+        .unwrap_or(0.0);
+    assert!(
+        tail >= TAIL_8C_4U_BAR,
+        "fig19: 8-client tail at 4 units {tail:.4}x is below the {TAIL_8C_4U_BAR}x bar"
+    );
 }

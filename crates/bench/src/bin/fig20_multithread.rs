@@ -6,18 +6,25 @@
 //! thread count grows because the prototype has only four units per device.
 //! The stall column reports the backpressure the request FIFOs exerted on
 //! the hosts (total stall time across devices).
+//!
+//! After printing, the binary asserts the paper's claim and exits non-zero
+//! if any mechanism, workload and thread count falls below 1.0x — the
+//! regression the per-unit front-end pipelining fixed (a single-stage
+//! dispatcher front-end drops to ~0.2-0.8x at 8-16 threads).
 
-use nearpm_bench::{header, ops_from_args};
+use nearpm_bench::header;
 use nearpm_cc::Mechanism;
 use nearpm_core::ExecMode;
 use nearpm_workloads::{MultiClientHarness, Workload};
 
-/// Default operations *per thread* (raised from the pre-timeline 24 now that
-/// checking and schedule analysis are ~linear); override with `--ops N`.
-const DEFAULT_OPS_PER_THREAD: usize = 96;
+/// Operations *per thread* (raised from the pre-timeline 24 now that
+/// checking and schedule analysis are ~linear).
+const OPS_PER_THREAD: usize = 96;
+/// The paper's fig20 claim: normalized throughput never drops below 1.0x.
+const BAR: f64 = 1.0;
 
 fn main() {
-    let ops_per_thread = ops_from_args(DEFAULT_OPS_PER_THREAD);
+    let mut below_bar = Vec::new();
     for m in [
         Mechanism::Logging,
         Mechanism::Checkpointing,
@@ -38,7 +45,7 @@ fn main() {
             for threads in [1usize, 2, 4, 8, 16] {
                 let cmp = MultiClientHarness::new(w, m)
                     .with_clients(threads)
-                    .with_ops_per_client(ops_per_thread)
+                    .with_ops_per_client(OPS_PER_THREAD)
                     .with_latency_tracking(true)
                     .compare(ExecMode::NearPmMd)
                     .expect("workload run failed");
@@ -49,17 +56,25 @@ fn main() {
                     .request_latency
                     .as_ref()
                     .map_or(0.0, |l| l.p99.as_us());
+                let norm = cmp.speedup();
                 println!(
                     "{}\t{}\t{:.3}\t{}\t{:.2}\t{:.3}",
                     w.name(),
                     threads,
-                    cmp.speedup(),
+                    norm,
                     cmp.nearpm.fifo_high_watermark,
                     cmp.nearpm.fifo_stall_time.as_us(),
                     p99
                 );
+                if norm < BAR {
+                    below_bar.push(format!("{} {} {threads}T {norm:.3}x", m.label(), w.name()));
+                }
             }
         }
     }
     println!("(paper: above 1.0x, decreasing with thread count)");
+    assert!(
+        below_bar.is_empty(),
+        "fig20: normalized throughput below {BAR}x at {below_bar:?}"
+    );
 }

@@ -25,20 +25,19 @@
 //! waits for the oldest front-end stage to retire — which is itself the
 //! figure's finding: the prototype's depth of 32 has generous headroom.
 
-use nearpm_bench::{header, ops_from_args};
+use nearpm_bench::header;
 use nearpm_cc::Mechanism;
 use nearpm_core::ExecMode;
 use nearpm_workloads::{MultiClientHarness, Workload};
 
-/// Operations per client; override with `--ops N`.
-const DEFAULT_OPS_PER_CLIENT: usize = 32;
+/// Operations per client.
+const OPS_PER_CLIENT: usize = 32;
 /// Thread count of the sweep (the fig20 maximum, where FIFO pressure peaks).
 const CLIENTS: usize = 16;
 /// Swept request-FIFO depths; 32 is the prototype's value.
 const DEPTHS: [usize; 4] = [4, 8, 16, 32];
 
 fn main() {
-    let ops = ops_from_args(DEFAULT_OPS_PER_CLIENT);
     for m in [Mechanism::Logging, Mechanism::ShadowPaging] {
         header(
             &format!(
@@ -61,7 +60,7 @@ fn main() {
             // depth clones below).
             let harness = MultiClientHarness::new(w, m)
                 .with_clients(CLIENTS)
-                .with_ops_per_client(ops)
+                .with_ops_per_client(OPS_PER_CLIENT)
                 .with_latency_tracking(true);
             let base = harness.baseline().expect("baseline run failed");
             for depth in DEPTHS {

@@ -21,45 +21,31 @@
 //! process — Poisson vs bursty on/off vs sinusoidal diurnal at the **same
 //! long-run mean rate** — showing how burstiness alone moves the tail.
 //!
-//! `--ops N` sets the requests per point; `--json PATH` writes the sweep as
-//! a machine-readable record.
+//! After printing, the binary asserts every mechanism's curve shape and
+//! exits non-zero if one breaks: p99 is monotone non-decreasing in offered
+//! load (modulo histogram quantization), and throughput saturates — the
+//! lowest load is delivered, the highest is not, and its achieved rate
+//! stays near μ.
 
-use nearpm_bench::json::JsonObject;
 use nearpm_bench::{
-    fig22_sweep, header, open_loop_point, ops_from_args, FIG22_THREADS, FIG22_WORKLOAD,
+    fig22_sweep, header, open_loop_point, p99_monotone, FIG22_THREADS, FIG22_WORKLOAD,
 };
 use nearpm_cc::Mechanism;
 use nearpm_workloads::{run_open_loop, ArrivalProcess, OpenLoopOptions};
 
-/// Requests per offered-load point; override with `--ops N`.
-const DEFAULT_OPS_PER_POINT: usize = 192;
+/// Requests per offered-load point.
+const OPS_PER_POINT: usize = 192;
 /// Seed of the sweep (workload content and arrivals derive independent
 /// streams from it).
 const SEED: u64 = 1;
-
-fn json_path() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return args.next();
-        }
-        if let Some(p) = a.strip_prefix("--json=") {
-            return Some(p.to_string());
-        }
-    }
-    None
-}
+/// Fractional p99 dip tolerated between consecutive load points, for the
+/// histogram's bucket quantization (see [`p99_monotone`]).
+const P99_SLACK: f64 = 0.02;
 
 fn main() {
-    let ops = ops_from_args(DEFAULT_OPS_PER_POINT);
-    let mut record = JsonObject::new()
-        .str("bench", "fig22_open_loop")
-        .str("workload", FIG22_WORKLOAD.name())
-        .int("threads", FIG22_THREADS as u64)
-        .int("ops_per_point", ops as u64);
-
+    let mut sweeps = Vec::new();
     for m in Mechanism::all_extended() {
-        let (mu, points) = fig22_sweep(m, ops, SEED);
+        let (mu, points) = fig22_sweep(m, OPS_PER_POINT, SEED);
         header(
             &format!(
                 "Figure 22: open-loop offered-load sweep, {} (μ = {:.0} op/s)",
@@ -78,7 +64,6 @@ fn main() {
                 "fifo_stalls",
             ],
         );
-        let mut mech_obj = JsonObject::new().num("service_rate_ops_per_s", mu);
         for p in &points {
             println!(
                 "{:.2}\t{:.1}\t{:.1}\t{:.3}\t{:.3}\t{:.3}\t{}\t{:.3}\t{}",
@@ -92,17 +77,6 @@ fn main() {
                 p.mean_wait_us,
                 p.fifo_stalls
             );
-            mech_obj = mech_obj.obj(
-                &format!("{:.2}", p.fraction),
-                JsonObject::new()
-                    .num("offered_ops_per_s", p.offered_ops_per_s)
-                    .num("achieved_ops_per_s", p.achieved_ops_per_s)
-                    .num("delivery_ratio", p.delivery_ratio)
-                    .num("p50_us", p.p50_us)
-                    .num("p99_us", p.p99_us)
-                    .int("max_backlog", p.max_backlog as u64)
-                    .int("fifo_stalls", p.fifo_stalls),
-            );
         }
         let knee = points
             .iter()
@@ -110,7 +84,7 @@ fn main() {
             .map(|p| p.fraction)
             .fold(0.0f64, f64::max);
         println!("(knee: delivery ≥ 0.95 holds through {knee:.2}×μ; beyond it p99 blows up)");
-        record = record.obj(m.label(), mech_obj.num("knee_fraction", knee));
+        sweeps.push((m, mu, points));
     }
 
     // Same mean offered load, three arrival processes: burstiness alone
@@ -118,7 +92,7 @@ fn main() {
     let mu = nearpm_bench::calibrate_service_rate(
         FIG22_WORKLOAD,
         Mechanism::Logging,
-        ops.max(64),
+        OPS_PER_POINT,
         FIG22_THREADS,
         SEED,
     );
@@ -137,7 +111,6 @@ fn main() {
             "wait_us",
         ],
     );
-    let mut shape_obj = JsonObject::new().num("offered_ops_per_s", rate);
     // Diurnal is parameterized by its trough rate; divide by the sinusoid's
     // mean multiplier `(1 + peak) / 2` so all three processes offer the same
     // long-run rate.
@@ -148,7 +121,7 @@ fn main() {
         ArrivalProcess::bursty(rate, 8.0, 16.0),
         ArrivalProcess::diurnal(diurnal_trough, diurnal_peak, 1.0e-4),
     ] {
-        let opts = OpenLoopOptions::new(FIG22_WORKLOAD, Mechanism::Logging, process, ops)
+        let opts = OpenLoopOptions::new(FIG22_WORKLOAD, Mechanism::Logging, process, OPS_PER_POINT)
             .with_threads(FIG22_THREADS)
             .with_seed(SEED);
         let report = run_open_loop(&opts).expect("open-loop run failed");
@@ -162,20 +135,25 @@ fn main() {
             p.max_backlog,
             p.mean_wait_us
         );
-        shape_obj = shape_obj.obj(
-            process.label(),
-            JsonObject::new()
-                .num("delivery_ratio", p.delivery_ratio)
-                .num("p50_us", p.p50_us)
-                .num("p99_us", p.p99_us)
-                .int("max_backlog", p.max_backlog as u64),
-        );
     }
-    record = record.obj("arrival_shape_at_0p75mu", shape_obj);
     println!("(open loop: throughput tracks offered load until μ, then p99 diverges)");
 
-    if let Some(path) = json_path() {
-        record.write_to(&path).expect("writing JSON record failed");
-        println!("(json record written to {path})");
+    for (m, mu, points) in &sweeps {
+        assert!(
+            p99_monotone(points, P99_SLACK),
+            "fig22 {}: p99 is not monotone in offered load",
+            m.label()
+        );
+        let (low, high) = (&points[0], &points[points.len() - 1]);
+        assert!(
+            low.delivery_ratio >= 0.9
+                && high.delivery_ratio < 0.8
+                && high.achieved_ops_per_s <= 1.3 * mu,
+            "fig22 {}: no knee (delivery {:.3} → {:.3}, achieved {:.0} op/s vs μ {mu:.0})",
+            m.label(),
+            low.delivery_ratio,
+            high.delivery_ratio,
+            high.achieved_ops_per_s
+        );
     }
 }

@@ -15,16 +15,15 @@
 //! invariant breaks or the run reports a violation.
 //!
 //! Run with: `cargo run --release -p nearpm-bench --bin fig_timeline`
-//! (`--ops N` sets the per-client operation count; default 32).
 
-use nearpm_bench::{header, ops_from_args};
+use nearpm_bench::header;
 use nearpm_cc::Mechanism;
 use nearpm_core::ExecMode;
 use nearpm_ppo::PpoViolation;
 use nearpm_sim::SimTime;
 use nearpm_workloads::{RunOptions, Runner, Workload};
 
-const DEFAULT_OPS_PER_CLIENT: usize = 32;
+const OPS_PER_CLIENT: usize = 32;
 const CLIENTS: usize = 16;
 const WINDOWS: u64 = 32;
 const IN_RUN_SAMPLES: usize = 8;
@@ -39,13 +38,12 @@ fn violation_ts(v: &PpoViolation) -> Option<u64> {
 }
 
 fn main() {
-    let ops = ops_from_args(DEFAULT_OPS_PER_CLIENT);
+    let ops = OPS_PER_CLIENT * CLIENTS;
     let runner = Runner::new(
         Workload::Memcached,
-        RunOptions::new(ExecMode::NearPmMd, Mechanism::Logging, ops * CLIENTS)
-            .with_threads(CLIENTS),
+        RunOptions::new(ExecMode::NearPmMd, Mechanism::Logging, ops).with_threads(CLIENTS),
     );
-    let sample_every = (ops * CLIENTS / IN_RUN_SAMPLES).max(1);
+    let sample_every = ops / IN_RUN_SAMPLES;
     let (samples, report, sys) = runner
         .run_sampled(sample_every)
         .expect("fig20-shaped run failed");

@@ -2,7 +2,8 @@
 //! queueing theory says it is, and the latency histogram must agree with the
 //! exact sorted-percentile oracle on every sampled window.
 //!
-//! Four check groups over the same machinery the fig22 figure prints:
+//! Three check groups over the same machinery the fig22 figure prints (the
+//! figure itself asserts each mechanism's monotone p99 and knee):
 //!
 //! 1. **Below the knee** (0.6 μ, the million-op leg): achieved throughput
 //!    tracks offered load within 10 %, p99 stays bounded (≤ 20× p50 — no
@@ -16,23 +17,15 @@
 //! 3. **Above the knee** (4 μ): throughput saturates near μ, delivery
 //!    collapses, and the per-window p99 rises monotonically — the backlog
 //!    grows without bound, exactly what a closed loop can never show.
-//! 4. **Figure gate**: the shared `fig22_sweep` at reduced ops for all four
-//!    CC mechanisms must produce a monotone non-decreasing p99 curve and a
-//!    saturating throughput knee.
 //!
-//! Exits non-zero on any violation. `--ops N` overrides the million-op leg's
-//! request count (CI runs the full default); `--json PATH` writes the gate's
-//! measurements as a machine-readable record.
+//! Exits non-zero on any violation.
 
-use nearpm_bench::json::JsonObject;
-use nearpm_bench::{
-    calibrate_service_rate, fig22_sweep, ops_from_args, p99_monotone, FIG22_LOAD_FRACTIONS,
-};
+use nearpm_bench::calibrate_service_rate;
 use nearpm_cc::Mechanism;
 use nearpm_workloads::{run_open_loop, ArrivalProcess, OpenLoopOptions, OpenLoopReport, Workload};
 
-/// Requests of the million-op below-knee leg; override with `--ops N`.
-const DEFAULT_OPS: usize = 1_000_000;
+/// Requests of the million-op below-knee leg.
+const OPS: usize = 1_000_000;
 /// Workload of the scale legs: metadata ops have the highest command rate
 /// per unit of simulated work we model, so a million requests stay cheap.
 const WORKLOAD: Workload = Workload::MetaOps;
@@ -40,22 +33,7 @@ const WORKLOAD: Workload = Workload::MetaOps;
 const THREADS: usize = 4;
 /// Closed-loop operations of the μ calibration run.
 const CALIBRATION_OPS: usize = 4096;
-/// Requests per point of the reduced fig22 figure gate.
-const SWEEP_OPS: usize = 96;
 const SEED: u64 = 1;
-
-fn json_path() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return args.next();
-        }
-        if let Some(p) = a.strip_prefix("--json=") {
-            return Some(p.to_string());
-        }
-    }
-    None
-}
 
 /// Checks the histogram-vs-exact-oracle differential on every window.
 fn windows_match_oracle(report: &OpenLoopReport, leg: &str, failures: &mut usize) {
@@ -81,9 +59,8 @@ fn windows_match_oracle(report: &OpenLoopReport, leg: &str, failures: &mut usize
 }
 
 fn main() {
-    let ops = ops_from_args(DEFAULT_OPS);
     let mut failures = 0usize;
-    println!("openloop smoke: {ops} requests below the knee, {WORKLOAD:?} × {THREADS} threads");
+    println!("openloop smoke: {OPS} requests below the knee, {WORKLOAD:?} × {THREADS} threads");
 
     let mu = calibrate_service_rate(WORKLOAD, Mechanism::Logging, CALIBRATION_OPS, THREADS, SEED);
     println!("  calibrated service rate μ = {mu:.0} op/s");
@@ -94,7 +71,7 @@ fn main() {
             WORKLOAD,
             Mechanism::Logging,
             ArrivalProcess::poisson(0.6 * mu),
-            ops,
+            OPS,
         )
         .with_threads(THREADS)
         .with_seed(SEED)
@@ -117,7 +94,7 @@ fn main() {
         failures += 1;
     }
     let (p50, p99) = (below.hist.percentile(0.5).as_us(), below.p99().as_us());
-    let ok = p99 <= 20.0 * p50 && below.hist.count() == ops as u64;
+    let ok = p99 <= 20.0 * p50 && below.hist.count() == OPS as u64;
     println!(
         "  below knee: p50 {p50:.3} µs, p99 {p99:.3} µs, {} requests {}",
         below.hist.count(),
@@ -129,7 +106,7 @@ fn main() {
     windows_match_oracle(&below, "below knee", &mut failures);
 
     // Leg 2: above the knee — saturation and the monotone p99 blow-up.
-    let above_ops = (ops / 8).max(1024);
+    let above_ops = OPS / 8;
     let above = run_open_loop(
         &OpenLoopOptions::new(
             WORKLOAD,
@@ -169,60 +146,6 @@ fn main() {
         failures += 1;
     }
     windows_match_oracle(&above, "above knee", &mut failures);
-
-    // Leg 3: the figure gate — every mechanism's sweep must show the knee.
-    let mut record_mechs = JsonObject::new();
-    for m in Mechanism::all_extended() {
-        let (sweep_mu, points) = fig22_sweep(m, SWEEP_OPS, SEED);
-        let monotone = p99_monotone(&points, 0.02);
-        let low = points.first().expect("sweep is non-empty");
-        let high = points.last().expect("sweep is non-empty");
-        let kneed = low.delivery_ratio >= 0.9
-            && high.delivery_ratio < 0.8
-            && high.achieved_ops_per_s <= 1.3 * sweep_mu;
-        println!(
-            "  fig22 {}: p99 {:.3} → {:.3} µs over {:?}×μ, delivery {:.3} → {:.3} {}",
-            m.label(),
-            low.p99_us,
-            high.p99_us,
-            FIG22_LOAD_FRACTIONS,
-            low.delivery_ratio,
-            high.delivery_ratio,
-            match (monotone, kneed) {
-                (true, true) => "ok",
-                (false, _) => "P99 NOT MONOTONE",
-                (_, false) => "NO KNEE",
-            }
-        );
-        if !monotone || !kneed {
-            failures += 1;
-        }
-        record_mechs = record_mechs.obj(
-            m.label(),
-            JsonObject::new()
-                .num("service_rate_ops_per_s", sweep_mu)
-                .num("p99_low_us", low.p99_us)
-                .num("p99_high_us", high.p99_us)
-                .num("delivery_low", low.delivery_ratio)
-                .num("delivery_high", high.delivery_ratio),
-        );
-    }
-
-    if let Some(path) = json_path() {
-        JsonObject::new()
-            .str("bench", "openloop_smoke")
-            .int("operations", ops as u64)
-            .num("service_rate_ops_per_s", mu)
-            .num("below_knee_delivery", delivery)
-            .num("below_knee_p99_us", p99)
-            .num("above_knee_delivery", above.delivery_ratio())
-            .int("above_knee_backlog_hw", above.max_backlog as u64)
-            .int("failures", failures as u64)
-            .obj("fig22", record_mechs)
-            .write_to(&path)
-            .expect("writing JSON record failed");
-        println!("  (json record written to {path})");
-    }
 
     if failures > 0 {
         eprintln!("openloop smoke FAILED: {failures} violations");

@@ -11,16 +11,12 @@
 //! Each leg runs the naive oracle once and `check_all` (a one-batch
 //! incremental fold) several times, verifies both report the identical
 //! violation list, and asserts the fold is at least 10× faster. Exits
-//! nonzero on any mismatch or if a speedup target is missed. `--json
-//! out.json` additionally writes a flat machine-readable record (event
-//! count, wall times, speedups, violation counts) so the perf trajectory
-//! can be tracked across changes.
+//! nonzero on any mismatch or if a speedup target is missed.
 //!
 //! Run with: `cargo run --release -p nearpm-bench --bin ppo_check_smoke`
 
 use std::time::{Duration, Instant};
 
-use nearpm_bench::json::JsonObject;
 use nearpm_bench::synthetic::{
     perturbed_undo_log_trace, synthetic_undo_log_trace, SyntheticTraceSpec,
 };
@@ -34,27 +30,6 @@ fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed())
-}
-
-/// Parses `--json PATH` from the command line.
-fn json_path() -> Option<String> {
-    let mut json = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => {
-                json = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--json requires a value");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!("unknown argument {other:?} (supported: --json PATH)");
-                std::process::exit(2);
-            }
-        }
-    }
-    json
 }
 
 /// One leg's outcome: the fold's best-of-5 time, the oracle's time, and the
@@ -96,7 +71,6 @@ fn run_leg(name: &str, trace: &Trace) -> Leg {
 }
 
 fn main() {
-    let json = json_path();
     println!("== PPO checker smoke test (fig16 scale) ==");
     let spec = SyntheticTraceSpec::fig16(TARGET_EVENTS);
     let (trace, gen_time) = time(|| synthetic_undo_log_trace(spec));
@@ -113,7 +87,7 @@ fn main() {
         clean.violations
     );
 
-    let (perturbed_trace, perturb_time) = time(|| perturbed_undo_log_trace(&trace));
+    let perturbed_trace = perturbed_undo_log_trace(&trace);
     drop(trace);
     let perturbed = run_leg("perturbed", &perturbed_trace);
     let count =
@@ -132,33 +106,6 @@ fn main() {
 
     let (speedup, perturbed_speedup) = (clean.speedup(), perturbed.speedup());
     println!("speedup: clean {speedup:.1}x, perturbed {perturbed_speedup:.1}x (required: ≥{REQUIRED_SPEEDUP:.0}x)");
-
-    if let Some(path) = &json {
-        let record = JsonObject::new()
-            .str("bench", "ppo_check_smoke")
-            .int("events", perturbed_trace.len() as u64)
-            .num("generate_seconds", gen_time.as_secs_f64())
-            .num("indexed_seconds", clean.fold_best.as_secs_f64())
-            .num("naive_seconds", clean.naive_time.as_secs_f64())
-            .num("speedup", speedup)
-            .num("required_speedup", REQUIRED_SPEEDUP)
-            .obj(
-                "perturbed",
-                JsonObject::new()
-                    .num("perturb_seconds", perturb_time.as_secs_f64())
-                    .num("fold_seconds", perturbed.fold_best.as_secs_f64())
-                    .num("naive_seconds", perturbed.naive_time.as_secs_f64())
-                    .num("speedup", perturbed_speedup)
-                    .int("violations", perturbed.violations.len() as u64)
-                    .int("shared_order_violations", shared as u64)
-                    .int("unpersisted_before_sync", unpersisted as u64),
-            );
-        record.write_to(path).unwrap_or_else(|e| {
-            eprintln!("FAIL: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("wrote {path}");
-    }
 
     if speedup < REQUIRED_SPEEDUP || perturbed_speedup < REQUIRED_SPEEDUP {
         eprintln!("FAIL: speedup below target");

@@ -32,16 +32,13 @@
 //! while its resident trace stays bounded far below the full event count —
 //! the memory half of the ten-million-event tier.
 //!
-//! Exits nonzero on any mismatch or a missed speedup. `--json out.json`
-//! additionally writes a flat machine-readable record (event counts, wall
-//! times, speedups) so the perf trajectory can be tracked across changes.
+//! Exits nonzero on any mismatch or a missed speedup.
 //!
 //! Run with: `cargo run --release -p nearpm-bench --bin report_smoke`
 //! or e.g.:  `cargo run --release -p nearpm-bench --bin report_smoke -- --events 1000000`
 
 use std::time::{Duration, Instant};
 
-use nearpm_bench::json::JsonObject;
 use nearpm_bench::synthetic::{drive_fig20_system, drive_fig20_system_configured};
 use nearpm_ppo::invariants::oracle;
 use nearpm_ppo::IncrementalChecker;
@@ -76,41 +73,20 @@ const COMPACTION_LEG_WORKERS: usize = 2;
 /// retirement silently stops (the peak would then be ~events/samples).
 const RESIDENT_CEILING_FRACTION: f64 = 0.25;
 
-/// Command-line options: `--events N [--json out.json]`.
-struct Options {
-    events: usize,
-    json: Option<String>,
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        events: DEFAULT_TARGET_EVENTS,
-        json: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value_of = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} requires a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--events" => {
-                let value = value_of("--events");
-                opts.events = value.parse().unwrap_or_else(|e| {
-                    eprintln!("bad --events value {value:?}: {e}");
-                    std::process::exit(2);
-                });
-            }
-            "--json" => opts.json = Some(value_of("--json")),
-            other => {
-                eprintln!("unknown argument {other:?} (supported: --events N, --json PATH)");
-                std::process::exit(2);
-            }
+/// Parses the command line: `--events N` or nothing.
+fn target_events() -> usize {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => DEFAULT_TARGET_EVENTS,
+        [flag, value] if flag == "--events" => value.parse().unwrap_or_else(|e| {
+            eprintln!("bad --events value {value:?}: {e}");
+            std::process::exit(2);
+        }),
+        _ => {
+            eprintln!("usage: report_smoke [--events N]");
+            std::process::exit(2);
         }
     }
-    opts
 }
 
 /// Number of mid-run sampling points for a run of `events` events: the full
@@ -126,8 +102,7 @@ fn sample_count(events: usize) -> usize {
 }
 
 fn main() {
-    let opts = parse_args();
-    let target_events = opts.events;
+    let target_events = target_events();
     let samples = sample_count(target_events);
     let required_speedup = (BASE_REQUIRED_SPEEDUP * samples as f64 / BASE_SAMPLES as f64).max(2.0);
     println!("== incremental report smoke test (fig20 shape, {target_events} events, {samples} samples) ==");
@@ -190,7 +165,6 @@ fn main() {
     // A from-scratch one-batch fold of the full final trace must reproduce
     // the report's violation list and relaxed-persist count byte for byte,
     // at every worker count.
-    let mut fold_json = JsonObject::new();
     for workers in FOLD_WORKERS {
         let t2 = Instant::now();
         let mut fold = IncrementalChecker::new();
@@ -207,7 +181,6 @@ fn main() {
             "one-batch fold ({workers} workers) relaxed_persists diverged from the report"
         );
         println!("one-batch fold, {workers} worker(s): {fold_check:?}");
-        fold_json = fold_json.num(&workers.to_string(), fold_check.as_secs_f64());
     }
     let t3 = Instant::now();
     let oracle_relaxed = oracle::relaxed_persist_count(&trace);
@@ -275,35 +248,6 @@ fn main() {
     println!("oracle recompute:     {oracle_time:?} total");
     let speedup = oracle_time.as_secs_f64() / incremental_time.as_secs_f64().max(1e-9);
     println!("speedup: {speedup:.1}x (required: ≥{required_speedup:.1}x)");
-
-    if let Some(path) = &opts.json {
-        let record = JsonObject::new()
-            .str("bench", "report_smoke")
-            .int("events", total_events as u64)
-            .int("samples", samples_taken as u64)
-            .int("threads", THREADS as u64)
-            .num("build_seconds", build_time.as_secs_f64())
-            .num("incremental_seconds", incremental_time.as_secs_f64())
-            .num("oracle_seconds", oracle_time.as_secs_f64())
-            .num("speedup", speedup)
-            .num("required_speedup", required_speedup)
-            .obj("fold_check_seconds", fold_json)
-            .num("oracle_relaxed_seconds", relaxed_check.as_secs_f64())
-            .obj(
-                "compaction",
-                JsonObject::new()
-                    .int("peak_resident_events", peak_resident as u64)
-                    .int("resident_events", resident as u64)
-                    .int("retired_events", retired as u64)
-                    .int("resident_ceiling", resident_ceiling as u64)
-                    .num("build_seconds", compact_time.as_secs_f64()),
-            );
-        record.write_to(path).unwrap_or_else(|e| {
-            eprintln!("FAIL: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("wrote {path}");
-    }
 
     if speedup < required_speedup {
         eprintln!("FAIL: speedup below target");

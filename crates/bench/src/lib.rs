@@ -10,7 +10,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod synthetic;
 
 use nearpm_cc::Mechanism;
@@ -22,43 +21,8 @@ use nearpm_workloads::{
 
 /// Default number of operations per workload run. Raised toward paper scale
 /// now that trace checking and schedule analysis are ~linear; every figure
-/// still regenerates in seconds. Override per run with `--ops N`.
+/// still regenerates in seconds.
 pub const DEFAULT_OPS: usize = 256;
-
-/// Parses `--ops N` (or `--ops=N`) from the process arguments, falling back
-/// to `default`. Figure binaries use this so sweeps can be re-run at paper
-/// scale (or quickly, in CI smoke mode) without recompiling.
-pub fn ops_from_args(default: usize) -> usize {
-    parse_ops(std::env::args().skip(1), default)
-}
-
-/// Parses `--ops N` / `--ops=N` from an argument stream.
-///
-/// Zero is rejected like any other invalid value (with a warning and the
-/// default): a zero-op run has a zero makespan, which used to make fig20's
-/// `makespan/makespan` ratio silently report 0.0 instead of a measurement.
-pub fn parse_ops<I: Iterator<Item = String>>(mut args: I, default: usize) -> usize {
-    while let Some(a) = args.next() {
-        let value = if a == "--ops" {
-            match args.next() {
-                Some(v) => v,
-                None => {
-                    eprintln!("--ops expects a positive integer; using {default}");
-                    continue;
-                }
-            }
-        } else if let Some(v) = a.strip_prefix("--ops=") {
-            v.to_string()
-        } else {
-            continue;
-        };
-        match value.parse::<usize>() {
-            Ok(n) if n > 0 => return n,
-            _ => eprintln!("--ops expects a positive integer, got {value:?}; using {default}"),
-        }
-    }
-    default
-}
 
 /// Runs one workload/mechanism/mode combination.
 pub fn run_one(w: Workload, m: Mechanism, mode: ExecMode, ops: usize, seed: u64) -> RunReport {
@@ -94,9 +58,9 @@ pub fn workloads() -> [Workload; 9] {
     Workload::all()
 }
 
-/// Client counts of the fig19 units×clients sweep (and its smoke gate). One
-/// closed-loop client cannot contend the units; the heavier points are what
-/// let the unit count matter.
+/// Client counts of the fig19 units×clients sweep. One closed-loop client
+/// cannot contend the units; the heavier points are what let the unit count
+/// matter.
 pub const FIG19_CLIENTS: [usize; 3] = [1, 4, 8];
 
 /// Unit counts of the fig19 sweep, in the paper's order.
@@ -111,7 +75,7 @@ pub struct Fig19Point {
     /// like [`FIG19_CLIENTS`].
     pub per_clients: Vec<f64>,
     /// Combined average over workloads × client counts (the figure's
-    /// headline curve, and what the smoke gate requires to grow strictly).
+    /// headline curve, which `fig19_units_sweep` asserts grows strictly).
     pub combined: f64,
     /// Lowest per-unit utilization seen across the row's NearPM MD runs.
     pub util_min: f64,
@@ -122,9 +86,7 @@ pub struct Fig19Point {
 }
 
 /// The fig19 units×clients sweep (logging, NearPM MD vs an equal-client CPU
-/// baseline): one [`Fig19Point`] per entry of [`FIG19_UNITS`]. Shared by the
-/// `fig19_units_sweep` figure binary and the `fig19_smoke` CI gate so the
-/// gate can never desynchronize from the published figure.
+/// baseline): one [`Fig19Point`] per entry of [`FIG19_UNITS`].
 pub fn fig19_sweep(ops_per_client: usize) -> Vec<Fig19Point> {
     // The equal-client baseline is independent of the unit count: one
     // baseline per (workload, clients) point serves the whole unit sweep.
@@ -181,25 +143,6 @@ pub fn fig19_sweep(ops_per_client: usize) -> Vec<Fig19Point> {
             }
         })
         .collect()
-}
-
-/// Average single-client NearPM MD speedup over the CPU baseline (gmean over
-/// all workloads) at `units` units — the seed-reproduction anchor of the
-/// fig19 smoke gate.
-pub fn fig19_single_client_avg(ops: usize, units: usize) -> f64 {
-    let speedups: Vec<f64> = workloads()
-        .iter()
-        .map(|&w| {
-            let h = MultiClientHarness::new(w, Mechanism::Logging).with_ops_per_client(ops);
-            let base = h.baseline().expect("baseline run failed");
-            let md = h
-                .with_units(units)
-                .run_mode(ExecMode::NearPmMd)
-                .expect("NearPM MD run failed");
-            md.speedup_over(&base)
-        })
-        .collect();
-    gmean(&speedups)
 }
 
 /// Offered-load fractions (× the calibrated service rate μ) of the fig22
@@ -262,8 +205,6 @@ pub fn calibrate_service_rate(
 /// The fig22 offered-load sweep for one mechanism: calibrate μ closed-loop,
 /// then drive Poisson open-loop traffic at every [`FIG22_LOAD_FRACTIONS`]
 /// multiple of μ with `ops` requests per point. Returns `(μ, points)`.
-/// Shared by the `fig22_open_loop` figure binary and the `openloop_smoke`
-/// CI gate so the gate can never desynchronize from the figure.
 pub fn fig22_sweep(m: Mechanism, ops: usize, seed: u64) -> (f64, Vec<OpenLoopPoint>) {
     let mu = calibrate_service_rate(FIG22_WORKLOAD, m, ops.max(64), FIG22_THREADS, seed);
     let points = FIG22_LOAD_FRACTIONS
@@ -311,30 +252,29 @@ pub fn p99_monotone(points: &[OpenLoopPoint], slack: f64) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::{gmean, parse_ops};
+    use super::{gmean, p99_monotone, OpenLoopPoint};
 
-    fn args(list: &[&str]) -> impl Iterator<Item = String> {
-        list.iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .into_iter()
+    fn point(p99_us: f64) -> OpenLoopPoint {
+        OpenLoopPoint {
+            fraction: 1.0,
+            offered_ops_per_s: 1.0,
+            achieved_ops_per_s: 1.0,
+            delivery_ratio: 1.0,
+            p50_us: p99_us,
+            p99_us,
+            max_backlog: 0,
+            mean_wait_us: 0.0,
+            fifo_stalls: 0,
+        }
     }
 
     #[test]
-    fn parse_ops_accepts_both_forms() {
-        assert_eq!(parse_ops(args(&["--ops", "128"]), 48), 128);
-        assert_eq!(parse_ops(args(&["--ops=96"]), 48), 96);
-        assert_eq!(parse_ops(args(&["--seed", "1", "--ops", "7"]), 48), 7);
-        assert_eq!(parse_ops(args(&[]), 48), 48);
-    }
-
-    #[test]
-    fn parse_ops_rejects_zero_and_garbage() {
-        assert_eq!(parse_ops(args(&["--ops", "0"]), 48), 48);
-        assert_eq!(parse_ops(args(&["--ops=0"]), 48), 48);
-        assert_eq!(parse_ops(args(&["--ops", "banana"]), 48), 48);
-        assert_eq!(parse_ops(args(&["--ops=-3"]), 48), 48);
-        assert_eq!(parse_ops(args(&["--ops"]), 48), 48);
+    fn p99_monotone_tolerates_only_the_slack() {
+        let curve = |p99s: &[f64]| p99s.iter().map(|&p| point(p)).collect::<Vec<_>>();
+        assert!(p99_monotone(&curve(&[10.0, 10.0, 10.0]), 0.02));
+        assert!(p99_monotone(&curve(&[10.0, 9.9, 20.0]), 0.02));
+        assert!(!p99_monotone(&curve(&[10.0, 9.7, 20.0]), 0.02));
+        assert!(p99_monotone(&curve(&[10.0]), 0.02));
     }
 
     #[test]

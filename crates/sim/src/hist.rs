@@ -60,7 +60,7 @@ fn bucket_upper_ps(index: usize) -> u64 {
 /// Records [`SimDuration`] samples in O(1) and answers
 /// p50/p99/p999/arbitrary percentiles with ≤ `1/`[`SUB_BUCKETS`] relative
 /// error. The maximum is tracked exactly.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     /// Bucket counts, grown lazily to the highest recorded bucket.
     counts: Vec<u64>,
@@ -203,6 +203,12 @@ impl LatencyHistogram {
     }
 }
 
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// Exact nearest-rank percentile over a **sorted** sample slice — the O(n
 /// log n) differential oracle for [`LatencyHistogram::percentile`].
 ///
@@ -320,6 +326,14 @@ mod tests {
             SimDuration::from_ps((5 + 1_000 + 250 + 1_000_000 + 42) / 5)
         );
         assert_eq!(hist.percentile(1.0), SimDuration::from_ps(1_000_000));
+    }
+
+    #[test]
+    fn default_is_the_empty_histogram() {
+        let mut hist = LatencyHistogram::default();
+        assert_eq!(hist, LatencyHistogram::new());
+        hist.record(SimDuration::from_ps(5_000));
+        assert_eq!(hist.min(), SimDuration::from_ps(5_000));
     }
 
     #[test]

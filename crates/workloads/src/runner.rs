@@ -946,9 +946,9 @@ mod tests {
     /// at or above the equal-thread CPU baseline's throughput at 8 and 16
     /// threads. With the single-stage front-end this dropped to ~0.2-0.5x —
     /// the dispatcher serialized decode, conflict waits, and sync behind one
-    /// resource. The full mechanism/workload matrix runs in the release-mode
-    /// `fig20_smoke` CI gate; this in-tree test covers the worst regressing
-    /// combination at reduced ops.
+    /// resource. The full mechanism/workload matrix is asserted by the
+    /// release-mode `fig20_multithread` figure; this in-tree test covers the
+    /// worst regressing combination at reduced ops.
     #[test]
     fn fig20_shape_normalized_throughput_at_scale() {
         for threads in [8usize, 16] {
