@@ -1,20 +1,16 @@
-//! CI gate for the pluggable media backends: the storage engine must be
-//! invisible to the functional model and real durability must hold across
-//! an actual process death.
+//! CI gate for the two media engines: the storage engine must be invisible
+//! to the functional model and real durability must hold across an actual
+//! process death.
 //!
-//! Four checks, each exiting non-zero on failure:
+//! Three checks, each exiting non-zero on failure:
 //!
-//! 1. **Backend differential** — the same seeded workload run over
-//!    `HeapMedia`, `FileMedia`, and `SparseMedia` produces byte-identical
-//!    device images and identical PM traffic stats.
+//! 1. **Backend differential** — the same seeded workload run over heap and
+//!    file media produces byte-identical device images and identical PM
+//!    traffic stats.
 //! 2. **File reopen round trip** — a file-backed system's image survives
 //!    dropping the system and reopening the directory in a fresh instance
 //!    (byte-identical devices, crashed-state entry).
-//! 3. **Sparse geometry budget** — a 100-device × 1 GiB sparse space
-//!    accepts scattered writes across all devices while staying under a
-//!    fixed residency budget (both the backend's own accounting and the
-//!    process RSS delta).
-//! 4. **Kill-and-reopen restart recovery** — for every crash-consistency
+//! 3. **Kill-and-reopen restart recovery** — for every crash-consistency
 //!    mechanism, a child process running over a file-backed image is
 //!    killed (abort, not clean exit) at a mid-run `CrashPlan` boundary;
 //!    the parent reopens the image, reattaches, recovers, and proves the
@@ -28,7 +24,6 @@
 
 use nearpm_cc::Mechanism;
 use nearpm_core::{ExecMode, MediaConfig, NearPmSystem, Region, SystemConfig};
-use nearpm_pm::{InterleaveConfig, PmSpace};
 use nearpm_workloads::restart::{self, RestartSpec};
 use nearpm_workloads::{CcMech, PipelineMode, RunOptions, Runner, Workload};
 use std::path::PathBuf;
@@ -36,25 +31,6 @@ use std::process::Command;
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("nearpm-media-smoke-{tag}-{}", std::process::id()))
-}
-
-/// VmRSS of this process in bytes (0 if /proc is unavailable).
-fn vm_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmRSS:") {
-            let kib: u64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kib * 1024;
-        }
-    }
-    0
 }
 
 /// Check 1: one seeded workload run per backend; images and traffic stats
@@ -72,19 +48,13 @@ fn backend_differential() -> Result<(), String> {
     };
     let (heap_report, heap_sys) = run(MediaConfig::Heap)?;
     let (file_report, file_sys) = run(MediaConfig::File { dir: dir.clone() })?;
-    let (sparse_report, sparse_sys) = run(MediaConfig::Sparse)?;
     let result = (|| {
-        for (name, report, sys) in [
-            ("file", &file_report, &file_sys),
-            ("sparse", &sparse_report, &sparse_sys),
-        ] {
-            if report.pm_traffic != heap_report.pm_traffic {
-                return Err(format!("{name}: PM traffic diverged from heap"));
-            }
-            for d in 0..heap_sys.media_count() {
-                if sys.device_image(d) != heap_sys.device_image(d) {
-                    return Err(format!("{name}: device {d} image diverged from heap"));
-                }
+        if file_report.pm_traffic != heap_report.pm_traffic {
+            return Err("file: PM traffic diverged from heap".to_string());
+        }
+        for d in 0..heap_sys.media_count() {
+            if file_sys.device_image(d) != heap_sys.device_image(d) {
+                return Err(format!("file: device {d} image diverged from heap"));
             }
         }
         Ok(())
@@ -92,7 +62,7 @@ fn backend_differential() -> Result<(), String> {
     std::fs::remove_dir_all(&dir).ok();
     result?;
     println!(
-        "backend differential: heap == file == sparse over {} devices, traffic {:?}",
+        "backend differential: heap == file over {} devices, traffic {:?}",
         heap_sys.media_count(),
         heap_report.pm_traffic
     );
@@ -142,67 +112,7 @@ fn file_reopen_round_trip() -> Result<(), String> {
     Ok(())
 }
 
-/// Residency budget for check 3: the backend's own accounting must stay
-/// under this, and the process RSS delta under four times it (allocator
-/// slack, page tables).
-const SPARSE_BUDGET: u64 = 64 << 20;
-
-/// Check 3: 100 devices × 1 GiB, sparse, scattered writes, bounded memory.
-fn sparse_geometry_budget() -> Result<(), String> {
-    const DEVICES: usize = 100;
-    const PER_DEVICE: u64 = 1 << 30;
-    let rss_before = vm_rss_bytes();
-    let mut space = PmSpace::with_media(
-        DEVICES as u64 * PER_DEVICE,
-        InterleaveConfig::new(DEVICES, 4096),
-        &MediaConfig::Sparse,
-    )
-    .map_err(|e| format!("sparse construction failed: {e}"))?;
-    // One 4 KiB write landing on every device, scattered through the
-    // address space (stride of one interleave round plus a page so the
-    // writes walk both devices and offsets).
-    let stride = DEVICES as u64 * 4096 + 4096;
-    let payload = [0x5A_u8; 4096];
-    let mut addr = 0u64;
-    let mut writes = 0usize;
-    while addr + 4096 <= DEVICES as u64 * PER_DEVICE && writes < 512 {
-        space.write(nearpm_pm::PhysAddr(addr), &payload);
-        addr = (addr + stride) * 31 % (DEVICES as u64 * PER_DEVICE - 4096);
-        addr &= !4095;
-        writes += 1;
-    }
-    // Read one back from the far end of the space to prove zero-fill.
-    let mut buf = [0u8; 64];
-    space.peek(
-        nearpm_pm::PhysAddr(DEVICES as u64 * PER_DEVICE - 64),
-        &mut buf,
-    );
-    if buf != [0u8; 64] {
-        return Err("untouched sparse region must read as zeros".to_string());
-    }
-    let resident = space.resident_bytes() as u64;
-    let rss_after = vm_rss_bytes();
-    let rss_delta = rss_after.saturating_sub(rss_before);
-    if resident > SPARSE_BUDGET {
-        return Err(format!(
-            "sparse residency {resident} exceeds the {SPARSE_BUDGET}-byte budget"
-        ));
-    }
-    if rss_before > 0 && rss_delta > 4 * SPARSE_BUDGET {
-        return Err(format!(
-            "process RSS grew {rss_delta} bytes, over the {} budget",
-            4 * SPARSE_BUDGET
-        ));
-    }
-    println!(
-        "sparse geometry: {DEVICES} x {} GiB, {writes} scattered writes, \
-         {resident} resident bytes (budget {SPARSE_BUDGET}), RSS delta {rss_delta}",
-        PER_DEVICE >> 30
-    );
-    Ok(())
-}
-
-/// Check 4: kill a child at a mid-run boundary, reopen, recover, verify.
+/// Check 3: kill a child at a mid-run boundary, reopen, recover, verify.
 fn kill_and_reopen_matrix() -> Result<(), String> {
     let exe = std::env::current_exe().map_err(|e| e.to_string())?;
     for mech in CcMech::ALL {
@@ -260,11 +170,10 @@ fn main() {
         restart::child_main(&spec);
     }
 
-    println!("media smoke: backend differential, reopen, sparse budget, kill-and-reopen");
-    let checks: [Check; 4] = [
+    println!("media smoke: backend differential, reopen, kill-and-reopen");
+    let checks: [Check; 3] = [
         ("backend differential", backend_differential),
         ("file reopen round trip", file_reopen_round_trip),
-        ("sparse geometry budget", sparse_geometry_budget),
         ("kill-and-reopen restart recovery", kill_and_reopen_matrix),
     ];
     let mut failed = 0;

@@ -12,6 +12,12 @@
 //! [`RunReport`] with the end-to-end time, the crash-consistency breakdown,
 //! CPU/NDP overlap, and the PPO-violation check of the recorded trace.
 //!
+//! The system's methods sit in three files: `system.rs` (set-up, CPU
+//! execution, the offload path, crash and recovery), `system/persist.rs`
+//! (the on-disk image format behind `persist_to` / `reopen_from`,
+//! persistent reads, the media write log and media accessors) and
+//! `system/report.rs` (the run report and the counters it reads).
+//!
 //! ```
 //! use nearpm_core::{ExecMode, NearPmSystem, SystemConfig};
 //! use nearpm_sim::Region;

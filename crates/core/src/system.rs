@@ -1,4 +1,5 @@
-//! The NearPM system facade: CPU model, devices, offload path, trace, report.
+//! The NearPM system facade: CPU model, devices, offload path, crash and
+//! recovery.
 //!
 //! [`NearPmSystem`] is the object applications and crash-consistency
 //! mechanisms program against. It couples
@@ -13,15 +14,25 @@
 //! The same program, run under different [`ExecMode`]s, produces the
 //! baseline, NearPM SD, NearPM MD SW-sync, and NearPM MD configurations the
 //! paper evaluates.
+//!
+//! Two surfaces live in child modules, as further `impl NearPmSystem`
+//! blocks: `persist` holds the on-disk image format (`persist_to`,
+//! `reopen_from`, the manifest and its checkpoint epoch), persistent reads,
+//! the media write log and the media accessors; `report` holds
+//! [`RunReport`], [`LatencySummary`], latency recording and the trace,
+//! task, FIFO and graph counters.
 
-use std::collections::HashMap;
+mod persist;
+mod report;
+
+pub use persist::MANIFEST_NAME;
+pub use report::{LatencySummary, RunReport};
 
 use nearpm_device::{DeviceConfig, NearPmDevice, NearPmOp, NearPmRequest, ThreadId};
 use nearpm_pm::{
-    AddrRange, CpuCache, InterleaveConfig, MediaConfig, MediaError, PhysAddr, PmSpace, PmTraffic,
-    PoolId, PoolRegistry, VirtAddr,
+    AddrRange, CpuCache, InterleaveConfig, PhysAddr, PmSpace, PoolId, PoolRegistry, VirtAddr,
 };
-use nearpm_ppo::{Agent, EventKind, Interval, PpoViolation, ProcId, Sharing, Trace};
+use nearpm_ppo::{Agent, EventKind, Interval, ProcId, Sharing};
 use nearpm_sim::{
     LatencyHistogram, LatencyModel, Region, Resource, SimDuration, SimTime, TaskGraph, TaskId,
 };
@@ -31,186 +42,6 @@ use crate::config::{ExecMode, SystemConfig};
 use crate::crashplan::{BoundaryKind, CrashPlan};
 use crate::error::{Result, SystemError};
 use crate::trace::TraceBuilder;
-
-/// File name of the geometry manifest written by
-/// [`NearPmSystem::persist_to`] next to the per-device image files.
-pub const MANIFEST_NAME: &str = "manifest.nearpm";
-
-/// Parsed contents of a media manifest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MediaManifest {
-    capacity: u64,
-    devices: usize,
-    granularity: u64,
-    /// Checkpoint epoch counter at the time the manifest was written
-    /// (0 when the image predates epochs or none have completed).
-    epoch: u64,
-}
-
-impl MediaManifest {
-    fn parse(text: &str) -> std::result::Result<Self, String> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some("nearpm-media-manifest v1") => {}
-            other => return Err(format!("unsupported manifest header {other:?}")),
-        }
-        let (mut capacity, mut devices, mut granularity) = (None, None, None);
-        let mut epoch = 0;
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("malformed manifest line {line:?}"))?;
-            match key {
-                "capacity" => capacity = Some(parse_u64(key, value)?),
-                "devices" => devices = Some(parse_u64(key, value)? as usize),
-                "granularity" => granularity = Some(parse_u64(key, value)?),
-                "epoch" => epoch = parse_u64(key, value)?,
-                _ => {} // unknown keys are ignored for forward compatibility
-            }
-        }
-        Ok(MediaManifest {
-            capacity: capacity.ok_or("manifest missing capacity")?,
-            devices: devices.ok_or("manifest missing devices")?,
-            granularity: granularity.ok_or("manifest missing granularity")?,
-            epoch,
-        })
-    }
-}
-
-fn parse_u64(key: &str, value: &str) -> std::result::Result<u64, String> {
-    value
-        .parse()
-        .map_err(|e| format!("manifest {key} {value:?}: {e}"))
-}
-
-/// Per-request latency summary read off the log-bucketed
-/// [`LatencyHistogram`] — present in a [`RunReport`] only when the run
-/// tracked latencies ([`SystemConfig::with_latency_tracking`]) and recorded
-/// at least one request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencySummary {
-    /// Number of requests recorded.
-    pub count: u64,
-    /// Median latency (log-bucketed, ≤ 1 % relative error).
-    pub p50: SimDuration,
-    /// 99th-percentile latency (log-bucketed).
-    pub p99: SimDuration,
-    /// 99.9th-percentile latency (log-bucketed).
-    pub p999: SimDuration,
-    /// Exact maximum latency.
-    pub max: SimDuration,
-    /// Exact mean latency.
-    pub mean: SimDuration,
-}
-
-impl LatencySummary {
-    /// Reads a summary off a histogram; `None` when no latencies were
-    /// recorded (so reports of runs that never tracked a request compare
-    /// equal to historic ones).
-    pub fn from_histogram(h: &LatencyHistogram) -> Option<Self> {
-        if h.is_empty() {
-            return None;
-        }
-        Some(LatencySummary {
-            count: h.count(),
-            p50: h.p50(),
-            p99: h.p99(),
-            p999: h.p999(),
-            max: h.max(),
-            mean: h.mean(),
-        })
-    }
-}
-
-/// Summary of one simulated run.
-///
-/// `PartialEq` compares every field (region map order-independently), which
-/// is how the differential tests assert the incremental report path and the
-/// oracle recompute produce byte-equal reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunReport {
-    /// Execution mode of the run.
-    pub mode: ExecMode,
-    /// End-to-end simulated time.
-    pub makespan: SimDuration,
-    /// Busy time attributed to application logic (incl. its own persists).
-    pub app_time: SimDuration,
-    /// Busy time attributed to crash-consistency work.
-    pub cc_time: SimDuration,
-    /// Per-region busy time.
-    pub region_time: HashMap<&'static str, SimDuration>,
-    /// Wall-clock time during which CPU and NearPM work overlapped.
-    pub cpu_ndp_overlap: SimDuration,
-    /// Overlap as a fraction of the makespan (Figure 18).
-    pub overlap_fraction: f64,
-    /// PPO violations detected in the trace (must be empty).
-    pub ppo_violations: Vec<PpoViolation>,
-    /// Number of NDP persists to NDP-managed addresses that PPO allowed to
-    /// be delayed past CPU program order (Invariant 2's relaxation) — the
-    /// "relaxed persists" share that quantifies how much ordering freedom
-    /// the partitioned model granted this run.
-    pub relaxed_persists: usize,
-    /// Number of trace events.
-    pub trace_events: usize,
-    /// Bytes moved by NearPM devices.
-    pub ndp_bytes_moved: u64,
-    /// Requests executed by NearPM devices.
-    pub ndp_requests: u64,
-    /// Aggregate PM traffic.
-    pub pm_traffic: PmTraffic,
-    /// Per NDP-unit utilization `((device, unit), busy/makespan)`, read off
-    /// the schedule's merged busy-interval timeline. Balanced values indicate
-    /// earliest-available dispatch is spreading work across units.
-    pub ndp_unit_utilization: Vec<((usize, usize), f64)>,
-    /// Highest request-FIFO occupancy observed on any device, modeled from
-    /// the task graph's in-flight front-end window (a request occupies its
-    /// slot from arrival until its issue stage hands it to a unit).
-    pub fifo_high_watermark: usize,
-    /// Total time hosts spent stalled at a full request FIFO, summed over
-    /// devices — the backpressure the front-end exerted on the control path.
-    pub fifo_stall_time: SimDuration,
-    /// Number of requests that stalled at a full FIFO, summed over devices.
-    pub fifo_stalls: u64,
-    /// Per-request latency summary (`None` unless the run tracked
-    /// latencies and recorded at least one request).
-    pub request_latency: Option<LatencySummary>,
-}
-
-impl RunReport {
-    /// Crash-consistency share of total busy time (Figure 1a).
-    /// [`f64::NAN`] for an empty run (no busy time at all).
-    pub fn cc_fraction(&self) -> f64 {
-        let total = self.app_time + self.cc_time;
-        self.cc_time.ratio(total)
-    }
-
-    /// Elapsed (critical-path) time attributable to crash consistency: the
-    /// part of the makespan not covered by application work. In the CPU
-    /// baseline this equals the crash-consistency busy time; with NearPM it
-    /// shrinks further because offloaded work overlaps with the application.
-    /// This is the quantity Figure 15 reports the speedup of.
-    pub fn cc_elapsed(&self) -> SimDuration {
-        self.makespan.saturating_sub(self.app_time)
-    }
-
-    /// Speedup of this run relative to `baseline` on end-to-end time.
-    /// [`f64::NAN`] when this run is empty (a speedup over a zero makespan
-    /// is undefined, not a 0x slowdown).
-    pub fn speedup_over(&self, baseline: &RunReport) -> f64 {
-        baseline.makespan.ratio(self.makespan)
-    }
-
-    /// Speedup of this run relative to `baseline` within the code regions
-    /// that maintain crash consistency (Figure 15). [`f64::NAN`] when this
-    /// run spent no elapsed time on crash consistency.
-    pub fn cc_speedup_over(&self, baseline: &RunReport) -> f64 {
-        baseline.cc_elapsed().ratio(self.cc_elapsed())
-    }
-}
 
 /// The simulated NearPM machine.
 #[derive(Debug)]
@@ -375,11 +206,6 @@ impl NearPmSystem {
         Ok(self.pools.pool_mut(pool)?.free(addr)?)
     }
 
-    /// Read-only access to the pool registry.
-    pub fn pools(&self) -> &PoolRegistry {
-        &self.pools
-    }
-
     /// Registers a virtual range as NDP-managed (logs, checkpoints, shadow
     /// pages). Accesses to these ranges are classified accordingly in the
     /// PPO trace and benefit from relaxed persist ordering.
@@ -509,35 +335,6 @@ impl NearPmSystem {
         );
         self.pending_admission[thread] = Some(id);
         id
-    }
-
-    /// Records one request latency into the per-request histogram (no-op
-    /// unless the run tracks latencies).
-    pub fn record_request_latency(&mut self, latency: SimDuration) {
-        if self.config.track_latency {
-            self.latency_hist.record(latency);
-        }
-    }
-
-    /// Records the closed-loop span latency of every task at index `>=
-    /// from` — max finish minus min start over the span, the
-    /// admission-to-retire time of the operation those tasks implement.
-    /// Pure observation over the timing columns (which survive trace
-    /// compaction in full); returns the latency, or `None` when tracking is
-    /// off or the span is empty.
-    pub fn record_span_latency(&mut self, from: usize) -> Option<SimDuration> {
-        if !self.config.track_latency || from >= self.graph.len() {
-            return None;
-        }
-        let latency = self.graph.max_finish_since(from) - self.graph.min_start_since(from);
-        self.latency_hist.record(latency);
-        Some(latency)
-    }
-
-    /// Read-only access to the per-request latency histogram (empty unless
-    /// the run tracks latencies).
-    pub fn latency_histogram(&self) -> &LatencyHistogram {
-        &self.latency_hist
     }
 
     fn host_conflicts(&mut self, phys: PhysAddr, len: u64, is_write: bool) -> Vec<TaskId> {
@@ -1073,11 +870,6 @@ impl NearPmSystem {
         self.crash_plan.take()
     }
 
-    /// The armed plan, if any (inspect counters without disarming).
-    pub fn crash_plan(&self) -> Option<&CrashPlan> {
-        self.crash_plan.as_ref()
-    }
-
     /// Injects a failure: **all** volatile state is lost — dirty CPU cache
     /// lines, every device's queued FIFO requests and in-flight access
     /// table, and pending host-side FIFO-stall dependencies. The PM media
@@ -1133,463 +925,12 @@ impl NearPmSystem {
     pub fn finish_recovery(&mut self) {
         self.recovering = false;
     }
-
-    /// Direct read of the persistent image, bypassing the (now empty) CPU
-    /// cache — what recovery code sees immediately after a restart.
-    pub fn persistent_read(&mut self, addr: VirtAddr, len: usize) -> Result<Vec<u8>> {
-        let phys = self.pools.translate(addr)?;
-        Ok(self.space.read_vec(phys, len))
-    }
-
-    /// Starts recording every media mutation (see
-    /// [`nearpm_pm::PmSpace::enable_write_log`]). Call right after
-    /// construction so the log is a complete history of the image.
-    pub fn enable_media_write_log(&mut self) {
-        self.space.enable_write_log();
-    }
-
-    /// Number of recorded media mutations (0 when logging is off).
-    pub fn media_write_log_len(&self) -> usize {
-        self.space.write_log_len()
-    }
-
-    /// Differential replay check: true iff replaying the recorded media
-    /// write log onto a fresh zeroed space reproduces the current persistent
-    /// image byte for byte. False when logging was never enabled.
-    pub fn verify_write_log_replay(&self) -> bool {
-        self.space.replay_matches()
-    }
-
-    /// Digest of the whole persistent image in O(pages written) (see
-    /// [`nearpm_pm::PmSpace::content_digest`]): equal images digest equal,
-    /// whatever their write history.
-    pub fn media_digest(&self) -> u64 {
-        self.space.content_digest()
-    }
-
-    /// Borrow of one backing device's full media image (diagnostics and the
-    /// pipelined-vs-serial differential tests, which assert byte equality of
-    /// the whole persistent image).
-    pub fn device_media(&self, device: usize) -> &[u8] {
-        self.space.device_contents(device)
-    }
-
-    /// Number of backing media devices (≥ 1 even in the CPU baseline, where
-    /// the PM is still interleaved storage without NearPM logic).
-    pub fn media_count(&self) -> usize {
-        self.space.interleave().devices()
-    }
-
-    /// Owned copy of one backing device's full media image; works for every
-    /// storage engine (unlike [`NearPmSystem::device_media`], which needs a
-    /// contiguous in-RAM image) and does not perturb traffic statistics.
-    pub fn device_image(&self, device: usize) -> Vec<u8> {
-        self.space.device_image(device)
-    }
-
-    /// The storage engine backing the PM media.
-    pub fn media_kind(&self) -> nearpm_pm::MediaKind {
-        self.space.media_kind()
-    }
-
-    /// RAM currently held resident by the media backends (0 for file-backed
-    /// devices, whose images live in their files).
-    pub fn media_resident_bytes(&self) -> usize {
-        self.space.resident_bytes()
-    }
-
-    /// Flushes every media backend to durable storage (fsync for
-    /// file-backed devices; no-op for volatile engines).
-    pub fn sync_media(&mut self) -> Result<()> {
-        Ok(self.space.sync_all()?)
-    }
-
-    // ------------------------------------------------------------------
-    // Restartable runs: persist / reopen
-    // ------------------------------------------------------------------
-
-    /// Writes the device geometry manifest and every device's full media
-    /// image into `dir`, so a fresh process can attach with
-    /// [`NearPmSystem::reopen_from`]. Works from any storage engine (a
-    /// heap-backed run can be checkpointed to disk); for a file-backed
-    /// space whose images already live in `dir` the image bytes are simply
-    /// rewritten in place. Only the *persistence domain* is saved —
-    /// volatile state (dirty cache lines, device FIFOs) is deliberately
-    /// not, exactly as a real power failure would leave things.
-    pub fn persist_to(&mut self, dir: &std::path::Path) -> Result<()> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| MediaError::io(format!("create image dir {}", dir.display()), e))?;
-        let devices = self.space.interleave().devices();
-        let file_cfg = MediaConfig::File {
-            dir: dir.to_path_buf(),
-        };
-        let in_place = self.space.media_config() == &file_cfg;
-        for d in 0..devices {
-            if in_place {
-                continue; // the files already hold the image
-            }
-            let path = dir.join(MediaConfig::device_file_name(d));
-            let image = self.space.device_image(d);
-            std::fs::write(&path, &image)
-                .map_err(|e| MediaError::io(format!("write image {}", path.display()), e))?;
-        }
-        self.space.sync_all()?;
-        // The manifest is written last: its presence marks a complete image.
-        self.write_manifest(dir)?;
-        self.manifest_dir = Some(dir.to_path_buf());
-        Ok(())
-    }
-
-    /// The serialized manifest for the current geometry and epoch.
-    fn manifest_text(&self) -> String {
-        format!(
-            "nearpm-media-manifest v1\ncapacity {}\ndevices {}\ngranularity {}\nepoch {}\n",
-            self.config.pm_capacity,
-            self.space.interleave().devices(),
-            self.config.interleave_granularity,
-            self.checkpoint_epoch,
-        )
-    }
-
-    /// Durably (re)writes the manifest in `dir` via a temp file and rename,
-    /// so a crash mid-write leaves either the old manifest or the new one —
-    /// never a torn file.
-    fn write_manifest(&self, dir: &std::path::Path) -> Result<()> {
-        use std::io::Write;
-        let manifest = dir.join(MANIFEST_NAME);
-        let tmp = dir.join(format!("{MANIFEST_NAME}.tmp"));
-        let mut f = std::fs::File::create(&tmp)
-            .map_err(|e| MediaError::io(format!("create manifest {}", tmp.display()), e))?;
-        f.write_all(self.manifest_text().as_bytes())
-            .and_then(|()| f.sync_all())
-            .map_err(|e| MediaError::io(format!("write manifest {}", tmp.display()), e))?;
-        drop(f);
-        std::fs::rename(&tmp, &manifest)
-            .map_err(|e| MediaError::io(format!("install manifest {}", manifest.display()), e))?;
-        Ok(())
-    }
-
-    /// The checkpoint epoch most recently made durable (0 until a
-    /// checkpointing mechanism advances it). After
-    /// [`NearPmSystem::reopen_from`] this is read back from the manifest, so
-    /// reattachment does not need a replay pass to rediscover it.
-    pub fn checkpoint_epoch(&self) -> u64 {
-        self.checkpoint_epoch
-    }
-
-    /// Records a completed checkpoint epoch. When the system has a media
-    /// manifest on disk (after [`NearPmSystem::persist_to`] or
-    /// [`NearPmSystem::reopen_from`]), the manifest is atomically rewritten
-    /// so the epoch survives process death alongside the images it
-    /// describes; otherwise the epoch is tracked in the persistence-domain
-    /// model only.
-    pub fn set_checkpoint_epoch(&mut self, epoch: u64) -> Result<()> {
-        self.checkpoint_epoch = epoch;
-        if let Some(dir) = self.manifest_dir.clone() {
-            self.write_manifest(&dir)?;
-        }
-        Ok(())
-    }
-
-    /// Attaches a fresh system to the media images a previous process left
-    /// in `dir` (written by [`NearPmSystem::persist_to`], or by a
-    /// file-backed run that died). The manifest's geometry must match
-    /// `config`; the images are opened file-backed without zeroing.
-    ///
-    /// The reopened system starts in the **crashed** state with a recorded
-    /// failure event, mirroring [`NearPmSystem::crash`]: whatever volatile
-    /// state the previous process had is gone, and callers must run their
-    /// recovery path (`begin_recovery` → mechanism recovery →
-    /// `finish_recovery`) before normal operation — the same protocol the
-    /// in-process crash-point explorer proves invariants against.
-    pub fn reopen_from(mut config: SystemConfig, dir: &std::path::Path) -> Result<Self> {
-        let manifest_path = dir.join(MANIFEST_NAME);
-        let text = std::fs::read_to_string(&manifest_path)
-            .map_err(|e| MediaError::io(format!("read manifest {}", manifest_path.display()), e))?;
-        let manifest = MediaManifest::parse(&text)
-            .map_err(|msg| MediaError::msg(format!("{}: {msg}", manifest_path.display())))?;
-        let devices_for_interleave = config.devices.max(1);
-        if manifest.capacity != config.pm_capacity
-            || manifest.devices != devices_for_interleave
-            || manifest.granularity != config.interleave_granularity
-        {
-            return Err(SystemError::Media {
-                message: format!(
-                    "manifest geometry mismatch: image has capacity={} devices={} \
-                     granularity={}, config wants capacity={} devices={} granularity={}",
-                    manifest.capacity,
-                    manifest.devices,
-                    manifest.granularity,
-                    config.pm_capacity,
-                    devices_for_interleave,
-                    config.interleave_granularity
-                ),
-            });
-        }
-        let media = MediaConfig::File {
-            dir: dir.to_path_buf(),
-        };
-        let space = PmSpace::reopen(
-            config.pm_capacity,
-            InterleaveConfig::new(devices_for_interleave, config.interleave_granularity),
-            &media,
-        )?;
-        config.media = media;
-        let mut sys = Self::with_space(config, space)?;
-        sys.checkpoint_epoch = manifest.epoch;
-        sys.manifest_dir = Some(dir.to_path_buf());
-        // The previous process's volatile state is gone; surface that as a
-        // crash so recovery-protocol checks behave exactly as after an
-        // in-process failure.
-        sys.crash();
-        Ok(sys)
-    }
-
-    // ------------------------------------------------------------------
-    // Reporting
-    // ------------------------------------------------------------------
-
-    /// Produces the run report from the system's **incrementally
-    /// maintained** observability state. The task graph keeps its region and
-    /// resource busy sums, makespan, and merged busy-interval timeline up to
-    /// date as tasks are added; trace events carry eager timestamps; and the
-    /// cached violation-level checker folds in only the events recorded
-    /// since the last report. A report after k new events therefore does
-    /// O(k · log n) work — no full re-aggregation, no trace re-walk — which
-    /// is what makes continuous mid-run sampling affordable. Sampling never
-    /// perturbs the simulated timeline — it only advances the cached
-    /// checker — so a sampled run's final report is byte-identical to an
-    /// unsampled one's. The retained O(n) recompute path is
-    /// `NearPmSystem::report_oracle` (feature `oracle`).
-    pub fn report(&mut self) -> RunReport {
-        self.build_report()
-    }
-
-    /// Like [`NearPmSystem::report`] but also returns a copy of the trace
-    /// for further inspection.
-    pub fn report_with_trace(&mut self) -> (RunReport, Trace) {
-        let report = self.build_report();
-        (report, self.trace.trace().clone())
-    }
-
-    /// The report fields read straight from live device/media counters —
-    /// identical in the incremental and oracle assembly paths by
-    /// construction, extracted so a future field cannot desynchronize the
-    /// two report shapes. Returns `(ndp_bytes_moved, ndp_requests,
-    /// fifo_high_watermark, fifo_stall_time, fifo_stalls)`.
-    #[allow(clippy::type_complexity)]
-    fn device_report_fields(&self) -> (u64, u64, usize, SimDuration, u64) {
-        let (ndp_bytes_moved, ndp_requests) = self.devices.iter().fold((0, 0), |(b, r), d| {
-            (b + d.stats().bytes_moved, r + d.stats().requests)
-        });
-        let (fifo_high_watermark, fifo_stall_time, fifo_stalls) =
-            self.devices
-                .iter()
-                .fold((0, SimDuration::ZERO, 0), |(hw, stall, n), d| {
-                    (
-                        hw.max(d.fifo_high_watermark()),
-                        stall + d.fifo_stall_time(),
-                        n + d.fifo_stalls(),
-                    )
-                });
-        (
-            ndp_bytes_moved,
-            ndp_requests,
-            fifo_high_watermark,
-            fifo_stall_time,
-            fifo_stalls,
-        )
-    }
-
-    /// Per-unit utilization as `utilization` answers it (shared by both
-    /// assembly paths; they differ only in the schedule they read).
-    fn unit_utilization(
-        &self,
-        utilization: impl Fn(Resource) -> f64,
-    ) -> Vec<((usize, usize), f64)> {
-        let mut out = Vec::new();
-        for dev in &self.devices {
-            for unit in 0..dev.unit_count() {
-                let resource = Resource::NdpUnit {
-                    device: dev.id(),
-                    unit,
-                };
-                out.push(((dev.id(), unit), utilization(resource)));
-            }
-        }
-        out
-    }
-
-    fn build_report(&mut self) -> RunReport {
-        let mut region_time = HashMap::new();
-        let mut app_time = SimDuration::ZERO;
-        let mut cc_time = SimDuration::ZERO;
-        for r in Region::all() {
-            let t = self.graph.region_work(r);
-            if r.is_crash_consistency() {
-                cc_time += t;
-            } else {
-                app_time += t;
-            }
-            region_time.insert(r.name(), t);
-        }
-        let makespan = self.graph.makespan();
-        let cpu_ndp_overlap = self.graph.timeline().overlap();
-        let overlap_fraction = if makespan.is_zero() {
-            0.0
-        } else {
-            cpu_ndp_overlap.ratio(makespan)
-        };
-        let ndp_unit_utilization = self.unit_utilization(|r| self.graph.utilization(r));
-        let (ndp_bytes_moved, ndp_requests, fifo_high_watermark, fifo_stall_time, fifo_stalls) =
-            self.device_report_fields();
-        let report = RunReport {
-            mode: self.config.mode,
-            makespan,
-            app_time,
-            cc_time,
-            region_time,
-            cpu_ndp_overlap,
-            overlap_fraction,
-            ppo_violations: self.trace.check(),
-            relaxed_persists: self.trace.relaxed_persist_count(),
-            trace_events: self.trace.len(),
-            ndp_bytes_moved,
-            ndp_requests,
-            pm_traffic: self.space.traffic(),
-            ndp_unit_utilization,
-            fifo_high_watermark,
-            fifo_stall_time,
-            fifo_stalls,
-            request_latency: LatencySummary::from_histogram(&self.latency_hist),
-        };
-        if self.config.compact_trace {
-            // Every report is a compaction point: the cached checker has
-            // just folded the whole trace, so everything its parked state
-            // can no longer reference is evicted into the sealed summary,
-            // and the task graph's descriptive columns (never re-read by
-            // this incremental report path) are truncated wholesale. The
-            // report content is unaffected — totals come from
-            // retired + live — so a compacting run's report stays
-            // byte-equal to a non-compacting one's.
-            self.trace.compact();
-            let tasks = self.graph.len();
-            self.graph.retire_tasks_before(tasks);
-        }
-        report
-    }
-
-    /// The retained O(n)-per-call recompute path: re-aggregates the whole
-    /// task list from scratch, re-merging every resource's busy intervals
-    /// (`nearpm_sim::schedule::oracle::aggregate`), and folds the whole trace
-    /// once through a fresh `IncrementalChecker` (what `nearpm_ppo::check_all`
-    /// does), reading both the violation list and the relaxed-persist count
-    /// off that one checker.
-    /// Differential tests assert the result equals [`NearPmSystem::report`]
-    /// at every prefix of a run; the `report_smoke` gate and the
-    /// `report_incremental` bench measure the incremental path against it.
-    /// Unlike `report`, this does not advance any cached state.
-    #[cfg(any(test, feature = "oracle"))]
-    pub fn report_oracle(&self) -> RunReport {
-        let schedule = nearpm_sim::schedule::oracle::aggregate(&self.graph);
-        let mut region_time = HashMap::new();
-        for r in Region::all() {
-            region_time.insert(r.name(), schedule.region_time(r));
-        }
-        let ndp_unit_utilization = self.unit_utilization(|r| schedule.utilization(r));
-        let (ndp_bytes_moved, ndp_requests, fifo_high_watermark, fifo_stall_time, fifo_stalls) =
-            self.device_report_fields();
-        let mut checker = nearpm_ppo::IncrementalChecker::new();
-        RunReport {
-            mode: self.config.mode,
-            makespan: schedule.makespan(),
-            app_time: schedule.application_time(),
-            cc_time: schedule.crash_consistency_time(),
-            region_time,
-            cpu_ndp_overlap: schedule.cpu_ndp_overlap(),
-            overlap_fraction: schedule.overlap_fraction(),
-            ppo_violations: checker.check(self.trace.trace()),
-            relaxed_persists: checker.relaxed_persist_count(self.trace.trace()),
-            trace_events: self.trace.len(),
-            ndp_bytes_moved,
-            ndp_requests,
-            pm_traffic: self.space.traffic(),
-            ndp_unit_utilization,
-            fifo_high_watermark,
-            fifo_stall_time,
-            fifo_stalls,
-            request_latency: LatencySummary::from_histogram(&self.latency_hist),
-        }
-    }
-
-    /// Total in-flight access records across all devices (diagnostics; the
-    /// commit-handle release tests assert this stays bounded over long
-    /// runs).
-    pub fn inflight_records(&self) -> usize {
-        self.devices.iter().map(|d| d.inflight_len()).sum()
-    }
-
-    /// Highest modeled request-FIFO occupancy any device reached within the
-    /// simulated-time window `[from, to)` — the per-window FIFO series the
-    /// `fig_timeline` figure plots next to NDP utilization.
-    pub fn fifo_occupancy_in(&self, from: SimTime, to: SimTime) -> usize {
-        self.devices
-            .iter()
-            .map(|d| d.fifo_occupancy_in(from, to))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Requests admitted into any device's request FIFO within the
-    /// simulated-time window `[from, to)`, summed over devices — the
-    /// per-window device arrival count the open-loop driver reports next to
-    /// its latency series.
-    pub fn fifo_admissions_in(&self, from: SimTime, to: SimTime) -> usize {
-        self.devices
-            .iter()
-            .map(|d| d.fifo_admissions_in(from, to))
-            .sum()
-    }
-
-    /// Number of PPO trace events recorded so far (diagnostics; lets
-    /// sampling drivers pace themselves by event count without paying for a
-    /// report).
-    pub fn trace_events(&self) -> usize {
-        self.trace.len()
-    }
-
-    /// Number of trace events still resident in the live vector (equals
-    /// [`NearPmSystem::trace_events`] unless streaming compaction is on).
-    pub fn resident_trace_events(&self) -> usize {
-        self.trace.resident_events()
-    }
-
-    /// Number of trace events evicted by streaming compaction.
-    pub fn retired_trace_events(&self) -> usize {
-        self.trace.retired_events()
-    }
-
-    /// Number of tasks whose descriptive graph columns are still resident
-    /// (equals [`NearPmSystem::task_count`] unless compaction is on).
-    pub fn resident_tasks(&self) -> usize {
-        self.graph.resident_tasks()
-    }
-
-    /// Number of tasks in the timing graph (diagnostics).
-    pub fn task_count(&self) -> usize {
-        self.graph.len()
-    }
-
-    /// Read-only access to the timing graph (diagnostics: per-task timings,
-    /// per-resource utilization, the busy-interval timeline).
-    pub fn graph(&self) -> &TaskGraph {
-        &self.graph
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nearpm_pm::MediaConfig;
 
     fn small_config(mode: ExecMode) -> SystemConfig {
         SystemConfig::for_mode(mode).with_capacity(4 << 20)
@@ -2070,66 +1411,8 @@ mod tests {
         assert!(shallow_report.ppo_violations.is_empty());
     }
 
-    #[test]
-    fn report_region_accounting() {
-        let mut sys = NearPmSystem::new(small_config(ExecMode::CpuBaseline));
-        let pool = sys.create_pool("p", 1 << 20).unwrap();
-        let a = sys.alloc(pool, 4096, 4096).unwrap();
-        let b = sys.alloc(pool, 4096, 4096).unwrap();
-        sys.cpu_compute(0, 1000.0).unwrap();
-        sys.cpu_copy(0, a, b, 4096, Region::CcDataMovement).unwrap();
-        let report = sys.report();
-        assert!(report.cc_time > SimDuration::ZERO);
-        assert!(report.app_time > SimDuration::ZERO);
-        assert!(report.cc_fraction() > 0.0 && report.cc_fraction() < 1.0);
-        assert!(report.region_time["data-movement"] > SimDuration::ZERO);
-        assert_eq!(report.mode, ExecMode::CpuBaseline);
-    }
-
-    #[test]
-    fn speedup_helpers() {
-        let mut base = NearPmSystem::new(small_config(ExecMode::CpuBaseline));
-        let pool = base.create_pool("p", 1 << 20).unwrap();
-        let a = base.alloc(pool, 4096, 4096).unwrap();
-        let b = base.alloc(pool, 4096, 4096).unwrap();
-        base.cpu_copy(0, a, b, 4096, Region::CcDataMovement)
-            .unwrap();
-        let base_report = base.report();
-        assert!((base_report.speedup_over(&base_report) - 1.0).abs() < 1e-9);
-        assert!((base_report.cc_speedup_over(&base_report) - 1.0).abs() < 1e-9);
-    }
-
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("nearpm-sys-test-{}-{tag}", std::process::id()))
-    }
-
-    #[test]
-    fn manifest_parses_and_rejects_garbage() {
-        let m = MediaManifest::parse(
-            "nearpm-media-manifest v1\ncapacity 100\ndevices 2\ngranularity 4096\n",
-        )
-        .unwrap();
-        assert_eq!(
-            m,
-            MediaManifest {
-                capacity: 100,
-                devices: 2,
-                granularity: 4096,
-                // Pre-epoch manifests read back as epoch 0.
-                epoch: 0
-            }
-        );
-        let m = MediaManifest::parse(
-            "nearpm-media-manifest v1\ncapacity 100\ndevices 2\ngranularity 4096\nepoch 7\n",
-        )
-        .unwrap();
-        assert_eq!(m.epoch, 7);
-        assert!(MediaManifest::parse("not a manifest").is_err());
-        assert!(MediaManifest::parse("nearpm-media-manifest v1\ncapacity 100\n").is_err());
-        assert!(MediaManifest::parse(
-            "nearpm-media-manifest v1\ncapacity x\ndevices 2\ngranularity 4096"
-        )
-        .is_err());
     }
 
     #[test]
@@ -2235,19 +1518,5 @@ mod tests {
         let err = NearPmSystem::try_new(cfg).unwrap_err();
         assert!(matches!(err, SystemError::Media { .. }), "{err}");
         std::fs::remove_file(&bogus).unwrap();
-    }
-
-    #[test]
-    fn media_accessors_report_backend_state() {
-        let mut sys =
-            NearPmSystem::new(small_config(ExecMode::NearPmMd).with_media(MediaConfig::Sparse));
-        assert_eq!(sys.media_kind(), nearpm_pm::MediaKind::Sparse);
-        assert_eq!(sys.media_resident_bytes(), 0);
-        let pool = sys.create_pool("p", 1 << 20).unwrap();
-        let a = sys.alloc(pool, 4096, 64).unwrap();
-        sys.cpu_write_persist(0, a, &[1; 64], Region::AppPersist)
-            .unwrap();
-        assert!(sys.media_resident_bytes() > 0);
-        sys.sync_media().unwrap();
     }
 }

@@ -57,9 +57,6 @@ pub use cache::{CacheStats, CpuCache, LINE};
 pub use interleave::{
     DeviceList, DeviceSpan, InlineVec, InterleaveConfig, SpanVec, DEFAULT_INTERLEAVE,
 };
-pub use media::{
-    FileMedia, HeapMedia, MediaBackend, MediaConfig, MediaError, MediaKind, PmMedia, SparseMedia,
-    SPARSE_PAGE,
-};
+pub use media::{MediaConfig, MediaError, MediaKind, PmMedia};
 pub use pool::{Pool, PoolError, PoolRegistry, POOL_VIRT_BASE, POOL_VIRT_SPACING};
 pub use space::{PmSpace, PmTraffic};

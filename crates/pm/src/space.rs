@@ -7,7 +7,7 @@
 
 use crate::addr::PhysAddr;
 use crate::interleave::{DeviceList, InterleaveConfig};
-use crate::media::{MediaConfig, MediaError, MediaKind, PmMedia, SPARSE_PAGE};
+use crate::media::{MediaConfig, MediaError, MediaKind, PmMedia, PAGE};
 
 /// Aggregate PM traffic statistics across all devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -160,13 +160,8 @@ impl PmSpace {
         &self.media_config
     }
 
-    /// Total RAM currently held resident by the device backends.
-    pub fn resident_bytes(&self) -> usize {
-        self.media.iter().map(|m| m.resident_bytes()).sum()
-    }
-
-    /// Flushes every device backend to durable storage (no-op for volatile
-    /// engines).
+    /// Flushes every file-backed device to durable storage (no-op on the
+    /// heap).
     pub fn sync_all(&mut self) -> Result<(), MediaError> {
         for m in &mut self.media {
             m.sync()?;
@@ -336,21 +331,8 @@ impl PmSpace {
         }
     }
 
-    /// Borrowed view of one device's full persistent image — the zero-copy
-    /// alternative to [`PmSpace::device_image`] when a read-only look
-    /// suffices.
-    ///
-    /// # Panics
-    ///
-    /// Panics for storage engines that do not keep the image contiguously
-    /// in RAM; backend-agnostic callers use [`PmSpace::device_image`] or
-    /// [`PmSpace::peek`].
-    pub fn device_contents(&self, device: usize) -> &[u8] {
-        self.media[device].contents()
-    }
-
-    /// Owned copy of one device's full persistent image; works for every
-    /// storage engine and does not touch the traffic statistics.
+    /// Owned copy of one device's full persistent image; does not touch the
+    /// traffic statistics.
     pub fn device_image(&self, device: usize) -> Vec<u8> {
         self.media[device].image()
     }
@@ -397,7 +379,7 @@ impl PmSpace {
             }
         }
         let mut h = 0xcbf2_9ce4_8422_2325;
-        let mut buf = [0u8; SPARSE_PAGE];
+        let mut buf = [0u8; PAGE];
         for (device, m) in self.media.iter().enumerate() {
             for page in m.written_pages() {
                 let bytes = m.peek_page(page, &mut buf);
@@ -461,7 +443,7 @@ impl PmSpace {
         for (addr, data) in &log.entries {
             replayed.write(*addr, data);
         }
-        let (mut a, mut b) = ([0u8; SPARSE_PAGE], [0u8; SPARSE_PAGE]);
+        let (mut a, mut b) = ([0u8; PAGE], [0u8; PAGE]);
         self.media.iter().zip(&replayed.media).all(|(live, fresh)| {
             live.written_pages()
                 .chain(fresh.written_pages())
@@ -533,13 +515,6 @@ mod tests {
         // Destination overlaps the source across the interleave boundary.
         s.copy(PhysAddr(0), PhysAddr(2048), 8192);
         assert_eq!(s.read_vec(PhysAddr(2048), 8192), data);
-    }
-
-    #[test]
-    fn device_contents_borrows_the_image() {
-        let mut s = PmSpace::single(8192);
-        s.write(PhysAddr(10), &[1, 2, 3]);
-        assert_eq!(&s.device_contents(0)[10..13], &[1, 2, 3]);
     }
 
     #[test]
@@ -623,35 +598,29 @@ mod tests {
         s.write(PhysAddr(1024), &data);
         let before = s.traffic();
         assert_eq!(s.peek_vec(PhysAddr(1024), 8192), data);
+        assert_eq!(s.device_image(0).len(), 1 << 15);
         assert_eq!(s.traffic(), before);
-        assert_eq!(s.device_image(0).len(), s.device_contents(0).len());
     }
 
     #[test]
     fn with_media_backends_match_heap() {
         let dir = std::env::temp_dir().join(format!("nearpm-space-test-{}", std::process::id()));
-        let geometries = [MediaConfig::Sparse, MediaConfig::File { dir: dir.clone() }];
         let il = InterleaveConfig::new(3, 4096);
         let mut heap = PmSpace::new(1 << 16, il);
+        let mut file =
+            PmSpace::with_media(1 << 16, il, &MediaConfig::File { dir: dir.clone() }).unwrap();
+        assert_eq!(file.media_kind(), MediaKind::File);
         let data: Vec<u8> = (0..20000u32).map(|i| (i % 249) as u8).collect();
-        heap.write(PhysAddr(100), &data);
-        heap.fill(PhysAddr(40000), 5000, 0x3C);
-        heap.copy(PhysAddr(100), PhysAddr(30000), 9000);
-        for cfg in &geometries {
-            let mut other = PmSpace::with_media(1 << 16, il, cfg).unwrap();
-            other.write(PhysAddr(100), &data);
-            other.fill(PhysAddr(40000), 5000, 0x3C);
-            other.copy(PhysAddr(100), PhysAddr(30000), 9000);
-            for d in 0..il.devices() {
-                assert_eq!(
-                    heap.device_image(d),
-                    other.device_image(d),
-                    "{:?}",
-                    cfg.kind()
-                );
-            }
-            assert_eq!(heap.traffic(), other.traffic(), "{:?}", cfg.kind());
+        for s in [&mut heap, &mut file] {
+            s.write(PhysAddr(100), &data);
+            s.fill(PhysAddr(40000), 5000, 0x3C);
+            s.copy(PhysAddr(100), PhysAddr(30000), 9000);
         }
+        for d in 0..il.devices() {
+            assert_eq!(heap.device_image(d), file.device_image(d), "device {d}");
+        }
+        assert_eq!(heap.traffic(), file.traffic());
+        drop(file);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -25,7 +25,7 @@
 //! environment; the child calls [`child_main`], runs to the armed boundary,
 //! and `abort()`s. Unit tests use [`run_to_crash_in_process`], which drops
 //! the crashed system instead of the whole process — the on-disk image is
-//! identical either way, because `FileMedia` writes through on every store.
+//! identical either way, because file media write through on every store.
 
 use crate::crashpoint::{CcMech, Driver, ExplorerConfig, PipelineMode};
 use nearpm_core::{

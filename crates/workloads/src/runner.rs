@@ -680,15 +680,7 @@ pub struct MultiClientHarness {
     fifo_depth: Option<usize>,
     decode_lanes: usize,
     seed: u64,
-    media: MediaConfig,
     track_latency: bool,
-    /// Memoized equal-work CPU baseline. The baseline is independent of the
-    /// device-side knobs (units, FIFO depth, decode lanes), so sweeps over
-    /// those — fig19/fig21 depth loops, the open-loop offered-load sweep —
-    /// pay for it once per (workload, mechanism, clients) point. Builders
-    /// that *do* change the baseline invalidate it; `Clone` carries it, so
-    /// `harness.clone().with_fifo_depth(d)` reuses the parent's run.
-    baseline_cache: std::cell::RefCell<Option<RunReport>>,
 }
 
 /// A NearPM run and the equal-client CPU baseline it is measured against.
@@ -722,29 +714,19 @@ impl MultiClientHarness {
             fifo_depth: None,
             decode_lanes: 1,
             seed: 1,
-            media: MediaConfig::default(),
             track_latency: false,
-            baseline_cache: std::cell::RefCell::new(None),
         }
-    }
-
-    /// Drops the memoized baseline (builders whose knob feeds the baseline
-    /// run call this; device-side knobs don't).
-    fn invalidate_baseline(&mut self) {
-        self.baseline_cache.get_mut().take();
     }
 
     /// Number of concurrent closed-loop clients.
     pub fn with_clients(mut self, clients: usize) -> Self {
         self.clients = clients.max(1);
-        self.invalidate_baseline();
         self
     }
 
     /// Operations each client executes.
     pub fn with_ops_per_client(mut self, ops: usize) -> Self {
         self.ops_per_client = ops.max(1);
-        self.invalidate_baseline();
         self
     }
 
@@ -770,14 +752,6 @@ impl MultiClientHarness {
     /// RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self.invalidate_baseline();
-        self
-    }
-
-    /// Media storage engine (heap by default).
-    pub fn with_media(mut self, media: MediaConfig) -> Self {
-        self.media = media;
-        self.invalidate_baseline();
         self
     }
 
@@ -785,7 +759,6 @@ impl MultiClientHarness {
     /// drives (off by default; observation only).
     pub fn with_latency_tracking(mut self, track: bool) -> Self {
         self.track_latency = track;
-        self.invalidate_baseline();
         self
     }
 
@@ -796,7 +769,6 @@ impl MultiClientHarness {
             .with_units(self.units_per_device)
             .with_decode_lanes(self.decode_lanes)
             .with_seed(self.seed)
-            .with_media(self.media.clone())
             .with_latency_tracking(self.track_latency);
         if let Some(depth) = self.fifo_depth {
             o = o.with_fifo_depth(depth);
@@ -809,18 +781,11 @@ impl MultiClientHarness {
         Runner::new(self.workload, self.options(mode)).run()
     }
 
-    /// Runs the equal-client CPU baseline — once. The baseline is
-    /// independent of the unit-count, FIFO-depth, and decode-lane knobs, so
-    /// sweeps over those (and the open-loop offered-load sweep) reuse one
-    /// memoized baseline per (workload, mechanism, clients) point instead
-    /// of recomputing it at every level.
+    /// Runs the equal-client CPU baseline. It does not depend on the
+    /// unit-count, FIFO-depth or decode-lane knobs, so a sweep over those
+    /// runs it once and compares every level against it.
     pub fn baseline(&self) -> Result<RunReport> {
-        if let Some(cached) = self.baseline_cache.borrow().as_ref() {
-            return Ok(cached.clone());
-        }
-        let report = self.run_mode(ExecMode::CpuBaseline)?;
-        *self.baseline_cache.borrow_mut() = Some(report.clone());
-        Ok(report)
+        self.run_mode(ExecMode::CpuBaseline)
     }
 
     /// Runs `mode` and the equal-client baseline, pairing them for
@@ -881,33 +846,6 @@ mod tests {
         let mut scrubbed = tracked;
         scrubbed.request_latency = None;
         assert_eq!(scrubbed, plain);
-    }
-
-    /// The harness memoizes the equal-work CPU baseline: repeated calls and
-    /// device-knob variations reuse it, and it stays correct (identical to
-    /// a fresh run).
-    #[test]
-    fn harness_baseline_is_cached_across_device_knobs() {
-        let harness = MultiClientHarness::new(Workload::Hashmap, Mechanism::Logging)
-            .with_clients(2)
-            .with_ops_per_client(8);
-        let first = harness.baseline().unwrap();
-        let again = harness.baseline().unwrap();
-        assert_eq!(first, again);
-        // Device-side knobs keep the cache — and the cached value equals
-        // what a fresh harness at that knob setting would compute.
-        let deep = harness.clone().with_fifo_depth(4);
-        assert!(deep.baseline_cache.borrow().is_some());
-        let fresh = MultiClientHarness::new(Workload::Hashmap, Mechanism::Logging)
-            .with_clients(2)
-            .with_ops_per_client(8)
-            .with_fifo_depth(4)
-            .baseline()
-            .unwrap();
-        assert_eq!(deep.baseline().unwrap(), fresh);
-        // Baseline-feeding knobs invalidate it.
-        let reseeded = harness.clone().with_seed(9);
-        assert!(reseeded.baseline_cache.borrow().is_none());
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Randomized differential tests of the pluggable media backends: for any
-//! interleaved multi-device geometry and any operation sequence, the three
-//! storage engines (`HeapMedia`, `FileMedia`, `SparseMedia`) must be
-//! indistinguishable through the `PmSpace` API — byte-identical device
-//! images, identical traffic stats, matching write-log replays, and
-//! identical content digests. The heap engine is the oracle; the others
-//! must never diverge from it. Write logging must not change the traffic
-//! stats either, so an unlogged heap space is the traffic oracle.
+//! Randomized differential tests of the two media engines: for any
+//! interleaved multi-device geometry and any operation sequence, heap and
+//! file media must be indistinguishable through the `PmSpace` API —
+//! byte-identical device images, identical traffic stats, matching
+//! write-log replays, and identical content digests. The heap engine is the
+//! oracle; the file engine must never diverge from it. Write logging must
+//! not change the traffic stats either, so an unlogged heap space is the
+//! traffic oracle.
 
 use nearpm::pm::{InterleaveConfig, MediaConfig, MediaKind, PhysAddr, PmSpace};
 use proptest::prelude::*;
@@ -119,7 +119,7 @@ fn nonzero_only(il: InterleaveConfig, capacity: u64, image: &[u8]) -> PmSpace {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Heap == File == Sparse: images, traffic and write-log replay agree
+    /// Heap == File: images, traffic and write-log replay agree
     /// on random op sequences over random interleaved geometries, and
     /// traffic equals an unlogged space's. The content digest agrees too,
     /// and equals that of a space that only wrote the final non-zero
@@ -144,7 +144,6 @@ proptest! {
         let mut spaces = vec![
             PmSpace::with_media(capacity, il, &MediaConfig::Heap).unwrap(),
             PmSpace::with_media(capacity, il, &MediaConfig::File { dir: dir.clone() }).unwrap(),
-            PmSpace::with_media(capacity, il, &MediaConfig::Sparse).unwrap(),
         ];
         for space in &mut spaces {
             space.enable_write_log();
@@ -205,45 +204,5 @@ proptest! {
         prop_assert_eq!(images(&reopened), before);
         drop(reopened);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Sparse residency never exceeds the bytes actually touched (rounded
-    /// up to pages) and untouched space reads as zeros.
-    #[test]
-    fn sparse_residency_tracks_touched_pages(
-        seed in 0u64..u32::MAX as u64,
-        devices in 1usize..4,
-        op_count in 2usize..10,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5BA2);
-        let granularity = 4096u64;
-        let capacity = devices as u64 * granularity * 64;
-        let il = InterleaveConfig::new(devices, granularity);
-        let ops = gen_ops(&mut rng, capacity, op_count);
-
-        let mut sparse = PmSpace::with_media(capacity, il, &MediaConfig::Sparse).unwrap();
-        let mut heap = PmSpace::with_media(capacity, il, &MediaConfig::Heap).unwrap();
-        apply(&mut sparse, &ops);
-        apply(&mut heap, &ops);
-
-        // Upper bound: every op touches at most len bytes spanning at most
-        // len/4096 + 2 pages per device span; just bound by total op bytes
-        // rounded generously.
-        let touched: u64 = ops
-            .iter()
-            .map(|op| match op {
-                Op::Write { data, .. } => data.len() as u64,
-                Op::Fill { len, .. } | Op::CopyWithin { len, .. } => *len,
-                Op::Read { .. } => 0,
-            })
-            .sum();
-        let bound = (2 * touched / 4096 + 4 * op_count as u64 + devices as u64) * 4096;
-        prop_assert!(
-            (sparse.resident_bytes() as u64) <= bound,
-            "resident {} exceeds touched-page bound {}",
-            sparse.resident_bytes(),
-            bound
-        );
-        prop_assert_eq!(images(&sparse), images(&heap));
     }
 }

@@ -12,7 +12,7 @@ use nearpm_workloads::{RunOptions, Runner, TxnPipeline, Workload};
 
 fn media_images(sys: &NearPmSystem) -> Vec<Vec<u8>> {
     (0..sys.media_count())
-        .map(|d| sys.device_media(d).to_vec())
+        .map(|d| sys.device_image(d))
         .collect()
 }
 
