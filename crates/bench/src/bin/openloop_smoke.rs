@@ -17,6 +17,10 @@
 //! 3. **Above the knee** (4 μ): throughput saturates near μ, delivery
 //!    collapses, and the per-window p99 rises monotonically — the backlog
 //!    grows without bound, exactly what a closed loop can never show.
+//! 4. **Peak memory**: after both legs the process high-water mark
+//!    (`VmHWM`) must stay under [`PEAK_RSS_CEILING_MIB`], so checker state
+//!    that grows with the event count instead of the touched footprint
+//!    fails the gate.
 //!
 //! Exits non-zero on any violation.
 
@@ -34,6 +38,26 @@ const THREADS: usize = 4;
 /// Closed-loop operations of the μ calibration run.
 const CALIBRATION_OPS: usize = 4096;
 const SEED: u64 = 1;
+/// Ceiling on the process's peak resident memory after both legs. It sits
+/// between the measured peak (about 1.6 GiB) and the about 2.9 GiB the
+/// same run reaches when the checker keeps one index item per write and
+/// persist, so a return to per-event earliest-timestamp state fails.
+const PEAK_RSS_CEILING_MIB: f64 = 2048.0;
+
+/// Host memory high-water mark of this process, in MiB (`VmHWM` from
+/// `/proc/self/status`).
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse::<f64>()
+        .ok()?;
+    Some(kib / 1024.0)
+}
 
 /// Checks the histogram-vs-exact-oracle differential on every window.
 fn windows_match_oracle(report: &OpenLoopReport, leg: &str, failures: &mut usize) {
@@ -146,6 +170,17 @@ fn main() {
         failures += 1;
     }
     windows_match_oracle(&above, "above knee", &mut failures);
+
+    let peak = peak_rss_mib();
+    let ok = peak.is_some_and(|mib| mib <= PEAK_RSS_CEILING_MIB);
+    println!(
+        "  peak RSS {} MiB (ceiling {PEAK_RSS_CEILING_MIB:.0} MiB) {}",
+        peak.map_or("unknown".to_string(), |mib| format!("{mib:.0}")),
+        if ok { "ok" } else { "OVER THE CEILING" }
+    );
+    if !ok {
+        failures += 1;
+    }
 
     if failures > 0 {
         eprintln!("openloop smoke FAILED: {failures} violations");

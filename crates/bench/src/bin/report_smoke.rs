@@ -66,11 +66,10 @@ const FOLD_WORKERS: [usize; 3] = [1, 2, 4];
 /// sampled run, not just on detached traces.
 const COMPACTION_LEG_WORKERS: usize = 2;
 /// The compaction leg's peak post-compaction resident trace must stay below
-/// this fraction of the full event count. The watermark trails the checker's
-/// parked state, not the run length — and in this clean fig20-shaped run the
-/// fold parks nothing across a sampling point, so the measured peak is 0 at
-/// every tier. The 1/4 bar is generous headroom that still fails hard if
-/// retirement silently stops (the peak would then be ~events/samples).
+/// this fraction of the full event count. Compaction retires every event
+/// the checker has folded, so the measured peak is 0 at every tier. The 1/4
+/// bar is generous headroom that still fails hard if retirement silently
+/// stops (the peak would then be ~events/samples).
 const RESIDENT_CEILING_FRACTION: f64 = 0.25;
 
 /// Parses the command line: `--events N` or nothing.
@@ -199,9 +198,9 @@ fn main() {
     // resident trace bounded far below the full event count.
     let compact_start = Instant::now();
     let mut next_sample_at = target_events / samples;
-    // Peak post-compaction residency across the run: what the checker's
-    // parked state pins at each sampling point, the honest memory figure
-    // (end-of-run residency collapses to ~0 once every verdict is final).
+    // Peak post-compaction residency across the run: what is left resident
+    // at each sampling point after compaction (0 while retirement keeps up
+    // with the fold).
     let mut peak_resident = 0usize;
     let mut sys = drive_fig20_system_configured(
         THREADS,

@@ -42,6 +42,22 @@ impl LogArena {
     /// NDP-managed.
     pub fn new(sys: &mut NearPmSystem, pool: PoolId, pages_per_device: usize) -> Result<Self> {
         let devices = sys.device_count().max(1);
+        let mut arena = LogArena {
+            pool,
+            free: vec![Vec::new(); devices],
+            all_slots: Vec::new(),
+        };
+        arena.grow(sys, pages_per_device)?;
+        Ok(arena)
+    }
+
+    /// Reserves `pages_per_device` more data pages, with fresh header pages
+    /// for them, on each device and adds them to the free lists and the
+    /// scan list. Fails with the pool's allocation error when the pool
+    /// cannot supply the pages.
+    pub fn grow(&mut self, sys: &mut NearPmSystem, pages_per_device: usize) -> Result<()> {
+        let pool = self.pool;
+        let devices = self.free.len();
         let mut data_pages: Vec<Vec<VirtAddr>> = vec![Vec::new(); devices];
         let mut header_pages: Vec<Vec<VirtAddr>> = vec![Vec::new(); devices];
 
@@ -67,8 +83,6 @@ impl LogArena {
 
         // Pre-pair header slot i with data page i on each device; the pairing
         // is fixed for the lifetime of the arena so recovery can scan it.
-        let mut free: Vec<Vec<LogSlot>> = vec![Vec::new(); devices];
-        let mut all_slots = Vec::new();
         for dev in 0..devices {
             let mut header_slots = header_pages[dev].iter().flat_map(|page| {
                 (0..(PM_PAGE / HEADER_SLOT)).map(move |i| page.offset(i * HEADER_SLOT))
@@ -80,15 +94,11 @@ impl LogArena {
                     data: *data,
                     device: dev,
                 };
-                free[dev].push(slot);
-                all_slots.push((meta, *data, dev));
+                self.free[dev].push(slot);
+                self.all_slots.push((meta, *data, dev));
             }
         }
-        Ok(LogArena {
-            pool,
-            free,
-            all_slots,
-        })
+        Ok(())
     }
 
     /// The pool the arena belongs to.

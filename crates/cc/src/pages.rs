@@ -13,7 +13,7 @@
 use std::collections::{HashMap, HashSet};
 
 use nearpm_core::{
-    ExecMode, NearPmOp, NearPmSystem, OffloadBatch, PoolId, Region, Result, VirtAddr,
+    ExecMode, NearPmOp, NearPmSystem, OffloadBatch, PoolId, Region, Result, SystemError, VirtAddr,
 };
 use nearpm_device::{EntryState, LogEntryHeader};
 use nearpm_sim::PM_PAGE;
@@ -26,6 +26,9 @@ pub struct Checkpoint {
     pool: PoolId,
     thread: usize,
     arena: LogArena,
+    /// Pages per device the arena was created with, and grows by when an
+    /// epoch snapshots more pages than it has free.
+    pages_per_device: usize,
     epoch: u64,
     /// Pages checkpointed in the current epoch: page base → slot.
     snapshots: HashMap<u64, LogSlot>,
@@ -47,6 +50,7 @@ impl Checkpoint {
             pool,
             thread,
             arena: LogArena::new(sys, pool, pages_per_device)?,
+            pages_per_device,
             epoch: 0,
             snapshots: HashMap::new(),
             batch: OffloadBatch::new(),
@@ -63,7 +67,9 @@ impl Checkpoint {
     /// [`Checkpoint::advance_epoch`]). No replay of the pre-crash run is
     /// needed to learn which epoch was in flight, so
     /// [`Checkpoint::recover`] restores that epoch's snapshots and not a
-    /// committed predecessor's.
+    /// committed predecessor's. The reattached arena holds the initial
+    /// slots only, so a restarted process can recover only runs whose
+    /// epochs never grew the arena.
     pub fn reattach(
         sys: &mut NearPmSystem,
         pool: PoolId,
@@ -109,7 +115,7 @@ impl Checkpoint {
             Region::CcPageFault,
         )?;
         let device = sys.device_of(page)?;
-        let slot = self.arena.acquire(device)?;
+        let slot = self.acquire_slot(sys, device)?;
         if sys.mode().uses_ndp() {
             // Split-phase posting: the snapshot joins the epoch's batch
             // without materializing a wait.
@@ -145,6 +151,20 @@ impl Checkpoint {
         }
         self.snapshots.insert(page.raw(), slot);
         Ok(())
+    }
+
+    /// Takes a snapshot slot on `device`. An epoch may snapshot more distinct
+    /// pages than the arena was sized for, so an exhausted arena grows from
+    /// the pool by its initial size; a run that never exhausts it keeps its
+    /// address layout. A pool that cannot supply the pages leaves the arena
+    /// full.
+    fn acquire_slot(&mut self, sys: &mut NearPmSystem, device: usize) -> Result<LogSlot> {
+        if self.arena.free_slots(device) == 0
+            && self.arena.grow(sys, self.pages_per_device).is_err()
+        {
+            return Err(SystemError::LogArenaFull { pool: self.pool });
+        }
+        self.arena.acquire(device)
     }
 
     /// Split-phase form of [`Checkpoint::touch`] over several addresses: the
@@ -600,6 +620,51 @@ mod tests {
         let ck2 = Checkpoint::reattach(&mut sys, pool, 0, 4).unwrap();
         assert_eq!(ck2.epoch(), 3);
         assert_eq!(ck2.epochs_completed(), 3);
+    }
+
+    /// An epoch that touches more pages than the arena holds grows the
+    /// arena, and recovery restores every snapshot, grown slots included.
+    #[test]
+    fn checkpoint_arena_grows_within_an_epoch_and_recovers() {
+        for mode in [ExecMode::CpuBaseline, ExecMode::NearPmSd] {
+            let (mut sys, pool) = setup(mode);
+            let data = sys.alloc(pool, 6 * PM_PAGE, PM_PAGE).unwrap();
+            let pages: Vec<VirtAddr> = (0..6).map(|i| data.offset(i * PM_PAGE)).collect();
+            for &page in &pages {
+                sys.cpu_write_persist(0, page, &[1u8; 64], Region::AppPersist)
+                    .unwrap();
+            }
+            let mut ckpt = Checkpoint::new(&mut sys, pool, 0, 2).unwrap();
+            ckpt.touch_many(&mut sys, &pages).unwrap();
+            for &page in &pages {
+                ckpt.update(&mut sys, page, &[2u8; 64]).unwrap();
+            }
+            sys.crash();
+            assert_eq!(ckpt.recover(&mut sys).unwrap(), 6, "{mode:?}");
+            for &page in &pages {
+                assert_eq!(sys.persistent_read(page, 64).unwrap(), vec![1u8; 64]);
+            }
+        }
+    }
+
+    /// A pool too small to grow the arena still reports a full arena.
+    #[test]
+    fn checkpoint_arena_that_cannot_grow_is_full() {
+        let mut sys =
+            NearPmSystem::new(SystemConfig::for_mode(ExecMode::NearPmSd).with_capacity(8 << 20));
+        let pool = sys.create_pool("tiny", 16 * PM_PAGE).unwrap();
+        let data = sys.alloc(pool, 8 * PM_PAGE, PM_PAGE).unwrap();
+        let mut ckpt = Checkpoint::new(&mut sys, pool, 0, 2).unwrap();
+        let touched: Vec<Result<()>> = (0..8)
+            .map(|i| ckpt.touch(&mut sys, data.offset(i * PM_PAGE)))
+            .collect();
+        assert!(touched[..2].iter().all(|r| r.is_ok()));
+        assert!(
+            touched
+                .iter()
+                .any(|r| matches!(r, Err(SystemError::LogArenaFull { .. }))),
+            "{touched:?}"
+        );
     }
 
     #[test]

@@ -78,15 +78,15 @@ pub struct SystemConfig {
     /// hit at high unit counts).
     pub decode_lanes: usize,
     /// Storage engine backing the PM media (heap by default; file-backed
-    /// for durable, process-restartable runs; sparse for huge geometries).
+    /// for durable, process-restartable runs).
     pub media: MediaConfig,
     /// Worker threads for the PPO checker's batch pair sweeps (`<= 1` runs
     /// the serial fold; any count yields the identical violation list).
     pub checker_workers: usize,
-    /// Stream-compact the PPO trace: at every report, events the cached
-    /// checker can never reference again are evicted into a sealed summary,
-    /// bounding resident memory on long self-monitoring runs. Off by
-    /// default — whole-trace oracles cannot run on a compacted trace.
+    /// Stream-compact the PPO trace: at every report, the events the cached
+    /// checker has folded are dropped (it never reads them again), bounding
+    /// the resident trace on long self-monitoring runs. Off by default —
+    /// whole-trace oracles cannot run on a compacted trace.
     pub compact_trace: bool,
     /// Record per-request latencies into the log-bucketed histogram and
     /// surface them through `RunReport::request_latency`. Off by default:

@@ -284,13 +284,13 @@ impl NearPmSystem {
         };
         if self.config.compact_trace {
             // Every report is a compaction point: the cached checker has
-            // just folded the whole trace, so everything its parked state
-            // can no longer reference is evicted into the sealed summary,
-            // and the task graph's descriptive columns (never re-read by
-            // this incremental report path) are truncated wholesale. The
-            // report content is unaffected — totals come from
-            // retired + live — so a compacting run's report stays
-            // byte-equal to a non-compacting one's.
+            // just folded the whole trace and never reads a folded event
+            // again, so every event is dropped, and the task graph's
+            // descriptive columns (never re-read by this incremental report
+            // path) are truncated wholesale. The report content is
+            // unaffected — `trace_events` counts retired and live events —
+            // so a compacting run's report stays byte-equal to a
+            // non-compacting one's.
             self.trace.compact();
             let tasks = self.graph.len();
             self.graph.retire_tasks_before(tasks);

@@ -9,6 +9,8 @@
 //! an [`IncrementalChecker`] that folds in exactly the events appended since
 //! the last check, so multi-`report()` runs (the fig18–20 sweeps, sampled
 //! runs) check each event once instead of re-checking the whole trace.
+//! Because the fold never reads an event older than its batch,
+//! [`TraceBuilder::compact`] may drop everything it has folded.
 
 use nearpm_ppo::{
     Agent, EventKind, IncrementalChecker, Interval, PpoViolation, ProcId, Sharing, SyncId, Trace,
@@ -108,15 +110,13 @@ impl TraceBuilder {
         self.checker.set_workers(workers);
     }
 
-    /// Retires every event the checker has folded and can never
-    /// reference again (see `IncrementalChecker::pinned_floor`), evicting
-    /// them from the live trace into its sealed summary. Returns how many
-    /// events were evicted. Callers must not run whole-trace oracles
-    /// (`check_all`, `report_oracle`) on a compacted trace — the live slice
-    /// is a suffix.
+    /// Retires every event the checker has folded — the fold never reads
+    /// an event older than its batch — dropping them from the live trace.
+    /// Returns how many events were evicted. Callers must not run
+    /// whole-trace oracles (`check_all`, `report_oracle`) on a compacted
+    /// trace — the live slice is a suffix.
     pub fn compact(&mut self) -> usize {
-        let floor = self.checker.pinned_floor();
-        self.trace.retire_through(floor)
+        self.trace.retire_through(self.checker.consumed())
     }
 
     /// Number of events still resident in the live trace vector.

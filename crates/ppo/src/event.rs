@@ -133,69 +133,14 @@ pub struct PpoEvent {
     pub program_order: u64,
 }
 
-/// Sealed summary of a retired trace prefix: per-kind event counts and
-/// aggregate byte volume, folded in as events are evicted by
-/// [`Trace::retire_through`]. The counts are exact — a compacting run's
-/// report totals are computed from `retired + live` and stay equal to a
-/// non-compacting run's.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetiredSummary {
-    /// Retired read events.
-    pub reads: usize,
-    /// Retired write events.
-    pub writes: usize,
-    /// Retired persist events.
-    pub persists: usize,
-    /// Retired offload events.
-    pub offloads: usize,
-    /// Retired procedure-completion events.
-    pub proc_completes: usize,
-    /// Retired synchronization events.
-    pub syncs: usize,
-    /// Retired failure events.
-    pub failures: usize,
-    /// Retired recovery-read events.
-    pub recovery_reads: usize,
-    /// Total bytes covered by retired events' intervals.
-    pub bytes: u64,
-}
-
-impl RetiredSummary {
-    /// Total number of retired events.
-    pub fn events(&self) -> usize {
-        self.reads
-            + self.writes
-            + self.persists
-            + self.offloads
-            + self.proc_completes
-            + self.syncs
-            + self.failures
-            + self.recovery_reads
-    }
-
-    fn absorb(&mut self, e: &PpoEvent) {
-        match e.kind {
-            EventKind::Read => self.reads += 1,
-            EventKind::Write => self.writes += 1,
-            EventKind::Persist => self.persists += 1,
-            EventKind::Offload => self.offloads += 1,
-            EventKind::ProcComplete => self.proc_completes += 1,
-            EventKind::Sync => self.syncs += 1,
-            EventKind::Failure => self.failures += 1,
-            EventKind::RecoveryRead => self.recovery_reads += 1,
-        }
-        self.bytes += e.interval.len;
-    }
-}
-
 /// An append-only trace of PPO events.
 ///
-/// Long self-monitoring runs can **retire** a verified prefix
-/// ([`Trace::retire_through`]): retired events are evicted from the live
-/// vector into a sealed [`RetiredSummary`], bounding resident memory while
-/// [`Trace::len`] keeps counting every event ever recorded. Event indices
-/// (as used by the incremental checker) stay absolute; [`Trace::events`]
-/// returns the live suffix, offset by [`Trace::retired`].
+/// Long self-monitoring runs can **retire** a folded prefix
+/// ([`Trace::retire_through`]): retired events are dropped from the live
+/// vector, bounding resident memory while [`Trace::len`] keeps counting
+/// every event ever recorded. Event indices (as used by the incremental
+/// checker) stay absolute; [`Trace::events`] returns the live suffix,
+/// offset by [`Trace::retired`].
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<PpoEvent>,
@@ -211,8 +156,6 @@ pub struct Trace {
     generation: u64,
     /// Number of events evicted from the front of the live vector.
     retired: usize,
-    /// Per-kind aggregates of the retired prefix.
-    retired_summary: RetiredSummary,
 }
 
 impl Trace {
@@ -269,25 +212,15 @@ impl Trace {
         self.events.len()
     }
 
-    /// Aggregates of the retired prefix.
-    pub fn retired_summary(&self) -> &RetiredSummary {
-        &self.retired_summary
-    }
-
-    /// Evicts events with absolute id `< floor` from the live vector into the
-    /// sealed [`RetiredSummary`], returning how many were evicted. Callers
-    /// must guarantee no live consumer will dereference the evicted prefix
-    /// again — in this workspace that contract is enforced by
-    /// `IncrementalChecker::pinned_floor`, which never exceeds what the
-    /// checker's parked Invariant-3/4 state can still reference.
+    /// Drops events with absolute id `< floor` from the live vector,
+    /// returning how many were evicted. Callers must guarantee no live
+    /// consumer will dereference the evicted prefix again: an
+    /// [`crate::IncrementalChecker`] never reads an event older than the
+    /// batch it folds, so everything below its
+    /// [`crate::IncrementalChecker::consumed`] may go.
     pub fn retire_through(&mut self, floor: usize) -> usize {
         let evict = floor.saturating_sub(self.retired).min(self.events.len());
-        if evict == 0 {
-            return 0;
-        }
-        for e in self.events.drain(..evict) {
-            self.retired_summary.absorb(&e);
-        }
+        self.events.drain(..evict);
         self.retired += evict;
         evict
     }
@@ -514,11 +447,6 @@ mod tests {
         assert_eq!(t.resident(), 13);
         assert_eq!(t.len(), 20);
         assert!(!t.is_empty());
-        let s = *t.retired_summary();
-        assert_eq!(s.events(), 7);
-        assert_eq!(s.writes, 4);
-        assert_eq!(s.persists, 3);
-        assert_eq!(s.bytes, 7 * 64);
         // Live suffix starts at absolute id 7 (a persist of interval 192..256).
         assert_eq!(t.events()[0].kind, EventKind::Persist);
         assert_eq!(t.events()[0].interval.start, 3 * 64);
@@ -529,13 +457,11 @@ mod tests {
         assert_eq!(t.retired(), 20);
         assert_eq!(t.resident(), 0);
         assert_eq!(t.len(), 20);
-        assert_eq!(t.retired_summary().events(), 20);
 
         // clear() resets retirement along with everything else.
         t.clear();
         assert_eq!(t.retired(), 0);
         assert_eq!(t.len(), 0);
-        assert_eq!(t.retired_summary().events(), 0);
     }
 
     #[test]

@@ -49,11 +49,10 @@
 //!   parked bookkeeping ([`AccessFact`], [`WriteFact`], the recovery-read
 //!   fact list) — the fold never dereferences `trace.events()` for an event
 //!   older than the current batch. That removes the random event-array
-//!   fetch from the hottest loop *and* lets the trace retire verified
-//!   prefixes out from under the checker ([`crate::event::Trace::retire_through`]);
-//!   [`IncrementalChecker::pinned_floor`] reports the oldest event the
-//!   parked Invariant-3/4 state can still reference, i.e. how far the owner
-//!   may safely retire.
+//!   fetch from the hottest loop *and* lets the owner retire every folded
+//!   event out from under the checker
+//!   ([`crate::event::Trace::retire_through`] up to
+//!   [`IncrementalChecker::consumed`]).
 //! * **The pair enumeration shards across workers.** The two batch-scoped
 //!   pair sweeps — new CPU accesses against the mirrored NDP indexes, and
 //!   (re-checked + new) NDP accesses against the full CPU indexes — are
@@ -73,7 +72,7 @@
 //! assert equality at every prefix; trace resets are detected via the
 //! trace's generation counter.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
 
 use crate::event::{Agent, EventKind, Interval, PpoEvent, ProcId, Sharing, Trace};
@@ -144,9 +143,10 @@ type CpuWork = (u32, EventKind, Interval, u64, u64);
 /// from-scratch [`crate::check_all`] would.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalChecker {
-    /// The per-category interval indexes over every folded event (CPU
-    /// shared accesses, per-agent persists, all writes/persists, offload
-    /// table, failure), extended with each batch.
+    /// The per-category indexes over every folded event (CPU shared
+    /// accesses, offload table, failure, and the earliest-timestamp maps of
+    /// per-agent persists and all writes/persists), extended with each
+    /// batch.
     index: FoldIndex,
     /// Events already folded into the checker.
     consumed: usize,
@@ -180,11 +180,6 @@ pub struct IncrementalChecker {
     /// persists only lower the true value, so a sync's range read
     /// over-approximates its candidates and lazily tightens them.
     parked_writes: HashMap<Agent, BTreeMap<(u64, u32), WriteFact>>,
-    /// Parked writes whose stored key is still `u64::MAX` (no covering
-    /// persist seen when last examined) — the Invariant-3 contribution to
-    /// [`IncrementalChecker::pinned_floor`], kept as a side set so the
-    /// floor is O(log n) instead of a scan of every parked write.
-    parked_unpersisted: BTreeSet<u32>,
     /// Sync verdicts, keyed (sync event, write event).
     sync_violations: BTreeMap<PairKey, PpoViolation>,
 
@@ -203,10 +198,13 @@ pub struct IncrementalChecker {
     /// threshold every NDP-managed persist is compared against. Only ever
     /// decreases as events are folded.
     rpc_min_cpu_ts: Option<u64>,
-    /// Multiset of NDP-managed NDP persist timestamps, so a decrease of the
-    /// threshold can count exactly the persists that newly pass it (each
-    /// persist crosses the threshold at most once over the checker's
-    /// lifetime, so maintenance is amortized O(log n) per event).
+    /// Multiset of the NDP-managed NDP persist timestamps at or below the
+    /// threshold (all of them while there is none), so a decrease of the
+    /// threshold can count exactly the persists that newly pass it. A
+    /// persist above the threshold is counted at once and never stored, and
+    /// a decrease splits off, counts and drops the entries above the new
+    /// value: the threshold only falls, so a persist that passed it stays
+    /// passed and none is counted twice.
     rpc_persists: BTreeMap<u64, u32>,
     /// Current relaxed-persist count for the folded prefix.
     rpc_count: usize,
@@ -241,27 +239,6 @@ impl IncrementalChecker {
         let workers = self.workers;
         *self = IncrementalChecker::default();
         self.workers = workers;
-    }
-
-    /// The oldest event index the checker's parked Invariant-3/4 state can
-    /// still reference: the owner of the trace may retire events below this
-    /// floor ([`crate::event::Trace::retire_through`]) without the fold
-    /// ever touching them again. On clean runs — no accesses awaiting an
-    /// offload, no never-persisted parked writes, no recovery reads — the
-    /// floor equals [`IncrementalChecker::consumed`], so everything already
-    /// folded is evictable.
-    pub fn pinned_floor(&self) -> usize {
-        let mut floor = self.consumed;
-        if let Some(&id) = self.parked_events.iter().min() {
-            floor = floor.min(id as usize);
-        }
-        if let Some(&id) = self.parked_unpersisted.first() {
-            floor = floor.min(id as usize);
-        }
-        if let Some(&(id, _, _)) = self.recovery_reads.first() {
-            floor = floor.min(id as usize);
-        }
-        floor
     }
 
     /// Checks all four invariants over `trace`, folding only the events
@@ -316,8 +293,8 @@ impl IncrementalChecker {
         );
         let events = trace.events();
         // Offset of the first new event in the live slice; `retired + off`
-        // recovers an absolute id. New events are always resident (the
-        // pinned floor never exceeds `consumed`), old events are never
+        // recovers an absolute id. New events are always resident (owners
+        // retire at most what was consumed), old events are never
         // dereferenced.
         let base = lo - retired;
         let failure_before = self.index.failure_ts();
@@ -340,23 +317,19 @@ impl IncrementalChecker {
         }
         if new_min != old_min {
             let nm = new_min.expect("threshold only appears or decreases");
-            let upper = match old_min {
-                Some(om) => Bound::Included(om),
-                None => Bound::Unbounded,
-            };
-            self.rpc_count += self
-                .rpc_persists
-                .range((Bound::Excluded(nm), upper))
-                .map(|(_, &mult)| mult as usize)
-                .sum::<usize>();
+            if let Some(above) = nm.checked_add(1) {
+                let passed = self.rpc_persists.split_off(&above);
+                self.rpc_count += passed.values().map(|&mult| mult as usize).sum::<usize>();
+            }
             self.rpc_min_cpu_ts = new_min;
         }
         for e in &events[base..] {
             if e.agent.is_ndp() && e.kind == EventKind::Persist && e.sharing == Sharing::NdpManaged
             {
-                *self.rpc_persists.entry(e.timestamp_ps).or_insert(0) += 1;
                 if self.rpc_min_cpu_ts.is_some_and(|m| m < e.timestamp_ps) {
                     self.rpc_count += 1;
+                } else {
+                    *self.rpc_persists.entry(e.timestamp_ps).or_insert(0) += 1;
                 }
             }
         }
@@ -535,9 +508,6 @@ impl IncrementalChecker {
                         .index
                         .earliest_persist_by(e.agent, e.interval)
                         .unwrap_or(u64::MAX);
-                    if key == u64::MAX {
-                        self.parked_unpersisted.insert(id);
-                    }
                     self.parked_writes.entry(e.agent).or_default().insert(
                         (key, id),
                         WriteFact {
@@ -603,9 +573,6 @@ impl IncrementalChecker {
                         if true_key < stored {
                             parked.remove(&(stored, w));
                             parked.insert((true_key, w), wf);
-                            if stored == u64::MAX {
-                                self.parked_unpersisted.remove(&w);
-                            }
                         }
                         if true_key <= e.timestamp_ps {
                             continue;
@@ -819,4 +786,90 @@ fn evaluate_ndp_access(index: &FoldIndex, fact: &AccessFact) -> NdpOutcome {
         },
     );
     NdpOutcome::Violations(violating)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::invariants::oracle;
+
+    fn persist(t: &mut Trace, ts: u64) {
+        t.record(
+            Agent::Ndp(0),
+            EventKind::Persist,
+            Interval::new(0x1000 + ts, 8),
+            Sharing::NdpManaged,
+            None,
+            None,
+            ts,
+        );
+    }
+
+    fn cpu_write(t: &mut Trace, ts: u64) {
+        t.record(
+            Agent::Cpu,
+            EventKind::Write,
+            Interval::new(0x40, 8),
+            Sharing::Shared,
+            None,
+            None,
+            ts,
+        );
+    }
+
+    /// Once the CPU-access threshold exists, the relaxed-persist multiset
+    /// holds only persists at or below it, and the count still equals the
+    /// oracle's after every step.
+    #[test]
+    fn rpc_persists_keep_only_entries_at_or_below_the_threshold() {
+        let mut t = Trace::new(1);
+        let mut checker = IncrementalChecker::new();
+        let check = |checker: &mut IncrementalChecker, t: &Trace| {
+            assert_eq!(
+                checker.relaxed_persist_count(t),
+                oracle::relaxed_persist_count(t)
+            );
+            if let Some(m) = checker.rpc_min_cpu_ts {
+                assert!(
+                    checker.rpc_persists.keys().all(|&ts| ts <= m),
+                    "{:?} above threshold {m}",
+                    checker.rpc_persists
+                );
+            }
+        };
+        // Program order 0 does not set the threshold; every persist is kept.
+        cpu_write(&mut t, 5);
+        for ts in [10, 20, 30, 40, 40] {
+            persist(&mut t, ts);
+        }
+        check(&mut checker, &t);
+        assert_eq!(checker.rpc_min_cpu_ts, None);
+        assert_eq!(checker.rpc_persists.values().sum::<u32>(), 5);
+
+        // The threshold appears: 30 and both 40s pass it and are dropped.
+        cpu_write(&mut t, 25);
+        check(&mut checker, &t);
+        assert_eq!(checker.rpc_count, 3);
+        assert_eq!(
+            checker.rpc_persists.keys().copied().collect::<Vec<_>>(),
+            [10, 20]
+        );
+
+        // A persist above the threshold is counted, never stored.
+        persist(&mut t, 50);
+        persist(&mut t, 25);
+        check(&mut checker, &t);
+        assert_eq!(checker.rpc_count, 4);
+        assert_eq!(checker.rpc_persists.len(), 3);
+
+        // The threshold falls in the same batch as a new persist.
+        persist(&mut t, 18);
+        cpu_write(&mut t, 15);
+        check(&mut checker, &t);
+        assert_eq!(checker.rpc_count, 7);
+        assert_eq!(
+            checker.rpc_persists.keys().copied().collect::<Vec<_>>(),
+            [10]
+        );
+    }
 }

@@ -10,10 +10,12 @@
 //!   overlap this NDP access *and* contradict its procedure's offload order?
 //!   ([`FoldIndex::for_each_comparable_cpu_order_violation`])
 //! * **earliest covering persist** — what is the earliest timestamp at which
-//!   some persist overlapping this write completed?
-//!   ([`IntervalIndex::min_value_overlapping`]); over all writes / persists
-//!   the same query answers "was this range written / persisted no later
-//!   than the failure?"
+//!   some persist by this agent overlapping this write completed?
+//!   ([`FoldIndex::earliest_persist_by`]); over all writes / persists the
+//!   same question answers "was this range written / persisted no later
+//!   than the failure?" These need only a per-byte minimum, so they read an
+//!   address [`MinMap`] sized by the touched footprint instead of an
+//!   interval index with one item per event.
 //! * **offload table** — the CPU program-order index of the offload event of
 //!   each NDP procedure ([`FoldIndex::offload_po`]).
 //!
@@ -29,7 +31,7 @@
 //! level. Queries whose start condition is a prefix of the sorted order
 //! decompose into O(log n) tree nodes; the end-condition is resolved per
 //! node by one binary search into the compressed run, giving O(log² n)
-//! worst-case for the min/max-value queries and O(log n + hits) for
+//! worst-case for the max-value screen and O(log n + hits) for
 //! enumeration. [`IntervalIndex::for_each_overlap_order_violation`] drives
 //! the same decomposition with the order-violation predicate evaluated
 //! against the per-node aggregates, so subtrees whose aux and value bounds
@@ -39,6 +41,7 @@
 use std::collections::HashMap;
 
 use crate::event::{Agent, EventKind, Interval, PpoEvent, ProcId, Sharing};
+use crate::minmap::MinMap;
 
 /// One indexed interval with an attached value (usually a timestamp), an
 /// auxiliary payload, and the index of the originating event in the trace.
@@ -69,8 +72,8 @@ impl Item {
 ///
 /// Entries are sorted by interval start; a segment tree over the sorted array
 /// stores, per node, the maximum interval end (for pruning) and the node's
-/// entries re-sorted by end with suffix minima of `value` (for earliest-
-/// covering-persist queries).
+/// entries re-sorted by end with suffix minima and maxima of `value` (for
+/// the max-value screen and the order-violation walk).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct IntervalIndex {
     items: Vec<Item>,
@@ -242,46 +245,6 @@ impl IntervalIndex {
                     }
                 }
             }
-        }
-    }
-
-    /// Minimum `value` over all indexed intervals overlapping `query`
-    /// (`None` if nothing overlaps). With persist timestamps as values this
-    /// answers "when was this range first covered by a persist".
-    fn min_value_overlapping(&self, query: Interval) -> Option<u64> {
-        if query.len == 0 || self.items.is_empty() {
-            return None;
-        }
-        let prefix = self.prefix_end(query.end());
-        if prefix == 0 {
-            return None;
-        }
-        let m = self.walk_min(self.root.unwrap(), prefix, query.start);
-        (m != u64::MAX).then_some(m)
-    }
-
-    fn walk_min(&self, node: usize, prefix: usize, qs: u64) -> u64 {
-        let (lo, hi) = self.node_range[node];
-        if lo >= prefix || self.node_max_end[node] <= qs {
-            return u64::MAX;
-        }
-        if hi <= prefix {
-            // Whole node satisfies the start condition: resolve the end
-            // condition with one binary search in the end-sorted run.
-            let ends = &self.node_ends[node];
-            let pos = ends.partition_point(|&(end, _, _)| end <= qs);
-            return ends.get(pos).map(|&(_, min, _)| min).unwrap_or(u64::MAX);
-        }
-        match self.node_children[node] {
-            Some((l, r)) => self
-                .walk_min(l, prefix, qs)
-                .min(self.walk_min(r, prefix, qs)),
-            None => self.items[lo..hi.min(prefix)]
-                .iter()
-                .filter(|it| it.end > qs)
-                .map(|it| it.value)
-                .min()
-                .unwrap_or(u64::MAX),
         }
     }
 
@@ -521,14 +484,6 @@ impl IncrementalIntervalIndex {
         }
     }
 
-    /// Minimum value over all indexed intervals overlapping `query`.
-    pub(crate) fn min_value_overlapping(&self, query: Interval) -> Option<u64> {
-        self.levels
-            .iter()
-            .filter_map(|l| l.min_value_overlapping(query))
-            .min()
-    }
-
     /// Maximum value over all indexed intervals overlapping `query`, `0` if
     /// nothing overlaps (see [`IntervalIndex::max_value_overlapping`]).
     pub(crate) fn max_value_overlapping(&self, query: Interval) -> u64 {
@@ -561,21 +516,24 @@ impl IncrementalIntervalIndex {
 /// persists, and all writes / persists. The checker feeds it each batch it
 /// folds and drops it wholesale on a trace reset.
 ///
-/// Items are valued by timestamp and carry the CPU program order in `aux`.
-/// The before-failure existence queries read the all-writes / all-persists
-/// indexes (`min overlapping timestamp <= failure`), which stays correct
-/// when the failure event arrives in a later batch than the writes it
-/// bounds.
+/// The shared-CPU indexes hold one [`Item`] per access, valued by timestamp
+/// with the CPU program order in `aux`: the order-violation walk needs the
+/// pairs. The persist and write sets only ever answer "the earliest
+/// timestamp overlapping this range", so each is a [`MinMap`] bounded by
+/// the touched footprint. The before-failure existence queries read the
+/// all-writes / all-persists maps (`min overlapping timestamp <= failure`),
+/// which stays correct when the failure event arrives in a later batch than
+/// the writes it bounds.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FoldIndex {
     offload_po: HashMap<ProcId, u64>,
     cpu_shared_reads: IncrementalIntervalIndex,
     cpu_shared_writes: IncrementalIntervalIndex,
     cpu_shared_persists: IncrementalIntervalIndex,
-    agent_persists: HashMap<Agent, IncrementalIntervalIndex>,
+    agent_persists: HashMap<Agent, MinMap>,
     failure_ts: Option<u64>,
-    all_writes: IncrementalIntervalIndex,
-    all_persists: IncrementalIntervalIndex,
+    all_writes: MinMap,
+    all_persists: MinMap,
 }
 
 impl FoldIndex {
@@ -587,18 +545,8 @@ impl FoldIndex {
         let mut cpu_reads = Vec::new();
         let mut cpu_writes = Vec::new();
         let mut cpu_persists = Vec::new();
-        let mut agent_persists: HashMap<Agent, Vec<Item>> = HashMap::new();
-        let mut writes = Vec::new();
-        let mut persists = Vec::new();
 
         for (off, e) in batch.iter().enumerate() {
-            let item = Item {
-                start: e.interval.start,
-                end: e.interval.end(),
-                value: e.timestamp_ps,
-                aux: e.program_order,
-                id: (first_id + off) as u32,
-            };
             match e.kind {
                 EventKind::Offload if e.agent == Agent::Cpu => {
                     if let Some(p) = e.proc {
@@ -611,6 +559,13 @@ impl FoldIndex {
                 EventKind::Read | EventKind::Write | EventKind::Persist => {
                     if e.agent == Agent::Cpu {
                         if e.sharing == Sharing::Shared {
+                            let item = Item {
+                                start: e.interval.start,
+                                end: e.interval.end(),
+                                value: e.timestamp_ps,
+                                aux: e.program_order,
+                                id: (first_id + off) as u32,
+                            };
                             match e.kind {
                                 EventKind::Read => cpu_reads.push(item),
                                 EventKind::Write => cpu_writes.push(item),
@@ -619,11 +574,14 @@ impl FoldIndex {
                             }
                         }
                     } else if e.kind == EventKind::Persist {
-                        agent_persists.entry(e.agent).or_default().push(item);
+                        self.agent_persists
+                            .entry(e.agent)
+                            .or_default()
+                            .insert(e.interval, e.timestamp_ps);
                     }
                     match e.kind {
-                        EventKind::Write => writes.push(item),
-                        EventKind::Persist => persists.push(item),
+                        EventKind::Write => self.all_writes.insert(e.interval, e.timestamp_ps),
+                        EventKind::Persist => self.all_persists.insert(e.interval, e.timestamp_ps),
                         _ => {}
                     }
                 }
@@ -634,14 +592,6 @@ impl FoldIndex {
         self.cpu_shared_reads.insert_batch(cpu_reads);
         self.cpu_shared_writes.insert_batch(cpu_writes);
         self.cpu_shared_persists.insert_batch(cpu_persists);
-        for (agent, items) in agent_persists {
-            self.agent_persists
-                .entry(agent)
-                .or_default()
-                .insert_batch(items);
-        }
-        self.all_writes.insert_batch(writes);
-        self.all_persists.insert_batch(persists);
     }
 
     /// CPU program-order index of the offload event of `proc`, if folded.
@@ -659,7 +609,7 @@ impl FoldIndex {
     pub(crate) fn earliest_persist_by(&self, agent: Agent, interval: Interval) -> Option<u64> {
         self.agent_persists
             .get(&agent)
-            .and_then(|a| a.min_value_overlapping(interval))
+            .and_then(|m| m.min_overlapping(interval))
     }
 
     /// True if any write with a timestamp no later than the failure overlaps
@@ -674,8 +624,8 @@ impl FoldIndex {
         Self::before_failure(&self.all_persists, self.failure_ts, interval)
     }
 
-    fn before_failure(idx: &IncrementalIntervalIndex, failure: Option<u64>, q: Interval) -> bool {
-        failure.is_some_and(|f| idx.min_value_overlapping(q).is_some_and(|ts| ts <= f))
+    fn before_failure(map: &MinMap, failure: Option<u64>, q: Interval) -> bool {
+        failure.is_some_and(|f| map.min_overlapping(q).is_some_and(|ts| ts <= f))
     }
 
     /// Streams the shared CPU accesses comparable to an NDP access of kind
@@ -738,14 +688,15 @@ mod tests {
         IntervalIndex::build_presorted(items)
     }
 
-    /// Naive min / max `value` over the entries overlapping `q` (max is `0`
-    /// when nothing overlaps, matching `max_value_overlapping`).
-    fn naive_min_max(entries: &[(u64, u64, u64)], q: Interval) -> (Option<u64>, u64) {
-        let values = entries
+    /// Naive max `value` over the entries overlapping `q` (`0` when nothing
+    /// overlaps, matching `max_value_overlapping`).
+    fn naive_max(entries: &[(u64, u64, u64)], q: Interval) -> u64 {
+        entries
             .iter()
             .filter(|&&(s, l, _)| iv(s, l).overlaps(&q))
-            .map(|&(_, _, v)| v);
-        (values.clone().min(), values.max().unwrap_or(0))
+            .map(|&(_, _, v)| v)
+            .max()
+            .unwrap_or(0)
     }
 
     #[test]
@@ -777,9 +728,7 @@ mod tests {
                     .map(|(i, _)| i as u32)
                     .collect();
                 assert_eq!(got, want, "query {q:?} over {entries:?}");
-                let (want_min, want_max) = naive_min_max(&entries, q);
-                assert_eq!(idx.min_value_overlapping(q), want_min);
-                assert_eq!(idx.max_value_overlapping(q), want_max);
+                assert_eq!(idx.max_value_overlapping(q), naive_max(&entries, q));
             }
         }
     }
@@ -799,15 +748,14 @@ mod tests {
     fn empty_and_zero_length_queries() {
         let idx = index_of(&[]);
         assert_eq!(idx.max_value_overlapping(iv(0, 100)), 0);
-        assert_eq!(idx.min_value_overlapping(iv(0, 100)), None);
         let idx = index_of(&[(10, 10, 5)]);
-        assert_eq!(idx.min_value_overlapping(iv(0, 0)), None);
+        assert_eq!(idx.max_value_overlapping(iv(0, 0)), 0);
         assert_eq!(idx.max_value_overlapping(iv(0, 11)), 5);
-        assert_eq!(idx.min_value_overlapping(iv(15, 1)), Some(5));
+        assert_eq!(idx.max_value_overlapping(iv(15, 1)), 5);
         // Zero-length entries are dropped.
         let idx = index_of(&[(10, 0, 5)]);
         assert_eq!(idx.len(), 0);
-        assert_eq!(idx.min_value_overlapping(iv(0, 100)), None);
+        assert_eq!(idx.max_value_overlapping(iv(0, 100)), 0);
     }
 
     /// The logarithmic-merge discipline keeps the level count bounded by
@@ -857,9 +805,7 @@ mod tests {
                 .map(|(i, _)| i as u32)
                 .collect();
             assert_eq!(got, want, "query {query:?}");
-            let (want_min, want_max) = naive_min_max(&naive, query);
-            assert_eq!(inc.min_value_overlapping(query), want_min);
-            assert_eq!(inc.max_value_overlapping(query), want_max);
+            assert_eq!(inc.max_value_overlapping(query), naive_max(&naive, query));
         }
     }
 

@@ -55,6 +55,7 @@ pub mod event;
 mod incremental;
 mod index;
 pub mod invariants;
+mod minmap;
 mod pool;
 
 pub use event::{Agent, EventKind, Interval, PpoEvent, ProcId, Sharing, SyncId, Trace};

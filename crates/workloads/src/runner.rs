@@ -872,6 +872,28 @@ mod tests {
         assert!(base.cc_fraction() > 0.3, "{}", base.cc_fraction());
     }
 
+    /// An epoch of multi-thread TPCC can snapshot more pages than a
+    /// thread's initial checkpoint arena holds; the arena grows from the
+    /// thread's pool instead of failing the run.
+    #[test]
+    fn multithreaded_tpcc_checkpointing_runs_clean() {
+        for mode in [ExecMode::CpuBaseline, ExecMode::NearPmSd] {
+            for threads in [2usize, 4, 8, 16] {
+                let opts = RunOptions::new(mode, Mechanism::Checkpointing, 256)
+                    .with_threads(threads)
+                    .with_seed(1);
+                let report = Runner::new(Workload::Tpcc, opts)
+                    .run()
+                    .unwrap_or_else(|e| panic!("{mode:?} × {threads} threads: {e}"));
+                assert!(
+                    report.ppo_violations.is_empty(),
+                    "{mode:?} × {threads} threads: {:?}",
+                    report.ppo_violations
+                );
+            }
+        }
+    }
+
     #[test]
     fn multithreaded_run_produces_valid_report() {
         let opts = RunOptions::new(ExecMode::NearPmMd, Mechanism::Logging, 32).with_threads(4);
