@@ -25,6 +25,8 @@
 mod persist;
 mod report;
 
+use std::collections::BTreeSet;
+
 pub use persist::MANIFEST_NAME;
 pub use report::{LatencySummary, RunReport};
 
@@ -63,6 +65,11 @@ pub struct NearPmSystem {
     /// next CPU task orders after it, so service never begins before the
     /// request arrived.
     pending_admission: Vec<Option<TaskId>>,
+    /// Finish time of every posted offload handle not yet released, keyed
+    /// with its procedure so equal finishes stay distinct: the handle half
+    /// of [`NearPmSystem::watermark`]. `offload_into` adds, `release_batch`
+    /// and `release_batch_retired` remove.
+    posted: BTreeSet<(SimTime, ProcId)>,
     /// Per-request latency histogram (populated only when
     /// `config.track_latency`; observation only — never feeds scheduling).
     latency_hist: LatencyHistogram,
@@ -129,6 +136,7 @@ impl NearPmSystem {
             cpu_tail: vec![None; config.cpu_threads],
             fifo_stall: vec![None; config.cpu_threads],
             pending_admission: vec![None; config.cpu_threads],
+            posted: BTreeSet::new(),
             latency_hist: LatencyHistogram::new(),
             devices,
             space,
@@ -670,6 +678,8 @@ impl NearPmSystem {
             );
         }
 
+        self.posted
+            .insert((self.graph.task_finish(exec.finish), proc));
         batch.push(OffloadHandle {
             proc,
             device,
@@ -775,6 +785,8 @@ impl NearPmSystem {
             if let Some(dev) = self.devices.get_mut(h.device) {
                 dev.release_request(h.request);
             }
+            self.posted
+                .remove(&(self.graph.task_finish(h.finish), h.proc));
         }
         batch.clear();
         if emptied {
@@ -816,12 +828,15 @@ impl NearPmSystem {
             .unwrap_or(SimTime::ZERO);
         let graph = &self.graph;
         let devices = &mut self.devices;
+        let posted = &mut self.posted;
         let mut released = 0;
         batch.retain(|h| {
-            if graph.task_finish(h.finish) <= now {
+            let finish = graph.task_finish(h.finish);
+            if finish <= now {
                 if let Some(dev) = devices.get_mut(h.device) {
                     dev.release_request(h.request);
                 }
+                posted.remove(&(finish, h.proc));
                 released += 1;
                 false
             } else {
@@ -832,6 +847,44 @@ impl NearPmSystem {
             self.note_boundary(BoundaryKind::CommitRetire);
         }
         released
+    }
+
+    /// A simulated time W no trace event recorded from now on can be
+    /// stamped below: the minimum of every CPU thread's last-task finish
+    /// (zero while a thread has none) and the finish of every posted offload
+    /// handle not yet released. Each report hands it to the PPO checker,
+    /// which then drops the state no later event can pair with.
+    ///
+    /// Why it holds. Every event is stamped at the finish of a task its own
+    /// primitive adds, except the failure marker, which takes one thread's
+    /// last task (at least W) or, with no CPU task at all, the end of time.
+    /// Task finishes never change once added, so it suffices that every new
+    /// stamped task finishes at or after W:
+    ///
+    /// * a CPU task (an access, a copy, `cmd-issue`, `sw-sync`) depends on
+    ///   its thread's last task;
+    /// * on the device, decode depends on the new `cmd-issue` task, issue on
+    ///   decode, and the unit micro-ops on issue, so NDP reads (stamped at
+    ///   issue) and writes and persists (stamped at the last micro-op)
+    ///   finish after `cmd-issue`;
+    /// * `md-sync` depends only on its batch's handles, and
+    ///   [`TaskGraph::add_arrival_ordered`] may place it in a gap before
+    ///   every thread's clock — thread clocks alone are not a bound. It
+    ///   finishes after every handle it syncs, and those are posted and not
+    ///   yet released (a release takes them out of the batch), so each
+    ///   finishes at or after W.
+    ///
+    /// W never falls: a thread's next task finishes after its last one, and
+    /// a new handle finishes after its `cmd-issue` task. A batch cleared
+    /// without a release (crash recovery does this) keeps its handles in the
+    /// set, which only holds W back.
+    pub fn watermark(&self) -> SimTime {
+        let tails = self
+            .cpu_tail
+            .iter()
+            .map(|tail| tail.map_or(SimTime::ZERO, |t| self.graph.task_finish(t)));
+        let posted = self.posted.first().map(|&(finish, _)| finish);
+        tails.chain(posted).min().unwrap_or(SimTime::ZERO)
     }
 
     // ------------------------------------------------------------------

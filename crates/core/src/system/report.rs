@@ -282,6 +282,11 @@ impl NearPmSystem {
             fifo_stalls,
             request_latency: LatencySummary::from_histogram(&self.latency_hist),
         };
+        // The checker has just folded every recorded event; drop what no
+        // later event can pair with (see `watermark`). Every report does
+        // this, compacting or not, so the report == report_oracle gates
+        // cover it.
+        self.trace.retire_below(self.watermark());
         if self.config.compact_trace {
             // Every report is a compaction point: the cached checker has
             // just folded the whole trace and never reads a folded event

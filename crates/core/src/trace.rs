@@ -15,7 +15,7 @@
 use nearpm_ppo::{
     Agent, EventKind, IncrementalChecker, Interval, PpoViolation, ProcId, Sharing, SyncId, Trace,
 };
-use nearpm_sim::{TaskGraph, TaskId};
+use nearpm_sim::{SimTime, TaskGraph, TaskId};
 
 /// Accumulates PPO events during graph construction and checks them with a
 /// violation-level incremental checker.
@@ -108,6 +108,15 @@ impl TraceBuilder {
     /// list).
     pub fn set_workers(&mut self, workers: usize) {
         self.checker.set_workers(workers);
+    }
+
+    /// Drops the checker state no event recorded from now on can pair with,
+    /// given that every such event is stamped at or after `w` and that an
+    /// offload and its NDP accesses are recorded together
+    /// ([`IncrementalChecker::retire_below`]). Call it right after a check,
+    /// so every recorded event is folded.
+    pub fn retire_below(&mut self, w: SimTime) {
+        self.checker.retire_below(w.as_ps());
     }
 
     /// Retires every event the checker has folded — the fold never reads

@@ -429,6 +429,224 @@ fn parallel_fold_matches_serial_fold_at_random_batch_splits_and_worker_counts() 
     }
 }
 
+/// A trace whose procedures each record their NDP accesses and then, mostly,
+/// their offload as one contiguous group (a late offload: a batch split
+/// inside the group parks the accesses). At every split, every later NDP
+/// access that names a procedure therefore belongs to one whose offload is
+/// also later — precondition (ii) of [`IncrementalChecker::retire_below`].
+/// Timestamps trend upward with the position and jitter around it, with
+/// occasional far-late stamps, so events are often stamped earlier than
+/// ones recorded before them.
+fn grouped_trace(rng: &mut StdRng, events: usize, devices: usize, bases: u64) -> Trace {
+    let shape = TraceShape {
+        events,
+        devices,
+        bases,
+        procs: 0,
+        offload_prob: 0.0,
+        failure_prob: 0.0,
+    };
+    let jitter = rng.gen_range(1u64..40);
+    let stamp = |rng: &mut StdRng, position: usize| {
+        let late = if rng.gen_range(0..20) == 0 {
+            rng.gen_range(0u64..200)
+        } else {
+            0
+        };
+        (position as u64 + rng.gen_range(0..jitter) + late) * 10
+    };
+    let sharing = |rng: &mut StdRng| {
+        if rng.gen_bool(0.6) {
+            Sharing::Shared
+        } else {
+            Sharing::NdpManaged
+        }
+    };
+    let mut t = Trace::new(devices);
+    let syncs: Vec<SyncId> = (0..3).map(|_| t.new_sync()).collect();
+    let mut groups: Vec<(ProcId, Agent)> = Vec::new();
+    let mut failed = false;
+    while t.len() < events {
+        let agent = Agent::Ndp(rng.gen_range(0..devices));
+        match rng.gen_range(0u32..100) {
+            0..=34 => {
+                let kind = [EventKind::Write, EventKind::Read, EventKind::Persist]
+                    [rng.gen_range(0..3usize)];
+                let (interval, sharing, ts) = (
+                    random_interval(rng, &shape),
+                    sharing(rng),
+                    stamp(rng, t.len()),
+                );
+                t.record(Agent::Cpu, kind, interval, sharing, None, None, ts);
+            }
+            35..=69 => {
+                let p = t.new_proc();
+                groups.push((p, agent));
+                for _ in 0..rng.gen_range(1..5) {
+                    let kind = [
+                        EventKind::Write,
+                        EventKind::Write,
+                        EventKind::Persist,
+                        EventKind::Read,
+                    ][rng.gen_range(0..4usize)];
+                    let (interval, sharing, ts) = (
+                        random_interval(rng, &shape),
+                        sharing(rng),
+                        stamp(rng, t.len()),
+                    );
+                    t.record(agent, kind, interval, sharing, Some(p), None, ts);
+                }
+                if rng.gen_bool(0.85) {
+                    let ts = stamp(rng, t.len());
+                    t.record(
+                        Agent::Cpu,
+                        EventKind::Offload,
+                        Interval::new(0, 0),
+                        Sharing::Shared,
+                        Some(p),
+                        None,
+                        ts,
+                    );
+                }
+            }
+            70..=79 => {
+                // A late persist (or write) with no procedure.
+                let kind = if rng.gen_bool(0.8) {
+                    EventKind::Persist
+                } else {
+                    EventKind::Write
+                };
+                let (interval, sharing, ts) = (
+                    random_interval(rng, &shape),
+                    sharing(rng),
+                    stamp(rng, t.len()),
+                );
+                t.record(agent, kind, interval, sharing, None, None, ts);
+            }
+            80..=91 => {
+                // Proc-scoped syncs name a recent group on its own agent.
+                let (agent, proc) = match groups.len() {
+                    n if n > 0 && rng.gen_bool(0.6) => {
+                        let (p, a) = groups[n - 1 - rng.gen_range(0..n.min(4))];
+                        (a, Some(p))
+                    }
+                    _ => (agent, None),
+                };
+                let sync = syncs[rng.gen_range(0..syncs.len())];
+                let ts = stamp(rng, t.len());
+                t.record(
+                    agent,
+                    EventKind::Sync,
+                    Interval::new(0, 0),
+                    Sharing::NdpManaged,
+                    proc,
+                    Some(sync),
+                    ts,
+                );
+            }
+            _ => {
+                let (agent, kind) = if failed {
+                    (agent, EventKind::RecoveryRead)
+                } else if rng.gen_bool(0.3) {
+                    failed = true;
+                    (Agent::Cpu, EventKind::Failure)
+                } else {
+                    (Agent::Cpu, EventKind::Read)
+                };
+                let (interval, sharing, ts) = (
+                    random_interval(rng, &shape),
+                    sharing(rng),
+                    stamp(rng, t.len()),
+                );
+                t.record(agent, kind, interval, sharing, None, None, ts);
+            }
+        }
+    }
+    t
+}
+
+#[test]
+fn forced_retention_matches_the_oracle_at_every_prefix() {
+    // Replays grouped traces in random batches and, after every batch,
+    // retires below W_k — the minimum timestamp of every event not yet
+    // replayed — so precondition (i) holds by construction. The fold must
+    // equal the naive oracle and its relaxed count at every prefix, and
+    // with no access parked it must keep only entries stamped above W_k.
+    let (mut ordering, mut sync_v, mut recovery) = (0usize, 0usize, 0usize);
+    let (mut parked_prefixes, mut dropped) = (0usize, 0usize);
+    for seed in 7_000..7_060u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let devices = rng.gen_range(1usize..3);
+        let events = rng.gen_range(40usize..220);
+        let bases = rng.gen_range(2u64..8);
+        let t = grouped_trace(&mut rng, events, devices, bases);
+        let mut later = vec![u64::MAX; t.len() + 1];
+        for (k, e) in t.events().iter().enumerate().rev() {
+            later[k] = later[k + 1].min(e.timestamp_ps);
+        }
+        let mut replay = Trace::new(devices);
+        let mut checker = IncrementalChecker::new();
+        let mut naive = Vec::new();
+        let mut i = 0;
+        while i < t.len() {
+            let batch = rng.gen_range(1usize..12).min(t.len() - i);
+            for e in &t.events()[i..i + batch] {
+                replay.record(
+                    e.agent,
+                    e.kind,
+                    e.interval,
+                    e.sharing,
+                    e.proc,
+                    e.sync,
+                    e.timestamp_ps,
+                );
+            }
+            i += batch;
+            naive = oracle::check_all(&replay);
+            assert_eq!(
+                checker.check(&replay),
+                naive,
+                "retained fold diverged at prefix {i} (seed {seed})"
+            );
+            assert_eq!(
+                checker.relaxed_persist_count(&replay),
+                oracle::relaxed_persist_count(&replay),
+                "retained relaxed count diverged at prefix {i} (seed {seed})"
+            );
+            let w = later[i];
+            let before = checker.retained_stamps().len();
+            checker.retire_below(w);
+            let kept = checker.retained_stamps();
+            dropped += before - kept.len();
+            if naive
+                .iter()
+                .any(|v| matches!(v, PpoViolation::MissingOffload { .. }))
+            {
+                parked_prefixes += 1;
+            } else {
+                assert!(
+                    kept.iter().all(|&ts| ts > w),
+                    "entry at or below W = {w} kept at prefix {i} (seed {seed})"
+                );
+            }
+        }
+        assert_eq!(checker.check(&replay), naive, "re-check (seed {seed})");
+        ordering += of_class(&naive, is_ordering).len();
+        sync_v += of_class(&naive, is_sync).len();
+        recovery += of_class(&naive, is_recovery).len();
+    }
+    // The leg must exercise what it guards: violations of every class,
+    // accesses parked across a retirement, and entries actually dropped.
+    assert!(ordering > 50, "ordering violations: {ordering}");
+    assert!(sync_v > 20, "sync violations: {sync_v}");
+    assert!(recovery > 5, "recovery violations: {recovery}");
+    assert!(
+        parked_prefixes > 50,
+        "prefixes with a parked access: {parked_prefixes}"
+    );
+    assert!(dropped > 1_000, "entries retired: {dropped}");
+}
+
 #[test]
 fn cached_index_detects_trace_reset() {
     let mut rng = StdRng::seed_from_u64(7);

@@ -41,7 +41,7 @@
 //!   interval index), and a failure event arriving late re-evaluates all of
 //!   them once.
 //!
-//! Two properties of the fold matter for the 10M-event tier:
+//! Three properties of the fold matter for long runs:
 //!
 //! * **The fold is self-contained.** Every fact a pair evaluation needs
 //!   travels with the indexed [`Item`] (interval, timestamp, CPU program
@@ -62,6 +62,13 @@
 //!   folded violation list is element-for-element equal to the serial fold
 //!   at every batch split and worker count; `workers <= 1` (the default)
 //!   runs the sweeps on the calling thread.
+//! * **The per-access state is retired below a watermark.** Given a time
+//!   below which no later event can be stamped,
+//!   [`IncrementalChecker::retire_below`] drops the shared CPU accesses,
+//!   NDP mirror items and parked writes no later event can pair with (its
+//!   doc states the preconditions and the rule per structure), so what the
+//!   fold keeps of them is bounded by the events near the watermark, not by
+//!   the run length.
 //!
 //! Violations are held in ordered maps keyed the way the naive oracles emit
 //! them — (NDP event, CPU event) for ordering, (sync, write) for
@@ -160,7 +167,8 @@ pub struct IncrementalChecker {
     // --- Invariants 1/2 ---
     /// Shared NDP accesses mirrored per kind, so a new CPU access can find
     /// the older NDP events it is comparable with. Items carry the NDP
-    /// procedure id in `aux` ([`NO_PROC`] when absent).
+    /// procedure id in `aux` ([`NO_PROC`] when absent). Items at or below
+    /// the last watermark are retired.
     ndp_shared_reads: IncrementalIntervalIndex,
     ndp_shared_writes: IncrementalIntervalIndex,
     ndp_shared_persists: IncrementalIntervalIndex,
@@ -178,7 +186,8 @@ pub struct IncrementalChecker {
     /// earliest covering persist timestamp, event index). A key is exact as
     /// of the batch that parked or last revalidated its write; later
     /// persists only lower the true value, so a sync's range read
-    /// over-approximates its candidates and lazily tightens them.
+    /// over-approximates its candidates and lazily tightens them. Keys at
+    /// or below the last watermark are retired.
     parked_writes: HashMap<Agent, BTreeMap<(u64, u32), WriteFact>>,
     /// Sync verdicts, keyed (sync event, write event).
     sync_violations: BTreeMap<PairKey, PpoViolation>,
@@ -266,6 +275,77 @@ impl IncrementalChecker {
     pub fn relaxed_persist_count(&mut self, trace: &Trace) -> usize {
         self.sync_with(trace);
         self.rpc_count
+    }
+
+    /// Drops the folded state no event the checker has not folded yet can
+    /// pair with, given a watermark `w`. The caller guarantees, for every
+    /// such later event:
+    ///
+    /// * (i) it is stamped at or after `w`;
+    /// * (ii) if it is an NDP access naming a procedure, that procedure's
+    ///   offload event is later too (or never recorded). The system meets
+    ///   this because one call records an offload and all its accesses.
+    ///
+    /// Under both, three rules are exact: the violation list and the
+    /// relaxed-persist count stay equal to the naive oracle's at every
+    /// later prefix.
+    ///
+    /// 1. **Shared CPU accesses stamped at or below `w`** are dropped. A
+    ///    later NDP access's offload follows every folded CPU access in
+    ///    program order, so the pair violates only if the CPU timestamp
+    ///    exceeds the NDP one, which is at least `w`. The exception is an
+    ///    access parked for its offload: when the offload arrives, the
+    ///    access is re-checked against the CPU indexes, and that pair
+    ///    violates only if the CPU timestamp exceeds the parked access's
+    ///    own, possibly earlier, one. So the floor is `w` capped at the
+    ///    earliest parked timestamp.
+    /// 2. **NDP mirror items stamped at or below `w`** are dropped. A later
+    ///    CPU access follows the offload of every mirrored access that has
+    ///    one, so the pair violates only if the NDP timestamp exceeds the
+    ///    CPU one, which is at least `w`. A parked access needs no
+    ///    exception: its pairs with CPU accesses that precede its offload
+    ///    are re-checked against the CPU indexes, not the mirror.
+    /// 3. **Parked writes whose stored key is at or below `w`** are dropped.
+    ///    A later sync flags a write only if the write's true key, which is
+    ///    at most the stored one, exceeds the sync's timestamp, which is at
+    ///    least `w`.
+    ///
+    /// Everything else (`offload_po`, the min-maps, recovery state, parked
+    /// accesses and the recorded violations) is kept.
+    pub fn retire_below(&mut self, w: u64) {
+        let cpu_floor = self
+            .parked_no_offload
+            .values()
+            .flatten()
+            .map(|(_, fact)| fact.ts)
+            .fold(w, u64::min);
+        self.index.retire_cpu_shared_below(cpu_floor);
+        self.ndp_shared_reads.retire_below(w);
+        self.ndp_shared_writes.retire_below(w);
+        self.ndp_shared_persists.retire_below(w);
+        for parked in self.parked_writes.values_mut() {
+            match w.checked_add(1) {
+                Some(above) => *parked = parked.split_off(&(above, 0)),
+                None => parked.clear(),
+            }
+        }
+    }
+
+    /// The timestamps of every entry the retention rules govern: shared
+    /// CPU accesses, NDP mirror items and parked-write keys.
+    #[cfg(test)]
+    pub(crate) fn retained_stamps(&self) -> Vec<u64> {
+        self.index
+            .cpu_shared_values()
+            .chain(self.ndp_shared_reads.values())
+            .chain(self.ndp_shared_writes.values())
+            .chain(self.ndp_shared_persists.values())
+            .chain(
+                self.parked_writes
+                    .values()
+                    .flat_map(|m| m.keys().map(|&(key, _)| key)),
+            )
+            .collect()
     }
 
     /// Detects a trace reset and folds the events appended since the

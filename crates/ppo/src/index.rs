@@ -200,6 +200,16 @@ impl IntervalIndex {
         self.items.len()
     }
 
+    /// Minimum and maximum `value` over every item, read off the root's
+    /// end-sorted run (its first entry aggregates the whole node); `None`
+    /// for an empty index.
+    fn value_bounds(&self) -> Option<(u64, u64)> {
+        self.root.map(|root| {
+            let (_, min, max) = self.node_ends[root][0];
+            (min, max)
+        })
+    }
+
     /// Consumes the index, returning its (start-sorted) items. Used by the
     /// incremental index when collapsing levels.
     fn take_items(self) -> Vec<Item> {
@@ -470,6 +480,36 @@ impl IncrementalIntervalIndex {
         self.levels.push(IntervalIndex::build_presorted(items));
     }
 
+    /// Drops every item whose `value` is at or below `floor`. A level whose
+    /// items all are goes whole in O(1), a level with none stays as it is,
+    /// and the rest are filtered and rebuilt — both bounds are read off the
+    /// level's root. A filtered level can end up smaller than the level
+    /// after it; the next batch absorbs such trailing levels as usual.
+    pub(crate) fn retire_below(&mut self, floor: u64) {
+        for level in std::mem::take(&mut self.levels) {
+            let (min, max) = level.value_bounds().expect("levels are never empty");
+            if max <= floor {
+                continue;
+            }
+            if min > floor {
+                self.levels.push(level);
+                continue;
+            }
+            let mut items = level.take_items();
+            items.retain(|it| it.value > floor);
+            self.levels.push(IntervalIndex::build_presorted(items));
+        }
+    }
+
+    /// Every item's `value`, level by level (tests read what retention
+    /// kept).
+    #[cfg(test)]
+    pub(crate) fn values(&self) -> impl Iterator<Item = u64> + '_ {
+        self.levels
+            .iter()
+            .flat_map(|l| l.items.iter().map(|it| it.value))
+    }
+
     /// Calls `f` with the event id of every indexed interval overlapping
     /// `query`, fanning out over the levels (no cross-level order).
     pub(crate) fn for_each_overlap<F: FnMut(u32)>(&self, query: Interval, mut f: F) {
@@ -592,6 +632,24 @@ impl FoldIndex {
         self.cpu_shared_reads.insert_batch(cpu_reads);
         self.cpu_shared_writes.insert_batch(cpu_writes);
         self.cpu_shared_persists.insert_batch(cpu_persists);
+    }
+
+    /// Drops the shared CPU accesses stamped at or below `floor` (the
+    /// checker's Invariant 1/2 retention rule decides the floor).
+    pub(crate) fn retire_cpu_shared_below(&mut self, floor: u64) {
+        self.cpu_shared_reads.retire_below(floor);
+        self.cpu_shared_writes.retire_below(floor);
+        self.cpu_shared_persists.retire_below(floor);
+    }
+
+    /// Every shared CPU access's timestamp (tests read what retention
+    /// kept).
+    #[cfg(test)]
+    pub(crate) fn cpu_shared_values(&self) -> impl Iterator<Item = u64> + '_ {
+        self.cpu_shared_reads
+            .values()
+            .chain(self.cpu_shared_writes.values())
+            .chain(self.cpu_shared_persists.values())
     }
 
     /// CPU program-order index of the offload event of `proc`, if folded.
@@ -807,6 +865,88 @@ mod tests {
             assert_eq!(got, want, "query {query:?}");
             assert_eq!(inc.max_value_overlapping(query), naive_max(&naive, query));
         }
+    }
+
+    /// An index retired below random floors between random batches answers
+    /// every query — overlap enumeration, the max-value screen and the
+    /// order-violation walk — like one rebuilt from the surviving items,
+    /// and keeps inserting correctly afterwards.
+    #[test]
+    fn retired_index_answers_like_a_rebuild_of_the_survivors() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(21);
+        let (mut whole_levels, mut filtered_levels) = (0usize, 0usize);
+        for _round in 0..40 {
+            let mut inc = IncrementalIntervalIndex::default();
+            let mut survivors: Vec<Item> = Vec::new();
+            let mut next_id = 0u32;
+            for step in 0..30u64 {
+                let batch: Vec<Item> = (0..rng.gen_range(0usize..40))
+                    .map(|_| {
+                        let start = rng.gen_range(0u64..400);
+                        next_id += 1;
+                        Item {
+                            start,
+                            end: start + rng.gen_range(0u64..48),
+                            value: step * 50 + rng.gen_range(0u64..400),
+                            aux: rng.gen_range(0u64..8),
+                            id: next_id,
+                        }
+                    })
+                    .collect();
+                survivors.extend(batch.iter().filter(|it| it.end > it.start));
+                inc.insert_batch(batch);
+                if rng.gen_bool(0.5) {
+                    let floor = step * 50 + rng.gen_range(0u64..600);
+                    let levels = inc.levels.len();
+                    let gone = inc
+                        .levels
+                        .iter()
+                        .filter(|l| l.value_bounds().is_some_and(|(_, max)| max <= floor))
+                        .count();
+                    inc.retire_below(floor);
+                    whole_levels += gone;
+                    filtered_levels += levels - gone;
+                    survivors.retain(|it| it.value > floor);
+                }
+                let mut rebuilt = IncrementalIntervalIndex::default();
+                rebuilt.insert_batch(survivors.clone());
+                let mut kept: Vec<u64> = inc.values().collect();
+                kept.sort_unstable();
+                let mut want: Vec<u64> = survivors.iter().map(|it| it.value).collect();
+                want.sort_unstable();
+                assert_eq!(kept, want);
+                for _q in 0..10 {
+                    let q = iv(rng.gen_range(0u64..450), rng.gen_range(0u64..60));
+                    let ids = |idx: &IncrementalIntervalIndex| {
+                        let mut got = Vec::new();
+                        idx.for_each_overlap(q, |id| got.push(id));
+                        got.sort_unstable();
+                        got
+                    };
+                    assert_eq!(ids(&inc), ids(&rebuilt), "overlap {q:?}");
+                    assert_eq!(
+                        inc.max_value_overlapping(q),
+                        rebuilt.max_value_overlapping(q),
+                        "max {q:?}"
+                    );
+                    let (off_po, ndp_ts) = (rng.gen_range(0u64..8), rng.gen_range(0u64..2_000));
+                    let violations = |idx: &IncrementalIntervalIndex| {
+                        let mut got = Vec::new();
+                        idx.for_each_overlap_order_violation(q, off_po, ndp_ts, |it| {
+                            got.push(it.id)
+                        });
+                        got.sort_unstable();
+                        got
+                    };
+                    assert_eq!(violations(&inc), violations(&rebuilt), "walk {q:?}");
+                }
+            }
+        }
+        // Both retirement paths ran: whole levels dropped and levels filtered.
+        assert!(whole_levels > 20, "whole levels dropped: {whole_levels}");
+        assert!(filtered_levels > 20, "levels filtered: {filtered_levels}");
     }
 
     /// The fold's index answers the offload, failure-window, and

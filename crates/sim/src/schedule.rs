@@ -30,14 +30,39 @@
 use crate::resource::Resource;
 use crate::time::{SimDuration, SimTime};
 
+/// The index [`slice::partition_point`] returns — the first element for
+/// which `pred` is false, given that `pred` holds on a prefix of `slice` —
+/// searched from the newest end. It checks the last element first, then
+/// steps back in doubling strides and binary-searches inside the last
+/// stride, so an answer `d` elements from the end costs O(log d) probes
+/// instead of O(log len). The busy lists and union sets it searches grow in
+/// roughly increasing simulated time: new intervals land at or near their
+/// end however long the run has been going.
+pub(crate) fn partition_point_from_back<T>(slice: &[T], mut pred: impl FnMut(&T) -> bool) -> usize {
+    // Every element at or after `hi` fails `pred`.
+    let mut hi = slice.len();
+    let mut stride = 1;
+    while hi > 0 {
+        let lo = hi.saturating_sub(stride);
+        if pred(&slice[lo]) {
+            return lo + 1 + slice[lo + 1..hi].partition_point(pred);
+        }
+        hi = lo;
+        stride *= 2;
+    }
+    0
+}
+
 /// A merged set of disjoint, sorted busy intervals with prefix sums of the
 /// covered time.
 ///
 /// The live set grows by **incremental insertion**: one interval is merged
 /// in place (coalescing with anything it overlaps or touches) and the prefix
-/// sums are rebuilt from the first modified index only. Busy intervals are
-/// produced in roughly increasing simulated time, so insertion streams are
-/// append-mostly and pay O(1) amortized per insert.
+/// sums are rebuilt from the first modified index only. An insert that
+/// lands `d` intervals from the end costs O(log d) to find (the search
+/// starts from the newest end) and O(d) to splice and re-sum. Busy
+/// intervals are produced in roughly increasing simulated time, so `d`
+/// stays small however many intervals the set holds.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalSet {
     /// Disjoint intervals sorted by start; no two touch (`end < next start`).
@@ -50,9 +75,10 @@ impl IntervalSet {
     /// Inserts `[start, end)`, coalescing it with every existing interval it
     /// overlaps or touches, and appends to `newly` the sub-intervals that
     /// were **not** previously covered — the coverage delta the timeline's
-    /// overlap total is maintained from. Prefix sums are rebuilt from the
-    /// first modified index, so an append-mostly insertion stream costs O(1)
-    /// amortized per insert.
+    /// overlap total is maintained from. The search starts from the newest
+    /// end and prefix sums are rebuilt from the first modified index, so the
+    /// cost depends on how far from the end the insert lands, not on the
+    /// set's size.
     fn insert(&mut self, start: SimTime, end: SimTime, newly: &mut Vec<(SimTime, SimTime)>) {
         if end <= start {
             return;
@@ -62,7 +88,7 @@ impl IntervalSet {
             self.prefix.push(0);
         }
         // First interval whose end reaches `start` (touching coalesces).
-        let i = self.intervals.partition_point(|&(_, e)| e < start);
+        let i = partition_point_from_back(&self.intervals, |&(_, e)| e < start);
         let mut j = i;
         let mut merged = (start, end);
         let mut cursor = start;
@@ -100,9 +126,10 @@ impl IntervalSet {
         SimDuration::from_ps(*self.prefix.last().unwrap_or(&0))
     }
 
-    /// Covered time in `[0, t)` — O(log n) via the prefix sums.
+    /// Covered time in `[0, t)` — O(log n) via the prefix sums, O(log d)
+    /// for a `t` that `d` intervals end after.
     fn covered_before(&self, t: SimTime) -> SimDuration {
-        let k = self.intervals.partition_point(|&(s, _)| s < t);
+        let k = partition_point_from_back(&self.intervals, |&(s, _)| s < t);
         // `get` keeps a default-constructed (never-inserted) set queryable.
         let mut ps = self.prefix.get(k).copied().unwrap_or(0);
         if k > 0 {
@@ -656,6 +683,48 @@ mod tests {
         assert_eq!(full.makespan(), SimDuration::ZERO);
         assert_eq!(full.horizon(), SimTime::ZERO);
         assert_eq!(full.utilization(CPU), 0.0);
+    }
+
+    /// The tail-first search returns `slice::partition_point`'s answer for
+    /// every split position of empty, all-true, all-false and random sorted
+    /// slices, and never probes outside the slice.
+    #[test]
+    fn partition_point_from_back_matches_partition_point() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let check = |slice: &[u64], bound: u64| {
+            let want = slice.partition_point(|&x| x < bound);
+            let got = partition_point_from_back(slice, |&x| x < bound);
+            assert_eq!(got, want, "bound {bound} over {slice:?}");
+        };
+        check(&[], 0);
+        check(&[], 7);
+        let mut rng = StdRng::seed_from_u64(3);
+        for len in 0..70usize {
+            // Uniform slices are all-true or all-false for every bound.
+            let flat = vec![5u64; len];
+            for bound in [0, 5, 6] {
+                check(&flat, bound);
+            }
+            // Strictly increasing values: every split position 0..=len.
+            let strict: Vec<u64> = (0..len as u64).map(|i| 2 * i + 1).collect();
+            for bound in 0..=2 * len as u64 + 1 {
+                check(&strict, bound);
+            }
+            // Random sorted values with duplicates.
+            let mut random: Vec<u64> = (0..len).map(|_| rng.gen_range(0u64..40)).collect();
+            random.sort_unstable();
+            for bound in 0..=41 {
+                check(&random, bound);
+            }
+        }
+        // Long slices, answers near the end and near the front.
+        let long: Vec<u64> = (0..100_000).collect();
+        for bound in [
+            0, 1, 2, 31, 32, 33, 99_000, 99_998, 99_999, 100_000, 200_000,
+        ] {
+            check(&long, bound);
+        }
     }
 
     #[test]

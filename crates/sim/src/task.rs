@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 
 use crate::resource::Resource;
-use crate::schedule::Timeline;
+use crate::schedule::{partition_point_from_back, Timeline};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a task within one [`TaskGraph`].
@@ -407,9 +407,10 @@ impl TaskGraph {
         let state = self.per_resource.entry(resource).or_default();
         state.claim_discipline(resource, duration, true, label);
         let busy = &mut state.arrival_busy;
-        // Earliest gap at or after `dep_ready` that fits `duration`.
+        // Earliest gap at or after `dep_ready` that fits `duration`; new
+        // tasks land near the end of the busy list, so search from there.
         let mut start = dep_ready;
-        let mut i = busy.partition_point(|&(_, end)| end <= start);
+        let mut i = partition_point_from_back(busy, |&(_, end)| end <= start);
         while let Some(&(next_start, next_end)) = busy.get(i) {
             if start + duration <= next_start {
                 break;

@@ -25,7 +25,8 @@ pub use crashpoint::{
 };
 pub use gen::{TatpGenerator, TatpTxn, TpccGenerator, TpccTxn, YcsbGenerator, YcsbOp, Zipfian};
 pub use openloop::{
-    run_open_loop, ArrivalGen, ArrivalProcess, LatencyWindow, OpenLoopOptions, OpenLoopReport,
+    run_open_loop, run_open_loop_observed, ArrivalGen, ArrivalProcess, LatencyWindow,
+    OpenLoopOptions, OpenLoopReport,
 };
 pub use restart::{
     child_main, count_boundaries, drop_and_reopen, verify_restarted_recovery, RestartOutcome,

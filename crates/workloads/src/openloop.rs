@@ -25,7 +25,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use nearpm_cc::Mechanism;
-use nearpm_core::{ExecMode, Result, RunReport};
+use nearpm_core::{ExecMode, NearPmSystem, Result, RunReport};
 use nearpm_sim::{exact_percentile, LatencyHistogram, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -428,6 +428,16 @@ struct WindowAccum {
 /// no full-trace rescans, so million-op runs stay in the gate budget with
 /// trace compaction on.
 pub fn run_open_loop(options: &OpenLoopOptions) -> Result<OpenLoopReport> {
+    run_open_loop_observed(options, |_, _| {}).map(|(report, _sys)| report)
+}
+
+/// [`run_open_loop`] with an observation hook called after every completed
+/// request (`observe(&mut sys, requests_done)`), returning the system too
+/// (for tests that inspect its trace afterwards).
+pub fn run_open_loop_observed(
+    options: &OpenLoopOptions,
+    mut observe: impl FnMut(&mut NearPmSystem, usize),
+) -> Result<(OpenLoopReport, NearPmSystem)> {
     let o = options;
     let mut run_opts = RunOptions::new(o.mode, o.mechanism, o.operations)
         .with_threads(o.threads)
@@ -509,6 +519,7 @@ pub fn run_open_loop(options: &OpenLoopOptions) -> Result<OpenLoopReport> {
         if let Some(exact) = windows[w].exact.as_mut() {
             exact.push(latency);
         }
+        observe(&mut sys, req + 1);
     }
 
     runner.finish_epochs(&mut sys, &mut threads);
@@ -546,7 +557,7 @@ pub fn run_open_loop(options: &OpenLoopOptions) -> Result<OpenLoopReport> {
     } else {
         0.0
     };
-    Ok(OpenLoopReport {
+    let report = OpenLoopReport {
         process: o.process,
         offered_ops_per_s: o.process.mean_rate_ops_per_s(),
         achieved_ops_per_s,
@@ -557,7 +568,8 @@ pub fn run_open_loop(options: &OpenLoopOptions) -> Result<OpenLoopReport> {
         max_backlog,
         mean_admission_wait: SimDuration::from_ps(total_wait.as_ps() / n as u64),
         last_arrival,
-    })
+    };
+    Ok((report, sys))
 }
 
 #[cfg(test)]
