@@ -10,12 +10,10 @@
 //! at a controllable task count. Generation is fully deterministic — no RNG
 //! — so benchmark runs are reproducible.
 
-use std::collections::HashMap;
-
 use nearpm_core::{AddrRange, ExecMode, NearPmOp, NearPmSystem, OffloadBatch, SystemConfig};
 use nearpm_ppo::{Agent, EventKind, Interval, ProcId, Sharing, Trace};
 use nearpm_sim::schedule::oracle;
-use nearpm_sim::{Region, Resource, SimDuration, TaskGraph};
+use nearpm_sim::{FxHashMap, Region, Resource, SimDuration, TaskGraph};
 
 /// Shape of a synthetic undo-log trace.
 #[derive(Debug, Clone, Copy)]
@@ -161,7 +159,7 @@ pub fn synthetic_undo_log_trace(spec: SyntheticTraceSpec) -> Trace {
 ///   log persist stamped just after that sync (Invariant 3: an
 ///   `UnpersistedBeforeSync`).
 pub fn perturbed_undo_log_trace(clean: &Trace) -> Trace {
-    let sync_ts: HashMap<ProcId, u64> = clean
+    let sync_ts: FxHashMap<ProcId, u64> = clean
         .events()
         .iter()
         .filter(|e| e.kind == EventKind::Sync)

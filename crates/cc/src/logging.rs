@@ -110,61 +110,72 @@ impl UndoLog {
     /// updates it in place (`NearPM_undolg_create` or its CPU equivalent).
     pub fn log_range(&mut self, sys: &mut NearPmSystem, addr: VirtAddr, len: u64) -> Result<()> {
         let txn = self.txn.expect("log_range outside a transaction");
-        // Split at device boundaries and at the slot capacity.
-        let mut chunks = Vec::new();
-        for (start, span_len, device) in sys.device_spans(addr, len)? {
+        // Split at device boundaries and at the slot capacity; each chunk
+        // takes one log slot on its device.
+        for (span_start, span_len, device) in sys.device_spans(addr, len)? {
             let mut off = 0;
             while off < span_len {
                 let chunk = (span_len - off).min(MAX_LOG_CHUNK);
-                chunks.push((start.offset(off), chunk, device));
+                let start = span_start.offset(off);
                 off += chunk;
+                self.log_chunk(sys, txn, start, chunk, device)?;
             }
         }
-        for (start, chunk, device) in chunks {
-            let slot = self.arena.acquire(device)?;
-            if sys.mode().uses_ndp() {
-                // Split-phase posting: the log create joins the txn's batch
-                // without materializing any wait — every logged range of the
-                // transaction is in flight together.
-                sys.offload_into(
-                    &mut self.batch,
-                    self.thread,
-                    self.pool,
-                    NearPmOp::UndoLogCreate {
-                        src: start,
-                        len: chunk,
-                        log_meta: slot.meta,
-                        log_data: slot.data,
-                        txn_id: txn,
-                    },
-                    &[],
-                )?;
-            } else {
-                // CPU baseline: generate metadata, copy old data, then
-                // persist the header. The data copy comes FIRST: the header
-                // flipping to `Active` is what makes recovery trust the
-                // slot, so persisting it before the old data lands would
-                // let a crash between the two roll garbage back into the
-                // home location. (The NDP path is a single functionally
-                // atomic request and has no such window.)
-                let latency = sys.latency().clone();
-                sys.cpu_overhead(
-                    self.thread,
-                    "cpu-metadata",
-                    latency.cpu_metadata_ns,
-                    Region::CcMetadata,
-                )?;
-                sys.cpu_copy(self.thread, start, slot.data, chunk, Region::CcDataMovement)?;
-                let header = LogEntryHeader::active(start, chunk, txn);
-                sys.cpu_write(self.thread, slot.meta, &header.encode(), Region::CcMetadata)?;
-                sys.cpu_persist(self.thread, slot.meta, 64, Region::CcMetadata)?;
-            }
-            self.active.push(ActiveEntry {
-                slot,
-                target: start,
-                len: chunk,
-            });
+        Ok(())
+    }
+
+    /// Logs one chunk that fits a log slot on `device`.
+    fn log_chunk(
+        &mut self,
+        sys: &mut NearPmSystem,
+        txn: u64,
+        start: VirtAddr,
+        chunk: u64,
+        device: usize,
+    ) -> Result<()> {
+        let slot = self.arena.acquire(device)?;
+        if sys.mode().uses_ndp() {
+            // Split-phase posting: the log create joins the txn's batch
+            // without materializing any wait — every logged range of the
+            // transaction is in flight together.
+            sys.offload_into(
+                &mut self.batch,
+                self.thread,
+                self.pool,
+                NearPmOp::UndoLogCreate {
+                    src: start,
+                    len: chunk,
+                    log_meta: slot.meta,
+                    log_data: slot.data,
+                    txn_id: txn,
+                },
+                &[],
+            )?;
+        } else {
+            // CPU baseline: generate metadata, copy old data, then
+            // persist the header. The data copy comes FIRST: the header
+            // flipping to `Active` is what makes recovery trust the
+            // slot, so persisting it before the old data lands would
+            // let a crash between the two roll garbage back into the
+            // home location. (The NDP path is a single functionally
+            // atomic request and has no such window.)
+            let latency = sys.latency().clone();
+            sys.cpu_overhead(
+                self.thread,
+                "cpu-metadata",
+                latency.cpu_metadata_ns,
+                Region::CcMetadata,
+            )?;
+            sys.cpu_copy(self.thread, start, slot.data, chunk, Region::CcDataMovement)?;
+            let header = LogEntryHeader::active(start, chunk, txn);
+            sys.cpu_write(self.thread, slot.meta, &header.encode(), Region::CcMetadata)?;
+            sys.cpu_persist(self.thread, slot.meta, 64, Region::CcMetadata)?;
         }
+        self.active.push(ActiveEntry {
+            slot,
+            target: start,
+            len: chunk,
+        });
         Ok(())
     }
 
@@ -188,7 +199,7 @@ impl UndoLog {
 
         // Phase 1: mode-specific synchronization — every log entry (and the
         // in-place updates, persisted as they happened) is durable.
-        let mut reset_deps: Vec<TaskId> = Vec::new();
+        let mut reset_dep: Option<TaskId> = None;
         match sys.mode() {
             ExecMode::CpuBaseline | ExecMode::NearPmSd => {}
             ExecMode::NearPmMdSync => {
@@ -200,7 +211,7 @@ impl UndoLog {
             ExecMode::NearPmMd => {
                 // Delayed near-memory synchronization over the group; log
                 // deletion depends on it but the CPU does not wait.
-                reset_deps.extend(sys.delayed_sync_batch(&self.batch)?);
+                reset_dep = sys.delayed_sync_batch(&self.batch)?;
             }
         }
 
@@ -233,7 +244,7 @@ impl UndoLog {
                     sys.cpu_persist(self.thread, e.slot.meta, 64, Region::CcLogReset)?;
                 }
             }
-            _ => self.offload_commit(sys, &reset_deps)?,
+            _ => self.offload_commit(sys, reset_dep.as_slice())?,
         }
 
         // Phase 4: clear the marker — the commit is fully retired.
@@ -254,24 +265,25 @@ impl UndoLog {
 
     fn offload_commit(&mut self, sys: &mut NearPmSystem, deps: &[TaskId]) -> Result<()> {
         let txn = self.committed_txns;
-        // Group entries by device, one commit command per device (the memory
-        // controller duplicates commands for objects spanning devices).
-        let devices: Vec<usize> = {
-            let mut d: Vec<usize> = self.active.iter().map(|e| e.slot.device).collect();
-            d.sort_unstable();
-            d.dedup();
-            d
+        // Group entries by device, one commit command per device in device
+        // order (the memory controller duplicates commands for objects
+        // spanning devices).
+        let next_device = |after: Option<usize>| {
+            self.active
+                .iter()
+                .map(|e| e.slot.device)
+                .filter(|&d| after.is_none_or(|a| d > a))
+                .min()
         };
-        for dev in devices {
+        let mut device = next_device(None);
+        while let Some(dev) = device {
+            device = next_device(Some(dev));
             let entries: Vec<VirtAddr> = self
                 .active
                 .iter()
                 .filter(|e| e.slot.device == dev)
                 .map(|e| e.slot.meta)
                 .collect();
-            if entries.is_empty() {
-                continue;
-            }
             sys.offload_into(
                 &mut self.commit_batch,
                 self.thread,

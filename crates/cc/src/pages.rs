@@ -10,13 +10,13 @@
 //!   atomically switches a page-table entry at commit; recovery needs no data
 //!   movement because the page table always references a complete page.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use nearpm_core::{
     ExecMode, NearPmOp, NearPmSystem, OffloadBatch, PoolId, Region, Result, SystemError, VirtAddr,
 };
 use nearpm_device::{EntryState, LogEntryHeader};
-use nearpm_sim::PM_PAGE;
+use nearpm_sim::{FxHashSet, PM_PAGE};
 
 use crate::arena::{LogArena, LogSlot};
 
@@ -30,8 +30,11 @@ pub struct Checkpoint {
     /// epoch snapshots more pages than it has free.
     pages_per_device: usize,
     epoch: u64,
-    /// Pages checkpointed in the current epoch: page base → slot.
-    snapshots: HashMap<u64, LogSlot>,
+    /// Pages checkpointed in the current epoch: page base → slot. Kept in
+    /// page order: an epoch's end hands the slots back to the arena's LIFO
+    /// free lists in this order, which decides the slot each page of the
+    /// next epoch takes.
+    snapshots: BTreeMap<u64, LogSlot>,
     /// The epoch's in-flight snapshot offloads, posted split-phase; the
     /// epoch boundary synchronizes and releases the group as a whole.
     batch: OffloadBatch,
@@ -52,7 +55,7 @@ impl Checkpoint {
             arena: LogArena::new(sys, pool, pages_per_device)?,
             pages_per_device,
             epoch: 0,
-            snapshots: HashMap::new(),
+            snapshots: BTreeMap::new(),
             batch: OffloadBatch::new(),
             epochs_completed: 0,
         })
@@ -201,7 +204,7 @@ impl Checkpoint {
             }
         }
         sys.release_batch(&mut self.batch);
-        for (_page, slot) in self.snapshots.drain() {
+        for (_page, slot) in std::mem::take(&mut self.snapshots) {
             self.arena.release(slot);
         }
         self.epoch += 1;
@@ -249,7 +252,7 @@ impl Checkpoint {
                 }
             }
         }
-        for (_page, slot) in self.snapshots.drain() {
+        for (_page, slot) in std::mem::take(&mut self.snapshots) {
             self.arena.release(slot);
         }
         self.batch.clear();
@@ -431,7 +434,7 @@ impl ShadowPaging {
         while !order.is_empty() {
             let mut round = Vec::new();
             let mut later = Vec::new();
-            let mut seen = HashSet::new();
+            let mut seen = FxHashSet::default();
             for i in order {
                 if seen.insert(sites[i].0) {
                     round.push(i);

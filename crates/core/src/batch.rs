@@ -81,14 +81,6 @@ impl OffloadBatch {
         &self.handles
     }
 
-    /// The devices the group's offloads executed on, sorted and deduplicated.
-    pub fn devices(&self) -> Vec<usize> {
-        let mut d: Vec<usize> = self.handles.iter().map(|h| h.device).collect();
-        d.sort_unstable();
-        d.dedup();
-        d
-    }
-
     /// Total payload bytes moved by the group's offloads.
     pub fn bytes(&self) -> u64 {
         self.handles.iter().map(|h| h.bytes).sum()
@@ -132,7 +124,7 @@ mod tests {
         let txn = sys.next_txn_id();
         // The 8 kB object spans both interleaved devices; one log create per
         // device-local span lands the batch on both devices.
-        for (i, (addr, len, _dev)) in sys.device_spans(obj, 8192).unwrap().into_iter().enumerate() {
+        for (i, (addr, len, _dev)) in sys.device_spans(obj, 8192).unwrap().enumerate() {
             let slot = log_area.offset(i as u64 * 4096);
             sys.offload_into(
                 &mut batch,
@@ -150,7 +142,8 @@ mod tests {
             .unwrap();
         }
         assert_eq!(batch.len(), 2);
-        assert_eq!(batch.devices(), vec![0, 1]);
+        let devices: Vec<usize> = batch.handles().iter().map(|h| h.device).collect();
+        assert_eq!(devices, [0, 1]);
         assert_eq!(batch.bytes(), 4096);
 
         // The whole group synchronizes and releases as a unit.

@@ -45,6 +45,22 @@ use crate::crashplan::{BoundaryKind, CrashPlan};
 use crate::error::{Result, SystemError};
 use crate::trace::TraceBuilder;
 
+/// Buffers owned by the system and reused by every primitive, so a posted
+/// command or a CPU access allocates nothing in steady state. Each is taken
+/// out of the system while a primitive fills it and put back after.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Staging buffer for CPU-driven copies.
+    bytes: Vec<u8>,
+    /// Dependency list of the CPU task being added.
+    cpu_deps: Vec<TaskId>,
+    /// Tasks a primitive collects before adding its own: in-flight
+    /// conflicts of a CPU access, or the handles a sync waits for.
+    deps: Vec<TaskId>,
+    /// A sync point's (device, procedure) pairs, sorted and deduplicated.
+    sync_pairs: Vec<(usize, ProcId)>,
+}
+
 /// The simulated NearPM machine.
 #[derive(Debug)]
 pub struct NearPmSystem {
@@ -83,9 +99,8 @@ pub struct NearPmSystem {
     /// Armed fault-injection plan: counts crash boundaries and fires
     /// [`NearPmSystem::crash`] at the configured one.
     crash_plan: Option<CrashPlan>,
-    /// Reusable staging buffer for CPU-driven copies (avoids a heap
-    /// allocation per `cpu_copy`).
-    scratch: Vec<u8>,
+    /// Buffers the primitives reuse instead of allocating per call.
+    scratch: Scratch,
     /// Checkpoint epoch counter, mirrored durably into the media manifest
     /// whenever one exists so a reattaching process learns it without
     /// replay.
@@ -149,7 +164,7 @@ impl NearPmSystem {
             crashed: false,
             recovering: false,
             crash_plan: None,
-            scratch: Vec::new(),
+            scratch: Scratch::default(),
             checkpoint_epoch: 0,
             manifest_dir: None,
             config,
@@ -256,17 +271,25 @@ impl NearPmSystem {
         Ok(self.space.device_of(phys))
     }
 
-    /// Splits a virtual range into per-device spans `(addr, len, device)`.
-    pub fn device_spans(&self, addr: VirtAddr, len: u64) -> Result<Vec<(VirtAddr, u64, usize)>> {
+    /// Splits a virtual range into per-device spans `(addr, len, device)`,
+    /// in address order.
+    pub fn device_spans(
+        &self,
+        addr: VirtAddr,
+        len: u64,
+    ) -> Result<impl Iterator<Item = (VirtAddr, u64, usize)>> {
         let phys = self.pools.translate(addr)?;
-        let spans = self.space.interleave().split(phys, len);
-        let mut out = Vec::with_capacity(spans.len());
         let mut offset = 0u64;
-        for s in spans {
-            out.push((addr.offset(offset), s.len, s.device));
-            offset += s.len;
-        }
-        Ok(out)
+        Ok(self
+            .space
+            .interleave()
+            .split(phys, len)
+            .into_iter()
+            .map(move |s| {
+                let span = (addr.offset(offset), s.len, s.device);
+                offset += s.len;
+                span
+            }))
     }
 
     // ------------------------------------------------------------------
@@ -294,7 +317,8 @@ impl NearPmSystem {
         extra_deps: &[TaskId],
     ) -> TaskId {
         let thread = thread % self.config.cpu_threads;
-        let mut deps: Vec<TaskId> = Vec::with_capacity(extra_deps.len() + 2);
+        let mut deps = std::mem::take(&mut self.scratch.cpu_deps);
+        deps.clear();
         if let Some(tail) = self.cpu_tail[thread] {
             deps.push(tail);
         }
@@ -315,6 +339,7 @@ impl NearPmSystem {
         let id = self
             .graph
             .add(label, self.cpu_resource(thread), duration, region, &deps);
+        self.scratch.cpu_deps = deps;
         self.cpu_tail[thread] = Some(id);
         id
     }
@@ -345,12 +370,13 @@ impl NearPmSystem {
         id
     }
 
-    fn host_conflicts(&mut self, phys: PhysAddr, len: u64, is_write: bool) -> Vec<TaskId> {
-        let mut deps = Vec::new();
-        for dev in &mut self.devices {
-            deps.extend(dev.host_access_conflicts(phys, len, is_write));
+    /// Appends to `deps` the in-flight device accesses a host access to
+    /// `phys..phys+len` must wait for (possibly repeated; the CPU task's
+    /// dependency list is sorted and deduplicated).
+    fn host_conflicts(&self, phys: PhysAddr, len: u64, is_write: bool, deps: &mut Vec<TaskId>) {
+        for dev in &self.devices {
+            dev.host_access_conflicts(phys, len, is_write, deps);
         }
-        deps
     }
 
     /// Pure application compute (no PM access).
@@ -370,10 +396,13 @@ impl NearPmSystem {
     ) -> Result<Vec<u8>> {
         self.check_not_crashed()?;
         let phys = self.pools.translate(addr)?;
-        let deps = self.host_conflicts(phys, len as u64, false);
+        let mut deps = std::mem::take(&mut self.scratch.deps);
+        deps.clear();
+        self.host_conflicts(phys, len as u64, false, &mut deps);
         let data = self.cache.load_vec(&mut self.space, phys, len);
         let duration = self.config.latency.cpu_pm_read(len as u64);
         let task = self.push_cpu_task(thread, "cpu-read", duration, region, &deps);
+        self.scratch.deps = deps;
         let kind = if self.recovering {
             EventKind::RecoveryRead
         } else {
@@ -403,11 +432,14 @@ impl NearPmSystem {
     ) -> Result<TaskId> {
         self.check_not_crashed()?;
         let phys = self.pools.translate(addr)?;
-        let deps = self.host_conflicts(phys, data.len() as u64, true);
+        let mut deps = std::mem::take(&mut self.scratch.deps);
+        deps.clear();
+        self.host_conflicts(phys, data.len() as u64, true, &mut deps);
         self.cache.store(&mut self.space, phys, data);
         let duration = SimDuration::from_ns(self.config.latency.llc_latency_ns)
             + SimDuration::from_transfer(data.len() as u64, self.config.latency.cpu_pm_write_gbps);
         let task = self.push_cpu_task(thread, "cpu-write", duration, region, &deps);
+        self.scratch.deps = deps;
         let sharing = self.classify(addr, data.len() as u64);
         self.trace.record(
             &self.graph,
@@ -478,18 +510,19 @@ impl NearPmSystem {
         self.check_not_crashed()?;
         let src_phys = self.pools.translate(src)?;
         let dst_phys = self.pools.translate(dst)?;
-        let mut deps = self.host_conflicts(src_phys, len, false);
-        deps.extend(self.host_conflicts(dst_phys, len, true));
-        // Reuse the per-system scratch buffer instead of allocating a fresh
-        // vector for every copy.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.resize(len as usize, 0);
-        self.cache.load(&mut self.space, src_phys, &mut scratch);
-        self.cache.store(&mut self.space, dst_phys, &scratch);
-        self.scratch = scratch;
+        let mut deps = std::mem::take(&mut self.scratch.deps);
+        deps.clear();
+        self.host_conflicts(src_phys, len, false, &mut deps);
+        self.host_conflicts(dst_phys, len, true, &mut deps);
+        let mut bytes = std::mem::take(&mut self.scratch.bytes);
+        bytes.resize(len as usize, 0);
+        self.cache.load(&mut self.space, src_phys, &mut bytes);
+        self.cache.store(&mut self.space, dst_phys, &bytes);
+        self.scratch.bytes = bytes;
         self.cache.flush(&mut self.space, dst_phys, len);
         let duration = self.config.latency.cpu_pm_copy(len);
         let task = self.push_cpu_task(thread, "cpu-copy", duration, region, &deps);
+        self.scratch.deps = deps;
         let src_sharing = self.classify(src, len);
         let dst_sharing = self.classify(dst, len);
         self.trace.record(
@@ -571,9 +604,9 @@ impl NearPmSystem {
         // Determine the owning device from the first operand range.
         let primary = op
             .write_ranges()
-            .first()
-            .map(|(a, _)| *a)
-            .or_else(|| op.read_ranges().first().map(|(a, _)| *a));
+            .next()
+            .or_else(|| op.read_ranges().next())
+            .map(|(a, _)| a);
         let device = match primary {
             Some(addr) => {
                 let phys = self.pools.translate(addr)?;
@@ -614,10 +647,9 @@ impl NearPmSystem {
         // The CPU-visible side of the data must be written back before the
         // device reads it (Invariant 2 implementation: "writing back all
         // updates to PM on the CPU side before invoking an NDP procedure").
-        let read_ranges = op.read_ranges();
-        for (addr, len) in &read_ranges {
-            let phys = self.pools.translate(*addr)?;
-            self.cache.flush(&mut self.space, phys, *len);
+        for (addr, len) in op.read_ranges() {
+            let phys = self.pools.translate(addr)?;
+            self.cache.flush(&mut self.space, phys, len);
         }
 
         let request = NearPmRequest::new(pool, ThreadId(thread as u32), op);
@@ -641,26 +673,27 @@ impl NearPmSystem {
         // Record the device-side accesses in the PPO trace. Reads are
         // timestamped at the issue stage (where operand translation and the
         // conflict check complete), writes/persists at the final task.
-        for (v, _p, len) in &exec.reads {
-            let sharing = self.classify(*v, *len);
+        let (reads, writes) = self.devices[device].executed_ranges();
+        for &(v, _p, len) in reads {
+            let sharing = self.classify(v, len);
             self.trace.record(
                 &self.graph,
                 Agent::Ndp(device),
                 EventKind::Read,
-                Interval::new(v.raw(), *len),
+                Interval::new(v.raw(), len),
                 sharing,
                 Some(proc),
                 None,
                 Some(exec.issue),
             );
         }
-        for (v, _p, len) in &exec.writes {
-            let sharing = self.classify(*v, *len);
+        for &(v, _p, len) in writes {
+            let sharing = self.classify(v, len);
             self.trace.record(
                 &self.graph,
                 Agent::Ndp(device),
                 EventKind::Write,
-                Interval::new(v.raw(), *len),
+                Interval::new(v.raw(), len),
                 sharing,
                 Some(proc),
                 None,
@@ -670,7 +703,7 @@ impl NearPmSystem {
                 &self.graph,
                 Agent::Ndp(device),
                 EventKind::Persist,
-                Interval::new(v.raw(), *len),
+                Interval::new(v.raw(), len),
                 sharing,
                 Some(proc),
                 None,
@@ -701,12 +734,29 @@ impl NearPmSystem {
             return Ok(None);
         }
         self.check_not_crashed()?;
-        let deps: Vec<TaskId> = batch.handles().iter().map(|h| h.finish).collect();
-        let duration = self.config.latency.cpu_poll() * batch.devices().len() as u64;
+        let mut deps = std::mem::take(&mut self.scratch.deps);
+        deps.clear();
+        deps.extend(batch.handles().iter().map(|h| h.finish));
+        let pairs = self.sync_pairs(batch);
+        let devices = pairs.chunk_by(|a, b| a.0 == b.0).count();
+        let duration = self.config.latency.cpu_poll() * devices as u64;
         let task = self.push_cpu_task(thread, "sw-sync", duration, Region::CcSync, &deps);
-        self.record_sync_events(batch, task);
+        self.scratch.deps = deps;
+        self.record_sync_events(pairs, task);
         self.note_boundary(BoundaryKind::Sync);
         Ok(Some(task))
+    }
+
+    /// The batch's (device, procedure) pairs, sorted and deduplicated, in
+    /// the reusable scratch buffer; [`NearPmSystem::record_sync_events`]
+    /// hands it back.
+    fn sync_pairs(&mut self, batch: &OffloadBatch) -> Vec<(usize, ProcId)> {
+        let mut pairs = std::mem::take(&mut self.scratch.sync_pairs);
+        pairs.clear();
+        pairs.extend(batch.handles().iter().map(|h| (h.device, h.proc)));
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
     }
 
     /// Records the trace side of a synchronization point: one **proc-scoped**
@@ -715,13 +765,9 @@ impl NearPmSystem {
     /// sync never vouches for unrelated late work, and a participating
     /// procedure's late write can no longer hide behind the unscoped
     /// temporal under-approximation.
-    fn record_sync_events(&mut self, batch: &OffloadBatch, task: TaskId) {
-        let mut pairs: Vec<(usize, ProcId)> =
-            batch.handles().iter().map(|h| (h.device, h.proc)).collect();
-        pairs.sort_unstable();
-        pairs.dedup();
+    fn record_sync_events(&mut self, pairs: Vec<(usize, ProcId)>, task: TaskId) {
         let sync = self.trace.new_sync();
-        for (device, proc) in pairs {
+        for &(device, proc) in &pairs {
             self.trace.record(
                 &self.graph,
                 Agent::Ndp(device),
@@ -733,6 +779,7 @@ impl NearPmSystem {
                 Some(task),
             );
         }
+        self.scratch.sync_pairs = pairs;
     }
 
     /// Delayed near-memory synchronization over a posted group: the
@@ -748,8 +795,12 @@ impl NearPmSystem {
         if self.devices.is_empty() {
             return Err(SystemError::NoDevices);
         }
-        let deps: Vec<TaskId> = batch.handles().iter().map(|h| h.finish).collect();
-        let anchor = batch.devices()[0];
+        let mut deps = std::mem::take(&mut self.scratch.deps);
+        deps.clear();
+        deps.extend(batch.handles().iter().map(|h| h.finish));
+        let pairs = self.sync_pairs(batch);
+        // The lowest device the group touched (pairs sort by device first).
+        let anchor = pairs[0].0;
         // The completion exchange runs near memory on the anchor device's
         // front-end — on the earliest-available issue queue, NOT on the
         // shared dispatcher: a sync waiting for unit work would otherwise
@@ -772,7 +823,8 @@ impl NearPmSystem {
             Region::CcSync,
             &deps,
         );
-        self.record_sync_events(batch, task);
+        self.scratch.deps = deps;
+        self.record_sync_events(pairs, task);
         self.note_boundary(BoundaryKind::Sync);
         Ok(Some(task))
     }
@@ -1306,7 +1358,7 @@ mod tests {
                 .unwrap();
 
             let txn = sys.next_txn_id();
-            let spans = sys.device_spans(obj, 8192).unwrap();
+            let spans: Vec<_> = sys.device_spans(obj, 8192).unwrap().collect();
             assert!(spans.len() >= 2, "object should span both devices");
             let mut batch = OffloadBatch::new();
             for (i, (addr, len, _dev)) in spans.into_iter().enumerate() {

@@ -3,11 +3,9 @@
 //! per-request latency recording, and the trace, task, FIFO and graph
 //! counters.
 
-use std::collections::HashMap;
-
 use nearpm_pm::PmTraffic;
 use nearpm_ppo::{PpoViolation, Trace};
-use nearpm_sim::{LatencyHistogram, Region, Resource, SimDuration, SimTime, TaskGraph};
+use nearpm_sim::{FxHashMap, LatencyHistogram, Region, Resource, SimDuration, SimTime, TaskGraph};
 
 use super::NearPmSystem;
 use crate::config::ExecMode;
@@ -67,8 +65,9 @@ pub struct RunReport {
     pub app_time: SimDuration,
     /// Busy time attributed to crash-consistency work.
     pub cc_time: SimDuration,
-    /// Per-region busy time.
-    pub region_time: HashMap<&'static str, SimDuration>,
+    /// Per-region busy time, keyed by [`Region::name`] (read it by key or
+    /// sorted: the map's iteration order carries no meaning).
+    pub region_time: FxHashMap<&'static str, SimDuration>,
     /// Wall-clock time during which CPU and NearPM work overlapped.
     pub cpu_ndp_overlap: SimDuration,
     /// Overlap as a fraction of the makespan (Figure 18).
@@ -240,7 +239,7 @@ impl NearPmSystem {
     }
 
     fn build_report(&mut self) -> RunReport {
-        let mut region_time = HashMap::new();
+        let mut region_time = FxHashMap::default();
         let mut app_time = SimDuration::ZERO;
         let mut cc_time = SimDuration::ZERO;
         for r in Region::all() {
@@ -316,7 +315,7 @@ impl NearPmSystem {
     #[cfg(any(test, feature = "oracle"))]
     pub fn report_oracle(&self) -> RunReport {
         let schedule = nearpm_sim::schedule::oracle::aggregate(&self.graph);
-        let mut region_time = HashMap::new();
+        let mut region_time = FxHashMap::default();
         for r in Region::all() {
             region_time.insert(r.name(), schedule.region_time(r));
         }

@@ -6,9 +6,8 @@
 //! offset per pool (and per thread for thread-local pools) is sufficient
 //! (paper Section 5.4). Entries are installed at pool-creation time.
 
-use std::collections::HashMap;
-
 use nearpm_pm::{PhysAddr, PoolId, VirtAddr};
+use nearpm_sim::FxHashMap;
 
 use crate::request::ThreadId;
 
@@ -59,8 +58,7 @@ struct MapEntry {
 /// block, exactly as in the paper's multi-device translation scheme.
 #[derive(Debug, Clone, Default)]
 pub struct AddressMappingTable {
-    entries: HashMap<(PoolId, Option<ThreadId>), MapEntry>,
-    lookups: u64,
+    entries: FxHashMap<(PoolId, Option<ThreadId>), MapEntry>,
 }
 
 impl AddressMappingTable {
@@ -77,11 +75,6 @@ impl AddressMappingTable {
     /// True if no entries are installed.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Number of translations served (diagnostics).
-    pub fn lookups(&self) -> u64 {
-        self.lookups
     }
 
     /// Installs (or replaces) the mapping for a pool.
@@ -128,12 +121,11 @@ impl AddressMappingTable {
     /// the pool-wide entry is the fallback, mirroring "in addition to the
     /// pool ID, thread ID is also used for indexing".
     pub fn translate(
-        &mut self,
+        &self,
         pool: PoolId,
         thread: ThreadId,
         addr: VirtAddr,
     ) -> Result<PhysAddr, TranslateError> {
-        self.lookups += 1;
         let entry = self
             .entries
             .get(&(pool, Some(thread)))
@@ -147,12 +139,6 @@ impl AddressMappingTable {
             return Err(TranslateError::OutOfRange { pool, addr });
         }
         Ok(entry.phys_base.offset(offset))
-    }
-
-    /// Approximate persistence-domain footprint of the table in bytes
-    /// (each entry stores two base addresses and a size).
-    pub fn footprint_bytes(&self) -> usize {
-        self.entries.len() * 24
     }
 }
 
@@ -168,7 +154,6 @@ mod tests {
             .translate(PoolId(0), ThreadId(0), VirtAddr(0x1000_0040))
             .unwrap();
         assert_eq!(p, PhysAddr(0x40));
-        assert_eq!(t.lookups(), 1);
     }
 
     #[test]
@@ -216,9 +201,10 @@ mod tests {
         for i in 0..16 {
             t.register_pool(PoolId(i), VirtAddr(0x1000 * i as u64), PhysAddr(0), 0x1000);
         }
-        // The paper budgets 432 bytes for the table; 16 pools stay within it.
-        assert!(t.footprint_bytes() <= 432);
+        // The paper budgets 432 bytes for the table; 16 entries of two base
+        // addresses and a size stay within it.
         assert_eq!(t.len(), 16);
+        assert!(t.len() * std::mem::size_of::<MapEntry>() <= 432);
         assert!(!t.is_empty());
     }
 }

@@ -115,10 +115,6 @@ pub struct ExecutedRequest {
     pub stall_dep: Option<TaskId>,
     /// Payload bytes moved.
     pub bytes_moved: u64,
-    /// Virtual/physical ranges read by the request.
-    pub reads: Vec<(VirtAddr, PhysAddr, u64)>,
-    /// Virtual/physical ranges written by the request.
-    pub writes: Vec<(VirtAddr, PhysAddr, u64)>,
 }
 
 /// Aggregate device statistics.
@@ -142,6 +138,26 @@ pub struct DevicePersistentState {
     pub inflight: Vec<InFlightEntry>,
 }
 
+/// A translated operand range: virtual start, physical start, length.
+type OperandRange = (VirtAddr, PhysAddr, u64);
+
+/// Buffers the execution of one request fills, owned by the device and
+/// reused by the next request so the offload path allocates nothing per
+/// request.
+#[derive(Debug, Clone, Default)]
+struct ExecScratch {
+    /// Translated ranges the last executed request read.
+    reads: Vec<OperandRange>,
+    /// Translated ranges the last executed request wrote.
+    writes: Vec<OperandRange>,
+    /// The decoded micro-op program.
+    program: Vec<MicroOp>,
+    /// In-flight conflicts the issue stage waits for.
+    conflicts: Vec<TaskId>,
+    /// Dependency list of the front-end stage being added.
+    stage_deps: Vec<TaskId>,
+}
+
 /// One NearPM device.
 #[derive(Debug, Clone)]
 pub struct NearPmDevice {
@@ -151,6 +167,7 @@ pub struct NearPmDevice {
     inflight: InFlightTable,
     units: Vec<NearPmUnit>,
     stats: DeviceStats,
+    scratch: ExecScratch,
 }
 
 impl NearPmDevice {
@@ -166,6 +183,7 @@ impl NearPmDevice {
                 .map(|u| NearPmUnit::new(config.id, u))
                 .collect(),
             stats: DeviceStats::default(),
+            scratch: ExecScratch::default(),
         }
     }
 
@@ -329,53 +347,49 @@ impl NearPmDevice {
         out
     }
 
-    /// Translates the request's operand ranges (steps 2a/3a, functional
-    /// half: effects are applied immediately, timing is modeled by the
-    /// front-end stages).
-    #[allow(clippy::type_complexity)]
-    fn translate_ranges(
-        &mut self,
-        request: &NearPmRequest,
-    ) -> Result<
-        (
-            Vec<(VirtAddr, PhysAddr, u64)>,
-            Vec<(VirtAddr, PhysAddr, u64)>,
-        ),
-        DeviceError,
-    > {
-        let mut reads = Vec::new();
-        let mut writes = Vec::new();
-        for (v, len) in request.op.read_ranges() {
-            let p = self.map.translate(request.pool, request.thread, v)?;
-            reads.push((v, p, len));
-        }
-        for (v, len) in request.op.write_ranges() {
-            let p = self.map.translate(request.pool, request.thread, v)?;
-            writes.push((v, p, len));
-        }
-        Ok((reads, writes))
+    /// The translated (virtual, physical, length) ranges the most recently
+    /// executed request read and wrote, in operand order. Valid until the
+    /// device executes its next request.
+    pub fn executed_ranges(&self) -> (&[OperandRange], &[OperandRange]) {
+        (&self.scratch.reads, &self.scratch.writes)
     }
 
-    /// Step 4a: conflict check against in-flight accesses. Returns the
-    /// finish tasks the request must order after, sorted and deduplicated.
-    fn conflict_check(
-        &mut self,
-        reads: &[(VirtAddr, PhysAddr, u64)],
-        writes: &[(VirtAddr, PhysAddr, u64)],
-    ) -> Vec<TaskId> {
-        let mut conflict_deps: Vec<TaskId> = Vec::new();
-        for (_, p, len) in reads {
-            conflict_deps.extend(self.inflight.conflicts(*p, *len, false));
+    /// Translates the request's operand ranges and decodes its micro-op
+    /// program into the scratch buffers (steps 2a/3a, functional half:
+    /// effects are applied immediately, timing is modeled by the front-end
+    /// stages).
+    fn translate_and_decode(&mut self, request: &NearPmRequest) -> Result<(), DeviceError> {
+        let (map, s) = (&self.map, &mut self.scratch);
+        let translate = |v| map.translate(request.pool, request.thread, v);
+        s.reads.clear();
+        for (v, len) in request.op.read_ranges() {
+            s.reads.push((v, translate(v)?, len));
         }
-        for (_, p, len) in writes {
-            conflict_deps.extend(self.inflight.conflicts(*p, *len, true));
+        s.writes.clear();
+        for (v, len) in request.op.write_ranges() {
+            s.writes.push((v, translate(v)?, len));
         }
-        conflict_deps.sort_unstable();
-        conflict_deps.dedup();
-        if !conflict_deps.is_empty() {
+        request.op.decode_into(&mut s.program, translate)?;
+        Ok(())
+    }
+
+    /// Step 4a: conflict check of the translated ranges against in-flight
+    /// accesses. Leaves the finish tasks the request must order after in
+    /// the scratch `conflicts`, sorted and deduplicated.
+    fn conflict_check(&mut self) {
+        let s = &mut self.scratch;
+        s.conflicts.clear();
+        for &(_, p, len) in &s.reads {
+            self.inflight.conflicts(p, len, false, &mut s.conflicts);
+        }
+        for &(_, p, len) in &s.writes {
+            self.inflight.conflicts(p, len, true, &mut s.conflicts);
+        }
+        s.conflicts.sort_unstable();
+        s.conflicts.dedup();
+        if !s.conflicts.is_empty() {
             self.stats.conflicts += 1;
         }
-        conflict_deps
     }
 
     /// Runs the decoded micro-op program on one unit, chaining each micro-op
@@ -384,7 +398,6 @@ impl NearPmDevice {
     fn run_program(
         &mut self,
         unit_index: usize,
-        program: &[MicroOp],
         space: &mut PmSpace,
         graph: &mut TaskGraph,
         model: &LatencyModel,
@@ -392,38 +405,25 @@ impl NearPmDevice {
     ) -> TaskId {
         let unit = &mut self.units[unit_index];
         let mut last = first_dep;
-        for op in program {
+        for op in &self.scratch.program {
             last = unit.execute_micro(space, graph, model, op, &[last]);
         }
         unit.complete_request();
         last
     }
 
-    /// Tracks the request's accesses in the in-flight table until the host
-    /// releases them (at transaction commit), and accounts the statistics.
-    fn track_request(
-        &mut self,
-        id: RequestId,
-        request: &NearPmRequest,
-        reads: &[(VirtAddr, PhysAddr, u64)],
-        writes: &[(VirtAddr, PhysAddr, u64)],
-        finish: TaskId,
-    ) -> u64 {
-        for (_, p, len) in reads {
+    /// Tracks the request's translated accesses in the in-flight table until
+    /// the host releases them (at transaction commit), and accounts the
+    /// statistics.
+    fn track_request(&mut self, id: RequestId, request: &NearPmRequest, finish: TaskId) -> u64 {
+        let reads = self.scratch.reads.iter().map(|r| (r, false));
+        let accesses = reads.chain(self.scratch.writes.iter().map(|w| (w, true)));
+        for (&(_, p, len), is_write) in accesses {
             self.inflight.insert(InFlightEntry {
                 request: id,
-                start: *p,
-                len: *len,
-                is_write: false,
-                completes_at: finish,
-            });
-        }
-        for (_, p, len) in writes {
-            self.inflight.insert(InFlightEntry {
-                request: id,
-                start: *p,
-                len: *len,
-                is_write: true,
+                start: p,
+                len,
+                is_write,
                 completes_at: finish,
             });
         }
@@ -465,11 +465,8 @@ impl NearPmDevice {
         issue_deps: &[TaskId],
         order_deps: &[TaskId],
     ) -> Result<ExecutedRequest, DeviceError> {
-        let (reads, writes) = self.translate_ranges(&request)?;
-        let program = request
-            .op
-            .decode(|v| self.map.translate(request.pool, request.thread, v))?;
-        let conflict_deps = self.conflict_check(&reads, &writes);
+        self.translate_and_decode(&request)?;
+        self.conflict_check();
 
         // FIFO admission at the time the command lands on the control path.
         let arrival = issue_deps
@@ -478,10 +475,12 @@ impl NearPmDevice {
             .max()
             .unwrap_or(SimTime::ZERO);
         let admission = self.fifo.admit(arrival);
-        let mut decode_deps = issue_deps.to_vec();
-        decode_deps.extend(admission.slot_dep);
-        decode_deps.sort_unstable();
-        decode_deps.dedup();
+        let mut stage_deps = std::mem::take(&mut self.scratch.stage_deps);
+        stage_deps.clear();
+        stage_deps.extend_from_slice(issue_deps);
+        stage_deps.extend(admission.slot_dep);
+        stage_deps.sort_unstable();
+        stage_deps.dedup();
         // With multiple decode lanes the front-end steers the command to the
         // lane whose timeline frees first (ties toward lane 0, so assignment
         // stays deterministic and single-lane behavior is bit-identical).
@@ -497,7 +496,7 @@ impl NearPmDevice {
             self.decode_lane_resource(lane),
             model.ndp_decode(),
             Region::CcOffload,
-            &decode_deps,
+            &stage_deps,
         );
 
         // Step 6a: hand the request to a unit. Earliest-available dispatch
@@ -512,25 +511,27 @@ impl NearPmDevice {
             })
             .expect("a device has at least one unit");
 
-        let mut issue_stage_deps = vec![decode];
-        issue_stage_deps.extend_from_slice(&conflict_deps);
-        issue_stage_deps.extend_from_slice(order_deps);
-        issue_stage_deps.sort_unstable();
-        issue_stage_deps.dedup();
+        stage_deps.clear();
+        stage_deps.push(decode);
+        stage_deps.extend_from_slice(&self.scratch.conflicts);
+        stage_deps.extend_from_slice(order_deps);
+        stage_deps.sort_unstable();
+        stage_deps.dedup();
         let issue = graph.add_arrival_ordered(
             "ndp-issue",
             self.units[unit_index].issue_queue(),
             model.ndp_issue(),
             Region::CcOffload,
-            &issue_stage_deps,
+            &stage_deps,
         );
+        self.scratch.stage_deps = stage_deps;
         // The request's FIFO slot frees when the front-end hands it to the
         // unit (a conflict wait at the issue queue backs the FIFO up).
         self.fifo
             .record_front_end(issue, arrival, graph.task_finish(issue));
 
-        let finish = self.run_program(unit_index, &program, space, graph, model, issue);
-        let bytes = self.track_request(id, &request, &reads, &writes, finish);
+        let finish = self.run_program(unit_index, space, graph, model, issue);
+        let bytes = self.track_request(id, &request, finish);
 
         Ok(ExecutedRequest {
             request: id,
@@ -541,21 +542,21 @@ impl NearPmDevice {
             finish,
             stall_dep: admission.slot_dep,
             bytes_moved: bytes,
-            reads,
-            writes,
         })
     }
 
-    /// Conflict check for a *host* memory access (steps 1b–3b): returns the
-    /// tasks the host access must wait for. An empty vector means no
+    /// Conflict check for a *host* memory access (steps 1b–3b): appends to
+    /// `deps` the tasks the host access must wait for, possibly repeated
+    /// (the caller sorts and deduplicates). Nothing appended means no
     /// buffering is needed.
     pub fn host_access_conflicts(
-        &mut self,
+        &self,
         addr: PhysAddr,
         len: u64,
         is_write: bool,
-    ) -> Vec<TaskId> {
-        self.inflight.conflicts(addr, len, is_write)
+        deps: &mut Vec<TaskId>,
+    ) {
+        self.inflight.conflicts(addr, len, is_write, deps);
     }
 
     /// Releases the in-flight records of a request once the host no longer
@@ -725,18 +726,22 @@ mod tests {
                 &[],
             )
             .unwrap();
+        // The device kept the request's translated ranges.
+        let (reads, writes) = dev.executed_ranges();
+        assert_eq!(reads, [(VirtAddr(0x1000_0100), PhysAddr(0x100), 64)]);
+        assert_eq!(writes.len(), 2);
+        let conflicts = |dev: &NearPmDevice, addr: u64| {
+            let mut deps = Vec::new();
+            dev.host_access_conflicts(PhysAddr(addr), 64, true, &mut deps);
+            deps
+        };
         // The host reads the logged source range: conflicts with the NDP read?
         // Reads don't conflict with reads, but a host *write* to the source does.
-        let deps = dev.host_access_conflicts(PhysAddr(0x100), 64, true);
-        assert_eq!(deps, vec![exec.finish]);
+        assert_eq!(conflicts(&dev, 0x100), vec![exec.finish]);
         // A host access to an unrelated range does not conflict.
-        assert!(dev
-            .host_access_conflicts(PhysAddr(0x40000), 64, true)
-            .is_empty());
+        assert!(conflicts(&dev, 0x40000).is_empty());
         dev.release_request(exec.request);
-        assert!(dev
-            .host_access_conflicts(PhysAddr(0x100), 64, true)
-            .is_empty());
+        assert!(conflicts(&dev, 0x100).is_empty());
         assert_eq!(dev.inflight_len(), 0);
     }
 

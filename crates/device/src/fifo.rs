@@ -263,14 +263,17 @@ impl RequestFifo {
 
         // Live entries at `arrival`, in retire order (the window's order).
         let first_unretired = self.window.partition_point(|&(_, _, r)| r <= arrival);
-        let live: Vec<usize> = (first_unretired..self.window.len())
-            .filter(|&i| self.window[i].1 <= arrival)
-            .collect();
-        let admission = if live.len() >= self.depth {
+        let mut live_entries = self.window[first_unretired..]
+            .iter()
+            .filter(|&&(_, admitted, _)| admitted <= arrival);
+        let live = live_entries.clone().count();
+        let admission = if live >= self.depth {
             // The FIFO is full until enough entries retire; the slot this
-            // request takes frees when entry `len - depth` (0-based, in
+            // request takes frees when entry `live - depth` (0-based, in
             // retire order) leaves.
-            let (slot_dep, _, frees_at) = self.window[live[live.len() - self.depth]];
+            let &(slot_dep, _, frees_at) = live_entries
+                .nth(live - self.depth)
+                .expect("counted among the live entries");
             let stalled = frees_at.since(arrival);
             self.stall_time += stalled;
             self.stalls += 1;
@@ -283,7 +286,7 @@ impl RequestFifo {
         };
         // Occupancy including this request, capped at the physical depth (a
         // stalled request waits on the control path, not in the FIFO).
-        let occupancy = (live.len() + 1).min(self.depth);
+        let occupancy = (live + 1).min(self.depth);
         self.high_watermark = self.high_watermark.max(occupancy);
         admission
     }

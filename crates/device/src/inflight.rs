@@ -12,12 +12,12 @@
 //! a slab and indexed two ways: by the 4 kB-aligned pages their interval
 //! touches (conflict lookups walk only the buckets of the queried pages) and
 //! by owning request (release at commit removes the request's entries
-//! without a scan).
-
-use std::collections::HashMap;
+//! without a scan). A bucket that empties goes back to a spare list and is
+//! reused for the next page or request, so steady-state traffic allocates
+//! nothing.
 
 use nearpm_pm::PhysAddr;
-use nearpm_sim::TaskId;
+use nearpm_sim::{FxHashMap, TaskId};
 
 use crate::request::RequestId;
 
@@ -62,11 +62,12 @@ pub struct InFlightTable {
     slots: Vec<Option<InFlightEntry>>,
     free: Vec<usize>,
     /// Page number → slots whose interval touches that page.
-    pages: HashMap<u64, Vec<usize>>,
+    pages: FxHashMap<u64, Vec<usize>>,
     /// Owning request → its slots (release path).
-    by_request: HashMap<RequestId, Vec<usize>>,
+    by_request: FxHashMap<RequestId, Vec<usize>>,
+    /// Emptied buckets of either map, cleared, kept for reuse.
+    spare: Vec<Vec<usize>>,
     live: usize,
-    conflicts_detected: u64,
 }
 
 impl InFlightTable {
@@ -85,12 +86,6 @@ impl InFlightTable {
         self.live == 0
     }
 
-    /// Total conflicts detected (diagnostics; the paper's motivation for
-    /// buffering host accesses).
-    pub fn conflicts_detected(&self) -> u64 {
-        self.conflicts_detected
-    }
-
     /// Registers an in-flight access.
     pub fn insert(&mut self, entry: InFlightEntry) {
         let slot = match self.free.pop() {
@@ -103,22 +98,29 @@ impl InFlightTable {
                 self.slots.len() - 1
             }
         };
+        let spare = &mut self.spare;
         if entry.len > 0 {
             for page in pages_of(entry.start.raw(), entry.len) {
-                self.pages.entry(page).or_default().push(slot);
+                self.pages
+                    .entry(page)
+                    .or_insert_with(|| spare.pop().unwrap_or_default())
+                    .push(slot);
             }
         }
-        self.by_request.entry(entry.request).or_default().push(slot);
+        self.by_request
+            .entry(entry.request)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(slot);
         self.live += 1;
     }
 
     /// Removes every access belonging to `request` (called when the request's
     /// execution completes).
     pub fn complete_request(&mut self, request: RequestId) {
-        let Some(slots) = self.by_request.remove(&request) else {
+        let Some(mut slots) = self.by_request.remove(&request) else {
             return;
         };
-        for slot in slots {
+        for &slot in &slots {
             let Some(entry) = self.slots[slot].take() else {
                 continue;
             };
@@ -129,7 +131,8 @@ impl InFlightTable {
                             bucket.swap_remove(pos);
                         }
                         if bucket.is_empty() {
-                            self.pages.remove(&page);
+                            let bucket = self.pages.remove(&page).expect("bucket is present");
+                            self.spare.push(bucket);
                         }
                     }
                 }
@@ -137,18 +140,22 @@ impl InFlightTable {
             self.free.push(slot);
             self.live -= 1;
         }
+        slots.clear();
+        self.spare.push(slots);
     }
 
-    /// Returns the completion tasks of every in-flight access that conflicts
-    /// with the given access. An empty result means the access may proceed
-    /// immediately; otherwise the caller must make its work depend on the
-    /// returned tasks (stall until the conflicting accesses complete).
+    /// Appends to `deps` the completion task of every in-flight access that
+    /// conflicts with the given access. Nothing appended means the access
+    /// may proceed immediately; otherwise the caller must make its work
+    /// depend on the appended tasks (stall until the conflicting accesses
+    /// complete). A task may be appended more than once (an entry spanning
+    /// several queried pages, or several entries of one request), so the
+    /// caller sorts and deduplicates the whole list once.
     ///
     /// Only the buckets of the pages the query touches are inspected, so the
     /// cost scales with the locality of the access, not with the number of
     /// live entries.
-    pub fn conflicts(&mut self, start: PhysAddr, len: u64, is_write: bool) -> Vec<TaskId> {
-        let mut deps: Vec<TaskId> = Vec::new();
+    pub fn conflicts(&self, start: PhysAddr, len: u64, is_write: bool, deps: &mut Vec<TaskId>) {
         if len > 0 && !self.pages.is_empty() {
             for page in pages_of(start.raw(), len) {
                 let Some(bucket) = self.pages.get(&page) else {
@@ -164,12 +171,6 @@ impl InFlightTable {
                 }
             }
         }
-        deps.sort_unstable();
-        deps.dedup();
-        if !deps.is_empty() {
-            self.conflicts_detected += 1;
-        }
-        deps
     }
 
     /// Drops every tracked access. The in-flight table is volatile device
@@ -180,17 +181,13 @@ impl InFlightTable {
         self.free.clear();
         self.pages.clear();
         self.by_request.clear();
+        self.spare.clear();
         self.live = 0;
     }
 
     /// Snapshot of the in-flight entries (persistence-domain image).
     pub fn snapshot(&self) -> Vec<InFlightEntry> {
         self.slots.iter().flatten().copied().collect()
-    }
-
-    /// Approximate persistence-domain footprint in bytes.
-    pub fn footprint_bytes(&self) -> usize {
-        self.live * 32
     }
 }
 
@@ -221,26 +218,35 @@ mod tests {
         }
     }
 
+    /// The conflict query's answer, sorted and deduplicated as every caller
+    /// uses it.
+    fn deps(t: &InFlightTable, start: u64, len: u64, is_write: bool) -> Vec<TaskId> {
+        let mut out = Vec::new();
+        t.conflicts(PhysAddr(start), len, is_write, &mut out);
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
     #[test]
     fn write_write_and_read_write_conflict() {
         let mut t = InFlightTable::new();
         t.insert(entry(1, 0x1000, 64, true, 0));
         // Overlapping write conflicts.
-        assert_eq!(t.conflicts(PhysAddr(0x1020), 64, true).len(), 1);
+        assert_eq!(deps(&t, 0x1020, 64, true).len(), 1);
         // Overlapping read against a write conflicts.
-        assert_eq!(t.conflicts(PhysAddr(0x1020), 64, false).len(), 1);
+        assert_eq!(deps(&t, 0x1020, 64, false).len(), 1);
         // Disjoint access does not.
-        assert!(t.conflicts(PhysAddr(0x2000), 64, true).is_empty());
-        assert_eq!(t.conflicts_detected(), 2);
+        assert!(deps(&t, 0x2000, 64, true).is_empty());
     }
 
     #[test]
     fn read_read_does_not_conflict() {
         let mut t = InFlightTable::new();
         t.insert(entry(1, 0x1000, 64, false, 0));
-        assert!(t.conflicts(PhysAddr(0x1000), 64, false).is_empty());
+        assert!(deps(&t, 0x1000, 64, false).is_empty());
         // But a write against an in-flight read does conflict.
-        assert_eq!(t.conflicts(PhysAddr(0x1000), 64, true).len(), 1);
+        assert_eq!(deps(&t, 0x1000, 64, true).len(), 1);
     }
 
     #[test]
@@ -252,8 +258,8 @@ mod tests {
         assert_eq!(t.len(), 3);
         t.complete_request(RequestId(1));
         assert_eq!(t.len(), 1);
-        assert!(t.conflicts(PhysAddr(0x1000), 8, false).is_empty());
-        assert_eq!(t.conflicts(PhysAddr(0x1000), 8, true).len(), 1);
+        assert!(deps(&t, 0x1000, 8, false).is_empty());
+        assert_eq!(deps(&t, 0x1000, 8, true).len(), 1);
     }
 
     #[test]
@@ -261,8 +267,7 @@ mod tests {
         let mut t = InFlightTable::new();
         t.insert(entry(1, 0x1000, 64, true, 0));
         t.insert(entry(2, 0x1040, 64, true, 0));
-        let deps = t.conflicts(PhysAddr(0x1000), 256, true);
-        assert_eq!(deps.len(), 1);
+        assert_eq!(deps(&t, 0x1000, 256, true).len(), 1);
     }
 
     #[test]
@@ -270,7 +275,6 @@ mod tests {
         let mut t = InFlightTable::new();
         t.insert(entry(1, 0, 64, true, 0));
         assert_eq!(t.snapshot().len(), 1);
-        assert_eq!(t.footprint_bytes(), 32);
         assert!(!t.is_empty());
     }
 
@@ -279,13 +283,13 @@ mod tests {
         let mut t = InFlightTable::new();
         // Entry spanning three 4 kB pages.
         t.insert(entry(1, 0x1F00, 0x2200, true, 0));
-        assert_eq!(t.conflicts(PhysAddr(0x1F80), 8, true).len(), 1);
-        assert_eq!(t.conflicts(PhysAddr(0x3000), 8, true).len(), 1);
-        assert_eq!(t.conflicts(PhysAddr(0x4000), 8, true).len(), 1);
+        assert_eq!(deps(&t, 0x1F80, 8, true).len(), 1);
+        assert_eq!(deps(&t, 0x3000, 8, true).len(), 1);
+        assert_eq!(deps(&t, 0x4000, 8, true).len(), 1);
         // A query spanning all three pages reports the entry once.
-        assert_eq!(t.conflicts(PhysAddr(0x1000), 0x4000, true).len(), 1);
+        assert_eq!(deps(&t, 0x1000, 0x4000, true).len(), 1);
         // Same page, disjoint bytes: bucket hit but no overlap.
-        assert!(t.conflicts(PhysAddr(0x1000), 64, true).is_empty());
+        assert!(deps(&t, 0x1000, 64, true).is_empty());
     }
 
     #[test]
@@ -300,7 +304,10 @@ mod tests {
                 t.complete_request(RequestId(i));
             }
             assert_eq!(t.len(), 0, "round {round}");
-            assert!(t.conflicts(PhysAddr(0), 0x10000, true).is_empty());
+            assert!(deps(&t, 0, 0x10000, true).is_empty());
+            // Every page and request bucket went back to the spare list.
+            assert!(t.pages.is_empty() && t.by_request.is_empty());
+            assert_eq!(t.spare.len(), 16, "round {round}");
         }
         // The slab did not grow beyond one generation of entries.
         assert!(t.slots.len() <= 8);
@@ -311,8 +318,8 @@ mod tests {
         let mut t = InFlightTable::new();
         t.insert(entry(1, 0x1000, 0, true, 0));
         assert_eq!(t.len(), 1);
-        assert!(t.conflicts(PhysAddr(0x1000), 64, true).is_empty());
-        assert!(t.conflicts(PhysAddr(0x1000), 0, true).is_empty());
+        assert!(deps(&t, 0x1000, 64, true).is_empty());
+        assert!(deps(&t, 0x1000, 0, true).is_empty());
         t.complete_request(RequestId(1));
         assert_eq!(t.len(), 0);
     }

@@ -111,126 +111,109 @@ impl NearPmOp {
     }
 
     /// Virtual operand ranges the operation *reads* (shared application data
-    /// or log data).
-    pub fn read_ranges(&self) -> Vec<(VirtAddr, u64)> {
-        match self {
-            NearPmOp::UndoLogCreate { src, len, .. } => vec![(*src, *len)],
-            NearPmOp::ApplyRedoLog { log_data, len, .. } => vec![(*log_data, *len)],
-            NearPmOp::CheckpointCreate { src, len, .. } => vec![(*src, *len)],
-            NearPmOp::ShadowCopy { src, len, .. } => vec![(*src, *len)],
-            NearPmOp::CommitLog { .. } => vec![],
-        }
+    /// or log data): one range, none for a commit.
+    pub fn read_ranges(&self) -> impl Iterator<Item = (VirtAddr, u64)> {
+        let range = match self {
+            NearPmOp::UndoLogCreate { src, len, .. }
+            | NearPmOp::CheckpointCreate { src, len, .. }
+            | NearPmOp::ShadowCopy { src, len, .. } => Some((*src, *len)),
+            NearPmOp::ApplyRedoLog { log_data, len, .. } => Some((*log_data, *len)),
+            NearPmOp::CommitLog { .. } => None,
+        };
+        range.into_iter()
     }
 
-    /// Virtual operand ranges the operation *writes*.
-    pub fn write_ranges(&self) -> Vec<(VirtAddr, u64)> {
-        match self {
+    /// Virtual operand ranges the operation *writes*: header then data for a
+    /// log or checkpoint entry, the destination for a copy, and one header
+    /// per entry for a commit.
+    pub fn write_ranges(&self) -> impl Iterator<Item = (VirtAddr, u64)> + '_ {
+        const HEADER: u64 = crate::metadata::LOG_ENTRY_HEADER_LEN as u64;
+        let (fixed, headers) = match self {
             NearPmOp::UndoLogCreate {
-                log_meta,
-                log_data,
+                log_meta: meta,
+                log_data: data,
                 len,
                 ..
-            } => vec![
-                (*log_meta, crate::metadata::LOG_ENTRY_HEADER_LEN as u64),
-                (*log_data, *len),
-            ],
-            NearPmOp::ApplyRedoLog { dst, len, .. } => vec![(*dst, *len)],
-            NearPmOp::CommitLog { entries, .. } => entries
-                .iter()
-                .map(|e| (*e, crate::metadata::LOG_ENTRY_HEADER_LEN as u64))
-                .collect(),
-            NearPmOp::CheckpointCreate {
-                ckpt_meta,
-                ckpt_data,
+            }
+            | NearPmOp::CheckpointCreate {
+                ckpt_meta: meta,
+                ckpt_data: data,
                 len,
                 ..
-            } => vec![
-                (*ckpt_meta, crate::metadata::LOG_ENTRY_HEADER_LEN as u64),
-                (*ckpt_data, *len),
-            ],
-            NearPmOp::ShadowCopy { dst, len, .. } => vec![(*dst, *len)],
-        }
+            } => ([Some((*meta, HEADER)), Some((*data, *len))], &[][..]),
+            NearPmOp::ApplyRedoLog { dst, len, .. } | NearPmOp::ShadowCopy { dst, len, .. } => {
+                ([Some((*dst, *len)), None], &[][..])
+            }
+            NearPmOp::CommitLog { entries, .. } => ([None, None], entries.as_slice()),
+        };
+        fixed
+            .into_iter()
+            .flatten()
+            .chain(headers.iter().map(|&entry| (entry, HEADER)))
     }
 
     /// Decodes the operation into the physical micro-op program a NearPM
-    /// unit executes, translating every operand through `translate`.
-    pub fn decode<E>(
+    /// unit executes, translating every operand through `translate`. The
+    /// program replaces `program`'s contents (a caller-owned buffer, reused
+    /// across requests); on a translation failure its contents are
+    /// unspecified.
+    pub fn decode_into<E>(
         &self,
+        program: &mut Vec<MicroOp>,
         mut translate: impl FnMut(VirtAddr) -> Result<PhysAddr, E>,
-    ) -> Result<Vec<MicroOp>, E> {
-        Ok(match self {
+    ) -> Result<(), E> {
+        program.clear();
+        match self {
             NearPmOp::UndoLogCreate {
                 src,
                 len,
-                log_meta,
-                log_data,
-                txn_id,
+                log_meta: meta,
+                log_data: data,
+                txn_id: seq,
+            }
+            | NearPmOp::CheckpointCreate {
+                src,
+                len,
+                ckpt_meta: meta,
+                ckpt_data: data,
+                epoch: seq,
             } => {
                 let src_p = translate(*src)?;
-                let meta_p = translate(*log_meta)?;
-                let data_p = translate(*log_data)?;
-                vec![
-                    MicroOp::WriteHeader {
-                        dst: meta_p,
-                        header: LogEntryHeader::active(*src, *len, *txn_id),
-                    },
-                    MicroOp::Copy {
-                        src: src_p,
-                        dst: data_p,
-                        len: *len,
-                    },
-                ]
+                let meta_p = translate(*meta)?;
+                let data_p = translate(*data)?;
+                program.push(MicroOp::WriteHeader {
+                    dst: meta_p,
+                    header: LogEntryHeader::active(*src, *len, *seq),
+                });
+                program.push(MicroOp::Copy {
+                    src: src_p,
+                    dst: data_p,
+                    len: *len,
+                });
             }
-            NearPmOp::ApplyRedoLog { log_data, dst, len } => {
-                let src_p = translate(*log_data)?;
+            NearPmOp::ApplyRedoLog {
+                log_data: src,
+                dst,
+                len,
+            }
+            | NearPmOp::ShadowCopy { src, dst, len } => {
+                let src_p = translate(*src)?;
                 let dst_p = translate(*dst)?;
-                vec![MicroOp::Copy {
+                program.push(MicroOp::Copy {
                     src: src_p,
                     dst: dst_p,
                     len: *len,
-                }]
+                });
             }
             NearPmOp::CommitLog { entries, .. } => {
-                let mut ops = Vec::with_capacity(entries.len());
                 for entry in entries {
-                    ops.push(MicroOp::ResetHeader {
+                    program.push(MicroOp::ResetHeader {
                         dst: translate(*entry)?,
                     });
                 }
-                ops
             }
-            NearPmOp::CheckpointCreate {
-                src,
-                len,
-                ckpt_meta,
-                ckpt_data,
-                epoch,
-            } => {
-                let src_p = translate(*src)?;
-                let meta_p = translate(*ckpt_meta)?;
-                let data_p = translate(*ckpt_data)?;
-                vec![
-                    MicroOp::WriteHeader {
-                        dst: meta_p,
-                        header: LogEntryHeader::active(*src, *len, *epoch),
-                    },
-                    MicroOp::Copy {
-                        src: src_p,
-                        dst: data_p,
-                        len: *len,
-                    },
-                ]
-            }
-            NearPmOp::ShadowCopy { src, dst, len } => {
-                let src_p = translate(*src)?;
-                let dst_p = translate(*dst)?;
-                vec![MicroOp::Copy {
-                    src: src_p,
-                    dst: dst_p,
-                    len: *len,
-                }]
-            }
-        })
+        }
+        Ok(())
     }
 }
 
@@ -314,18 +297,34 @@ mod tests {
             log_data: v(0x8040),
             txn_id: 0,
         };
-        assert_eq!(op.read_ranges(), vec![(v(0x1000), 128)]);
-        let writes = op.write_ranges();
-        assert_eq!(writes.len(), 2);
-        assert_eq!(writes[1], (v(0x8040), 128));
+        assert_eq!(op.read_ranges().collect::<Vec<_>>(), [(v(0x1000), 128)]);
+        assert_eq!(
+            op.write_ranges().collect::<Vec<_>>(),
+            [(v(0x8000), 40), (v(0x8040), 128)]
+        );
 
         let shadow = NearPmOp::ShadowCopy {
             src: v(0x2000),
             dst: v(0x3000),
             len: 4096,
         };
-        assert_eq!(shadow.read_ranges(), vec![(v(0x2000), 4096)]);
-        assert_eq!(shadow.write_ranges(), vec![(v(0x3000), 4096)]);
+        assert_eq!(
+            shadow.read_ranges().collect::<Vec<_>>(),
+            [(v(0x2000), 4096)]
+        );
+        assert_eq!(
+            shadow.write_ranges().collect::<Vec<_>>(),
+            [(v(0x3000), 4096)]
+        );
+        let commit = NearPmOp::CommitLog {
+            entries: vec![v(0x8000), v(0x8100)],
+            txn_id: 0,
+        };
+        assert_eq!(commit.read_ranges().count(), 0);
+        assert_eq!(
+            commit.write_ranges().collect::<Vec<_>>(),
+            [(v(0x8000), 40), (v(0x8100), 40)]
+        );
     }
 
     #[test]
@@ -339,7 +338,8 @@ mod tests {
             log_data: v(0x1000_8040),
             txn_id: 9,
         };
-        let prog = op.decode(xlate).unwrap();
+        let mut prog = Vec::new();
+        op.decode_into(&mut prog, xlate).unwrap();
         assert_eq!(
             prog,
             vec![
@@ -358,8 +358,10 @@ mod tests {
             entries: vec![v(0x1000_8000), v(0x1000_8100)],
             txn_id: 9,
         };
+        // The buffer is reused: the commit's program replaces the log's.
+        commit.decode_into(&mut prog, xlate).unwrap();
         assert_eq!(
-            commit.decode(xlate).unwrap(),
+            prog,
             vec![
                 MicroOp::ResetHeader {
                     dst: PhysAddr(0x8000)
@@ -371,7 +373,7 @@ mod tests {
         );
         // Translation failures surface instead of producing a partial program.
         let fail = |_: VirtAddr| -> Result<PhysAddr, &'static str> { Err("unmapped") };
-        assert_eq!(op.decode(fail), Err("unmapped"));
+        assert_eq!(op.decode_into(&mut prog, fail), Err("unmapped"));
     }
 
     #[test]

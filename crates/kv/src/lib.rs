@@ -14,7 +14,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use nearpm_core::{NearPmSystem, Result, SystemError, VirtAddr};
 use nearpm_pmdk::ObjPool;
@@ -131,7 +131,7 @@ impl PersistentHashMap {
         // probing must treat slots claimed by *earlier entries with a
         // different key* as occupied — otherwise two colliding new keys
         // would both land in the same empty slot.
-        let mut claimed: HashMap<VirtAddr, u64> = HashMap::new();
+        let mut claimed: BTreeMap<VirtAddr, u64> = BTreeMap::new();
         let mut writes: Vec<(VirtAddr, Vec<u8>, bool)> = Vec::with_capacity(entries.len());
         for (key, value) in entries {
             let mut idx = self.hash(*key);
@@ -362,7 +362,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let (mut sys, mut pool) = setup();
         let mut map = PersistentHashMap::create(&mut sys, &mut pool, 256).unwrap();
-        let mut model = std::collections::HashMap::new();
+        let mut model = BTreeMap::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         for _ in 0..60 {
             let k = rng.gen_range(0..40u64);

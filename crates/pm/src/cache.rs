@@ -13,12 +13,13 @@
 //!
 //! Dirty lines are grouped by 4 KiB page: one map entry per page holds a
 //! 64-bit dirty mask and the page's bytes, so an access pays one map lookup
-//! per page it touches rather than one per line. The media traffic is still
-//! per line: every line fill, clean-line load and write-back is its own
-//! [`PmSpace`] access, issued in ascending address order.
+//! per page it touches rather than one per line. The map is ordered by page
+//! number, so a full drain walks it in address order. The media traffic is
+//! still per line: every line fill, clean-line load and write-back is its
+//! own [`PmSpace`] access, issued in ascending address order.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use crate::addr::PhysAddr;
 use crate::space::PmSpace;
@@ -54,7 +55,7 @@ struct DirtyPage {
 #[derive(Debug, Clone, Default)]
 pub struct CpuCache {
     /// Pages holding at least one dirty line, keyed by page number.
-    pages: HashMap<u64, DirtyPage>,
+    pages: BTreeMap<u64, DirtyPage>,
     /// Page buffers of drained pages, reused before allocating new ones.
     spare: Vec<Box<[u8; PAGE as usize]>>,
     stats: CacheStats,
@@ -175,9 +176,7 @@ impl CpuCache {
     /// Writes back every dirty line (e.g. an eADR-style full drain, used by
     /// tests that want a fully persisted image).
     pub fn flush_all(&mut self, space: &mut PmSpace) {
-        let mut pages: Vec<u64> = self.pages.keys().copied().collect();
-        pages.sort_unstable();
-        for page_no in pages {
+        while let Some(&page_no) = self.pages.keys().next() {
             self.write_back(space, page_no, u64::MAX);
         }
     }
@@ -210,7 +209,11 @@ impl CpuCache {
     /// image in `PmSpace` is untouched.
     pub fn crash(&mut self) {
         self.stats.lines_lost += self.dirty_lines() as u64;
-        self.spare.extend(self.pages.drain().map(|(_, p)| p.bytes));
+        self.spare.extend(
+            std::mem::take(&mut self.pages)
+                .into_values()
+                .map(|p| p.bytes),
+        );
     }
 }
 
@@ -244,7 +247,7 @@ mod tests {
     /// drives alongside [`CpuCache`].
     #[derive(Default)]
     struct LineCache {
-        dirty: HashMap<u64, [u8; LINE as usize]>,
+        dirty: BTreeMap<u64, [u8; LINE as usize]>,
         stats: CacheStats,
     }
 

@@ -571,9 +571,10 @@ fn forced_retention_matches_the_oracle_at_every_prefix() {
     // retires below W_k — the minimum timestamp of every event not yet
     // replayed — so precondition (i) holds by construction. The fold must
     // equal the naive oracle and its relaxed count at every prefix, and
-    // with no access parked it must keep only entries stamped above W_k.
+    // with no access parked it must keep only entries stamped above W_k and
+    // offload entries from the lowest live procedure on.
     let (mut ordering, mut sync_v, mut recovery) = (0usize, 0usize, 0usize);
-    let (mut parked_prefixes, mut dropped) = (0usize, 0usize);
+    let (mut parked_prefixes, mut dropped, mut trimmed) = (0usize, 0usize, 0usize);
     for seed in 7_000..7_060u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let devices = rng.gen_range(1usize..3);
@@ -628,6 +629,19 @@ fn forced_retention_matches_the_oracle_at_every_prefix() {
                     kept.iter().all(|&ts| ts > w),
                     "entry at or below W = {w} kept at prefix {i} (seed {seed})"
                 );
+                // With nothing parked every live procedure has its offload
+                // in the table, so the window starts exactly at the lowest
+                // one, or is empty when no procedure is live.
+                let ((start, entries), live) = checker.offload_window();
+                if live == u64::MAX {
+                    assert_eq!(
+                        entries, 0,
+                        "offload window kept at prefix {i} (seed {seed})"
+                    );
+                } else {
+                    assert_eq!(start, live, "offload window at prefix {i} (seed {seed})");
+                }
+                trimmed += usize::from(start > 0);
             }
         }
         assert_eq!(checker.check(&replay), naive, "re-check (seed {seed})");
@@ -645,6 +659,10 @@ fn forced_retention_matches_the_oracle_at_every_prefix() {
         "prefixes with a parked access: {parked_prefixes}"
     );
     assert!(dropped > 1_000, "entries retired: {dropped}");
+    assert!(
+        trimmed > 50,
+        "prefixes with a trimmed offload window: {trimmed}"
+    );
 }
 
 #[test]

@@ -43,6 +43,25 @@ impl Agent {
     pub fn is_ndp(&self) -> bool {
         matches!(self, Agent::Ndp(_))
     }
+
+    /// Dense index of the agent (the CPU first, then the devices), for
+    /// per-agent state kept in a `Vec`.
+    pub(crate) fn slot(self) -> usize {
+        match self {
+            Agent::Cpu => 0,
+            Agent::Ndp(d) => d + 1,
+        }
+    }
+
+    /// This agent's entry in per-agent state kept in a `Vec` indexed by
+    /// [`Agent::slot`], growing the `Vec` with defaults up to it.
+    pub(crate) fn entry_in<T: Default>(self, per_agent: &mut Vec<T>) -> &mut T {
+        let slot = self.slot();
+        if slot >= per_agent.len() {
+            per_agent.resize_with(slot + 1, T::default);
+        }
+        &mut per_agent[slot]
+    }
 }
 
 impl fmt::Display for Agent {

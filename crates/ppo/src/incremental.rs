@@ -65,10 +65,11 @@
 //! * **The per-access state is retired below a watermark.** Given a time
 //!   below which no later event can be stamped,
 //!   [`IncrementalChecker::retire_below`] drops the shared CPU accesses,
-//!   NDP mirror items and parked writes no later event can pair with (its
-//!   doc states the preconditions and the rule per structure), so what the
-//!   fold keeps of them is bounded by the events near the watermark, not by
-//!   the run length.
+//!   NDP mirror items and parked writes no later event can pair with, and
+//!   the offload program orders no later query reads (its doc states the
+//!   preconditions and the rule per structure), so what the fold keeps of
+//!   them is bounded by the events near the watermark, not by the run
+//!   length.
 //!
 //! Violations are held in ordered maps keyed the way the naive oracles emit
 //! them — (NDP event, CPU event) for ordering, (sync, write) for
@@ -79,7 +80,7 @@
 //! assert equality at every prefix; trace resets are detected via the
 //! trace's generation counter.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
 use crate::event::{Agent, EventKind, Interval, PpoEvent, ProcId, Sharing, Trace};
@@ -175,20 +176,20 @@ pub struct IncrementalChecker {
     /// Shared NDP accesses whose procedure has no offload event yet, by
     /// procedure, with the facts needed to re-check them in full when the
     /// offload arrives.
-    parked_no_offload: HashMap<ProcId, Vec<(u32, AccessFact)>>,
-    /// Membership view of `parked_no_offload` for O(1) skip tests.
-    parked_events: HashSet<u32>,
+    parked_no_offload: BTreeMap<ProcId, Vec<(u32, AccessFact)>>,
+    /// Membership view of `parked_no_offload` for skip tests.
+    parked_events: BTreeSet<u32>,
     /// Ordering verdicts, keyed (NDP event, CPU event).
     ordering: BTreeMap<PairKey, PpoViolation>,
 
     // --- Invariant 3 ---
-    /// Writes seen so far per agent, keyed by (**upper bound** of the
-    /// earliest covering persist timestamp, event index). A key is exact as
-    /// of the batch that parked or last revalidated its write; later
-    /// persists only lower the true value, so a sync's range read
-    /// over-approximates its candidates and lazily tightens them. Keys at
-    /// or below the last watermark are retired.
-    parked_writes: HashMap<Agent, BTreeMap<(u64, u32), WriteFact>>,
+    /// Writes seen so far per agent (indexed by [`Agent::slot`]), keyed by
+    /// (**upper bound** of the earliest covering persist timestamp, event
+    /// index). A key is exact as of the batch that parked or last
+    /// revalidated its write; later persists only lower the true value, so
+    /// a sync's range read over-approximates its candidates and lazily
+    /// tightens them. Keys at or below the last watermark are retired.
+    parked_writes: Vec<BTreeMap<(u64, u32), WriteFact>>,
     /// Sync verdicts, keyed (sync event, write event).
     sync_violations: BTreeMap<PairKey, PpoViolation>,
 
@@ -286,7 +287,7 @@ impl IncrementalChecker {
     ///   offload event is later too (or never recorded). The system meets
     ///   this because one call records an offload and all its accesses.
     ///
-    /// Under both, three rules are exact: the violation list and the
+    /// Under both, four rules are exact: the violation list and the
     /// relaxed-persist count stay equal to the naive oracle's at every
     /// later prefix.
     ///
@@ -309,9 +310,19 @@ impl IncrementalChecker {
     ///    A later sync flags a write only if the write's true key, which is
     ///    at most the stored one, exceeds the sync's timestamp, which is at
     ///    least `w`.
+    /// 4. **Offload program orders of procedures below the lowest live
+    ///    one** are dropped, where a live procedure is one that an NDP
+    ///    mirror item surviving rule 2, or a parked access, names. The
+    ///    table is read for three kinds of procedure: a mirror item's (step
+    ///    A), a parked access's once its offload arrives, and a new NDP
+    ///    access's. The first two are live, so their entries are kept. By
+    ///    (ii) a later NDP access names a procedure whose offload is later
+    ///    too, so its entry is filled after this call (an offload below the
+    ///    kept window grows it back down). No later query reads a dropped
+    ///    entry.
     ///
-    /// Everything else (`offload_po`, the min-maps, recovery state, parked
-    /// accesses and the recorded violations) is kept.
+    /// Everything else (the min-maps, recovery state, parked accesses and
+    /// the recorded violations) is kept.
     pub fn retire_below(&mut self, w: u64) {
         let cpu_floor = self
             .parked_no_offload
@@ -323,12 +334,37 @@ impl IncrementalChecker {
         self.ndp_shared_reads.retire_below(w);
         self.ndp_shared_writes.retire_below(w);
         self.ndp_shared_persists.retire_below(w);
-        for parked in self.parked_writes.values_mut() {
+        for parked in &mut self.parked_writes {
             match w.checked_add(1) {
                 Some(above) => *parked = parked.split_off(&(above, 0)),
                 None => parked.clear(),
             }
         }
+        let live = self.lowest_live_proc();
+        self.index.retire_offloads_below(live);
+    }
+
+    /// The lowest procedure a mirror item or a parked access names
+    /// (`u64::MAX` when none does; unnamed mirror items carry [`NO_PROC`],
+    /// which is `u64::MAX` too).
+    fn lowest_live_proc(&self) -> u64 {
+        [
+            &self.ndp_shared_reads,
+            &self.ndp_shared_writes,
+            &self.ndp_shared_persists,
+        ]
+        .into_iter()
+        .filter_map(IncrementalIntervalIndex::min_aux)
+        .chain(self.parked_no_offload.keys().next().map(|p| p.0))
+        .min()
+        .unwrap_or(u64::MAX)
+    }
+
+    /// The offload table's procedure window (first id, entries) and the
+    /// lowest live procedure (tests check what rule 4 kept).
+    #[cfg(test)]
+    pub(crate) fn offload_window(&self) -> ((u64, usize), u64) {
+        (self.index.offload_window(), self.lowest_live_proc())
     }
 
     /// The timestamps of every entry the retention rules govern: shared
@@ -342,7 +378,7 @@ impl IncrementalChecker {
             .chain(self.ndp_shared_persists.values())
             .chain(
                 self.parked_writes
-                    .values()
+                    .iter()
                     .flat_map(|m| m.keys().map(|&(key, _)| key)),
             )
             .collect()
@@ -415,19 +451,21 @@ impl IncrementalChecker {
         }
 
         // Procedures whose *first* offload event arrives in this batch:
-        // their parked accesses become checkable below. Dedup through a set
-        // — a million-offload batch makes `Vec::contains` quadratic.
+        // their parked accesses become checkable below. Sorted and
+        // deduplicated once — a million-offload batch makes
+        // `Vec::contains` quadratic.
         let mut gained: Vec<ProcId> = Vec::new();
-        let mut gained_set: HashSet<ProcId> = HashSet::new();
         for e in &events[base..] {
             if e.kind == EventKind::Offload && e.agent == Agent::Cpu {
                 if let Some(p) = e.proc {
-                    if self.index.offload_po(p).is_none() && gained_set.insert(p) {
+                    if self.index.offload_po(p).is_none() {
                         gained.push(p);
                     }
                 }
             }
         }
+        gained.sort_unstable();
+        gained.dedup();
 
         // Step A — new CPU shared accesses against the *pre-batch* NDP-side
         // indexes (pairs old-NDP × new-CPU; pairs where both events are new
@@ -588,7 +626,7 @@ impl IncrementalChecker {
                         .index
                         .earliest_persist_by(e.agent, e.interval)
                         .unwrap_or(u64::MAX);
-                    self.parked_writes.entry(e.agent).or_default().insert(
+                    e.agent.entry_in(&mut self.parked_writes).insert(
                         (key, id),
                         WriteFact {
                             interval: e.interval,
@@ -629,7 +667,7 @@ impl IncrementalChecker {
                     }
                 }
                 EventKind::Sync => {
-                    let Some(parked) = self.parked_writes.get_mut(&e.agent) else {
+                    let Some(parked) = self.parked_writes.get_mut(e.agent.slot()) else {
                         continue;
                     };
                     // Upper-bound keys over-approximate: every write whose
@@ -763,7 +801,7 @@ fn evaluate_cpu_chunk(
     ndp_reads: &IncrementalIntervalIndex,
     ndp_writes: &IncrementalIntervalIndex,
     ndp_persists: &IncrementalIntervalIndex,
-    parked: &HashSet<u32>,
+    parked: &BTreeSet<u32>,
     chunk: &[CpuWork],
 ) -> Vec<(PairKey, PpoViolation)> {
     let mut out = Vec::new();

@@ -38,8 +38,6 @@
 //! already satisfy the offload order are proven clean without visiting a
 //! single item.
 
-use std::collections::HashMap;
-
 use crate::event::{Agent, EventKind, Interval, PpoEvent, ProcId, Sharing};
 use crate::minmap::MinMap;
 
@@ -208,6 +206,12 @@ impl IntervalIndex {
             let (_, min, max) = self.node_ends[root][0];
             (min, max)
         })
+    }
+
+    /// Minimum `aux` over every item, read off the root; `None` for an
+    /// empty index.
+    fn min_aux(&self) -> Option<u64> {
+        self.root.map(|root| self.node_min_aux[root])
     }
 
     /// Consumes the index, returning its (start-sorted) items. Used by the
@@ -501,6 +505,12 @@ impl IncrementalIntervalIndex {
         }
     }
 
+    /// Minimum `aux` over every item (`None` when empty), from the level
+    /// roots in O(levels).
+    pub(crate) fn min_aux(&self) -> Option<u64> {
+        self.levels.iter().filter_map(IntervalIndex::min_aux).min()
+    }
+
     /// Every item's `value`, level by level (tests read what retention
     /// kept).
     #[cfg(test)]
@@ -566,14 +576,65 @@ impl IncrementalIntervalIndex {
 /// the writes it bounds.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FoldIndex {
-    offload_po: HashMap<ProcId, u64>,
+    offload_po: OffloadTable,
     cpu_shared_reads: IncrementalIntervalIndex,
     cpu_shared_writes: IncrementalIntervalIndex,
     cpu_shared_persists: IncrementalIntervalIndex,
-    agent_persists: HashMap<Agent, MinMap>,
+    /// Per-agent persist min-maps, indexed by [`Agent::slot`].
+    agent_persists: Vec<MinMap>,
     failure_ts: Option<u64>,
     all_writes: MinMap,
     all_persists: MinMap,
+}
+
+/// The CPU program order of each procedure's first offload event, indexed
+/// by procedure id. Ids come from one counter ([`crate::Trace::new_proc`]),
+/// so the table is a `Vec` window `[base, base + len)` over them rather
+/// than a hashed map, and the checker's retention trims it from the front
+/// ([`OffloadTable::retire_below`]).
+#[derive(Debug, Clone, Default)]
+struct OffloadTable {
+    /// Procedure id of `po[0]`.
+    base: u64,
+    /// Program order per procedure; [`OffloadTable::NONE`] while its offload
+    /// is unseen.
+    po: Vec<u64>,
+}
+
+impl OffloadTable {
+    /// Marks a procedure whose offload has not been folded.
+    const NONE: u64 = u64::MAX;
+
+    fn get(&self, proc: ProcId) -> Option<u64> {
+        let i = usize::try_from(proc.0.checked_sub(self.base)?).ok()?;
+        self.po.get(i).copied().filter(|&po| po != Self::NONE)
+    }
+
+    /// Records `po` unless the procedure already has an offload (the first
+    /// offload counts, as in the oracle). An id below the window grows it
+    /// back down with empty entries: only a later offload fills those, and
+    /// nothing reads an entry its own offload did not fill.
+    fn insert_first(&mut self, proc: ProcId, po: u64) {
+        if proc.0 < self.base {
+            let grow = (self.base - proc.0) as usize;
+            self.po.splice(0..0, std::iter::repeat_n(Self::NONE, grow));
+            self.base = proc.0;
+        }
+        let i = (proc.0 - self.base) as usize;
+        if i >= self.po.len() {
+            self.po.resize(i + 1, Self::NONE);
+        }
+        if self.po[i] == Self::NONE {
+            self.po[i] = po;
+        }
+    }
+
+    /// Drops the entries of every procedure below `floor`.
+    fn retire_below(&mut self, floor: u64) {
+        let cut = floor.saturating_sub(self.base).min(self.po.len() as u64);
+        self.po.drain(..cut as usize);
+        self.base += cut;
+    }
 }
 
 impl FoldIndex {
@@ -590,7 +651,7 @@ impl FoldIndex {
             match e.kind {
                 EventKind::Offload if e.agent == Agent::Cpu => {
                     if let Some(p) = e.proc {
-                        self.offload_po.entry(p).or_insert(e.program_order);
+                        self.offload_po.insert_first(p, e.program_order);
                     }
                 }
                 EventKind::Failure if self.failure_ts.is_none() => {
@@ -614,9 +675,8 @@ impl FoldIndex {
                             }
                         }
                     } else if e.kind == EventKind::Persist {
-                        self.agent_persists
-                            .entry(e.agent)
-                            .or_default()
+                        e.agent
+                            .entry_in(&mut self.agent_persists)
                             .insert(e.interval, e.timestamp_ps);
                     }
                     match e.kind {
@@ -642,6 +702,18 @@ impl FoldIndex {
         self.cpu_shared_persists.retire_below(floor);
     }
 
+    /// Drops the offload program order of every procedure below `floor`
+    /// (the checker's retention rule decides the floor).
+    pub(crate) fn retire_offloads_below(&mut self, floor: u64) {
+        self.offload_po.retire_below(floor);
+    }
+
+    /// The procedure-id window the offload table spans: first id, entries.
+    #[cfg(test)]
+    pub(crate) fn offload_window(&self) -> (u64, usize) {
+        (self.offload_po.base, self.offload_po.po.len())
+    }
+
     /// Every shared CPU access's timestamp (tests read what retention
     /// kept).
     #[cfg(test)]
@@ -654,7 +726,7 @@ impl FoldIndex {
 
     /// CPU program-order index of the offload event of `proc`, if folded.
     pub(crate) fn offload_po(&self, proc: ProcId) -> Option<u64> {
-        self.offload_po.get(&proc).copied()
+        self.offload_po.get(proc)
     }
 
     /// Timestamp of the first failure event, if any.
@@ -666,7 +738,7 @@ impl FoldIndex {
     /// `interval` completed (`None` if no such persist exists).
     pub(crate) fn earliest_persist_by(&self, agent: Agent, interval: Interval) -> Option<u64> {
         self.agent_persists
-            .get(&agent)
+            .get(agent.slot())
             .and_then(|m| m.min_overlapping(interval))
     }
 
@@ -1007,5 +1079,34 @@ mod tests {
         assert!(idx.written_before_failure(iv(0x100, 1)));
         assert!(idx.persisted_before_failure(iv(0x13f, 1)));
         assert!(!idx.written_before_failure(iv(0x140, 1)));
+    }
+
+    #[test]
+    fn offload_table_trims_from_the_front_and_grows_back_down() {
+        let mut t = OffloadTable::default();
+        for p in 0..6 {
+            t.insert_first(ProcId(p), 10 * p);
+        }
+        // The first offload of a procedure counts.
+        t.insert_first(ProcId(2), 99);
+        assert_eq!(t.get(ProcId(2)), Some(20));
+        assert_eq!(t.get(ProcId(6)), None);
+        t.retire_below(4);
+        assert_eq!((t.base, t.po.len()), (4, 2));
+        assert_eq!(t.get(ProcId(3)), None);
+        assert_eq!(t.get(ProcId(5)), Some(50));
+        // A floor past the end empties the window; ids past it append.
+        t.retire_below(u64::MAX);
+        assert_eq!((t.base, t.po.len()), (6, 0));
+        t.insert_first(ProcId(8), 80);
+        assert_eq!((t.base, t.po.len()), (6, 3));
+        assert_eq!(t.get(ProcId(7)), None);
+        // An offload below the window grows it back down with empty
+        // entries in between.
+        t.insert_first(ProcId(1), 11);
+        assert_eq!((t.base, t.po.len()), (1, 8));
+        assert_eq!(t.get(ProcId(1)), Some(11));
+        assert_eq!(t.get(ProcId(4)), None);
+        assert_eq!(t.get(ProcId(8)), Some(80));
     }
 }

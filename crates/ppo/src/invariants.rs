@@ -143,8 +143,8 @@ pub mod oracle {
         let events = trace.events();
 
         // Offload program-order index (on the CPU) and timestamp per procedure.
-        let mut offload_po: std::collections::HashMap<ProcId, u64> =
-            std::collections::HashMap::new();
+        let mut offload_po: std::collections::BTreeMap<ProcId, u64> =
+            std::collections::BTreeMap::new();
         for e in events {
             if e.kind == EventKind::Offload && e.agent == Agent::Cpu {
                 if let Some(p) = e.proc {

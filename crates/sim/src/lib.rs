@@ -18,6 +18,8 @@
 //! * [`Timeline`] / [`IntervalSet`] — the graph's merged CPU and NDP busy
 //!   intervals, their running overlap total (the Figure 18 parallelism
 //!   numerator), and the busy horizon.
+//! * [`hash`] — [`FxHashMap`] / [`FxHashSet`], std's map and set over the
+//!   workspace's one (multiply-rotate) hasher.
 //! * [`hist`] — the log-bucketed [`LatencyHistogram`] (≤ 1 % relative error,
 //!   O(1) record) behind the open-loop driver's p50/p99/p999 tail-latency
 //!   reporting, with the exact sorted-percentile oracle for differentials.
@@ -67,6 +69,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hash;
 pub mod hist;
 pub mod latency;
 pub mod resource;
@@ -74,6 +77,7 @@ pub mod schedule;
 pub mod task;
 pub mod time;
 
+pub use hash::{FxHashMap, FxHashSet};
 pub use hist::{exact_percentile, LatencyHistogram};
 pub use latency::{LatencyModel, CACHE_LINE, PM_PAGE};
 pub use resource::Resource;

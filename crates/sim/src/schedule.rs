@@ -228,9 +228,8 @@ impl Timeline {
 /// incrementally maintained timings are authoritative.
 #[cfg(any(test, feature = "oracle"))]
 pub mod oracle {
-    use std::collections::HashMap;
-
     use super::IntervalSet;
+    use crate::hash::FxHashMap;
     use crate::resource::Resource;
     use crate::task::{Region, TaskGraph};
     use crate::time::{SimDuration, SimTime};
@@ -310,8 +309,8 @@ pub mod oracle {
     #[derive(Debug, Clone)]
     pub struct Schedule {
         makespan: SimDuration,
-        region_busy: HashMap<Region, SimDuration>,
-        per_resource: HashMap<Resource, IntervalSet>,
+        region_busy: FxHashMap<Region, SimDuration>,
+        per_resource: FxHashMap<Resource, IntervalSet>,
         cpu: IntervalSet,
         ndp: IntervalSet,
         overlap: IntervalSet,
@@ -398,10 +397,10 @@ pub mod oracle {
     /// O(n)-per-report recompute path the incremental bookkeeping is
     /// measured against.
     pub fn aggregate(graph: &TaskGraph) -> Schedule {
-        let mut region_busy: HashMap<Region, SimDuration> = HashMap::new();
+        let mut region_busy: FxHashMap<Region, SimDuration> = FxHashMap::default();
         // Per-resource busy intervals in insertion order (out of order on an
         // arrival-ordered resource; merging sorts them).
-        let mut per_resource: HashMap<Resource, Vec<(SimTime, SimTime)>> = HashMap::new();
+        let mut per_resource: FxHashMap<Resource, Vec<(SimTime, SimTime)>> = FxHashMap::default();
         let mut makespan = SimDuration::ZERO;
         for task in graph.tasks() {
             let start = graph.task_start(task.id);
@@ -422,12 +421,12 @@ pub mod oracle {
     /// CPU or NDP union, then intersects the unions.
     fn build(
         makespan: SimDuration,
-        region_busy: HashMap<Region, SimDuration>,
-        per_resource_raw: HashMap<Resource, Vec<(SimTime, SimTime)>>,
+        region_busy: FxHashMap<Region, SimDuration>,
+        per_resource_raw: FxHashMap<Resource, Vec<(SimTime, SimTime)>>,
     ) -> Schedule {
         let mut cpu_all = Vec::new();
         let mut ndp_all = Vec::new();
-        let per_resource: HashMap<Resource, IntervalSet> = per_resource_raw
+        let per_resource: FxHashMap<Resource, IntervalSet> = per_resource_raw
             .into_iter()
             .map(|(r, intervals)| {
                 if r.is_cpu() {
@@ -461,7 +460,7 @@ pub mod oracle {
     /// recurrence (independent of the graph's incremental bookkeeping).
     pub fn compute_timings(graph: &TaskGraph) -> Vec<TaskTiming> {
         let mut timings: Vec<TaskTiming> = Vec::with_capacity(graph.len());
-        let mut resource_free: HashMap<Resource, SimTime> = HashMap::new();
+        let mut resource_free: FxHashMap<Resource, SimTime> = FxHashMap::default();
         for task in graph.tasks() {
             let dep_ready = task
                 .deps

@@ -19,8 +19,7 @@
 //! densely packed. [`TaskRef`] is the borrowed per-task view the accessors
 //! hand out.
 
-use std::collections::HashMap;
-
+use crate::hash::FxHashMap;
 use crate::resource::Resource;
 use crate::schedule::{partition_point_from_back, Timeline};
 use crate::time::{SimDuration, SimTime};
@@ -207,7 +206,7 @@ pub struct TaskGraph {
     finishes: Vec<SimTime>,
     /// Scheduling state of every resource that has carried a task, fetched
     /// once per added task.
-    per_resource: HashMap<Resource, ResourceState>,
+    per_resource: FxHashMap<Resource, ResourceState>,
     /// Incremental per-region busy sums, indexed by [`Region::index`].
     region_busy: [SimDuration; 9],
     /// Latest task finish (the makespan end), including zero-length tasks.

@@ -43,7 +43,7 @@ use nearpm_core::{
     BoundaryKind, CrashPlan, ExecMode, MediaConfig, NearPmSystem, Region, Result, SystemConfig,
     SystemError, VirtAddr,
 };
-use std::collections::HashSet;
+use nearpm_sim::FxHashSet;
 use std::fmt;
 
 /// Size of the application object under test (two PM pages).
@@ -555,7 +555,7 @@ pub fn explore(cfg: &ExplorerConfig) -> Result<ExplorationReport> {
         write_log_checks: 0,
         failures: Vec::new(),
     };
-    let mut seen: HashSet<(Option<BoundaryKind>, u64, usize)> = HashSet::new();
+    let mut seen: FxHashSet<(Option<BoundaryKind>, u64, usize)> = FxHashSet::default();
 
     for n in 0..boundaries {
         let mut drv = Driver::new(cfg, true)?;

@@ -12,7 +12,8 @@
 
 use nearpm_cc::{Checkpoint, Mechanism, RedoLog, ShadowPaging, UndoLog};
 use nearpm_core::{
-    ExecMode, MediaConfig, NearPmSystem, PoolId, Result, RunReport, SystemConfig, VirtAddr,
+    ExecMode, LatencyModel, MediaConfig, NearPmSystem, PoolId, Result, RunReport, SystemConfig,
+    VirtAddr,
 };
 use nearpm_sim::PM_PAGE;
 use rand::rngs::StdRng;
@@ -209,6 +210,9 @@ pub struct RunOptions {
     /// surface them as `RunReport::request_latency` (off by default;
     /// observation only — schedules stay byte-identical).
     pub track_latency: bool,
+    /// Latency and bandwidth parameters every task duration derives from
+    /// (the paper's FPGA prototype by default).
+    pub latency: LatencyModel,
 }
 
 impl Default for RunOptions {
@@ -227,6 +231,7 @@ impl Default for RunOptions {
             checker_workers: 1,
             compact_trace: false,
             track_latency: false,
+            latency: LatencyModel::default(),
         }
     }
 }
@@ -301,6 +306,12 @@ impl RunOptions {
         self.track_latency = track;
         self
     }
+
+    /// Overrides the latency model the run's system schedules with.
+    pub fn with_latency(mut self, latency: LatencyModel) -> Self {
+        self.latency = latency;
+        self
+    }
 }
 
 /// Per-thread crash-consistency state.
@@ -322,6 +333,17 @@ pub(crate) struct ThreadState {
     keys: Zipfian,
     rng: StdRng,
     ops_done: usize,
+    /// The current operation's update sites, reused across operations.
+    sites: Vec<(VirtAddr, u64)>,
+    /// The value an update writes, reused across updates.
+    value: Vec<u8>,
+}
+
+/// `len` copies of `byte` in `buf`, reusing its allocation.
+fn fill(buf: &mut Vec<u8>, byte: u8, len: u64) -> &[u8] {
+    buf.clear();
+    buf.resize(len as usize, byte);
+    buf
 }
 
 /// Executes a workload under a given configuration.
@@ -409,7 +431,8 @@ impl Runner {
             .with_decode_lanes(o.decode_lanes)
             .with_checker_workers(o.checker_workers)
             .with_trace_compaction(o.compact_trace)
-            .with_latency_tracking(o.track_latency);
+            .with_latency_tracking(o.track_latency)
+            .with_latency(o.latency.clone());
         if let Some(depth) = o.fifo_depth {
             config = config.with_fifo_depth(depth);
         }
@@ -491,6 +514,8 @@ impl Runner {
                 keys: Zipfian::new(per_thread_objects as u64, seed),
                 rng: StdRng::seed_from_u64(seed),
                 ops_done: 0,
+                sites: Vec::new(),
+                value: Vec::new(),
             });
         }
         Ok(threads)
@@ -514,7 +539,8 @@ impl Runner {
         thread: usize,
     ) -> Result<()> {
         // Determine the update sites and compute burst for this operation.
-        let (compute_ns, update_sites) = self.op_shape(state);
+        let mut update_sites = std::mem::take(&mut state.sites);
+        let compute_ns = self.op_shape(state, &mut update_sites);
         state.ops_done += 1;
 
         match &mut state.mechanism {
@@ -527,8 +553,8 @@ impl Runner {
                 }
                 sys.cpu_compute(thread, compute_ns)?;
                 for (addr, len) in &update_sites {
-                    let val = vec![state.rng.gen::<u8>(); *len as usize];
-                    undo.update(sys, *addr, &val)?;
+                    let val = fill(&mut state.value, state.rng.gen(), *len);
+                    undo.update(sys, *addr, val)?;
                 }
                 undo.commit(sys)?;
             }
@@ -542,8 +568,8 @@ impl Runner {
                 ckpt.touch_many(sys, &addrs)?;
                 sys.cpu_compute(thread, compute_ns)?;
                 for (addr, len) in &update_sites {
-                    let val = vec![state.rng.gen::<u8>(); *len as usize];
-                    ckpt.update(sys, *addr, &val)?;
+                    let val = fill(&mut state.value, state.rng.gen(), *len);
+                    ckpt.update(sys, *addr, val)?;
                 }
                 // Epoch boundary every 16 operations.
                 if state.ops_done.is_multiple_of(16) {
@@ -556,8 +582,8 @@ impl Runner {
                 // into the log, and applies in place only at commit.
                 sys.cpu_compute(thread, compute_ns)?;
                 for (addr, len) in &update_sites {
-                    let val = vec![state.rng.gen::<u8>(); *len as usize];
-                    redo.stage(sys, *addr, &val)?;
+                    let val = fill(&mut state.value, state.rng.gen(), *len);
+                    redo.stage(sys, *addr, val)?;
                 }
                 redo.commit(sys)?;
             }
@@ -585,13 +611,14 @@ impl Runner {
                 }
             }
         }
+        state.sites = update_sites;
         Ok(())
     }
 
-    /// Chooses the update sites and compute burst for the next operation of
-    /// this workload.
-    fn op_shape(&self, state: &mut ThreadState) -> (f64, Vec<(VirtAddr, u64)>) {
-        let mut sites = Vec::new();
+    /// Chooses the update sites (into `sites`, replacing its contents) and
+    /// returns the compute burst for the next operation of this workload.
+    fn op_shape(&self, state: &mut ThreadState, sites: &mut Vec<(VirtAddr, u64)>) -> f64 {
+        sites.clear();
         let mut compute = self.spec.compute_ns;
         match self.spec.workload {
             Workload::Tpcc => match state.tpcc.next_txn() {
@@ -641,7 +668,7 @@ impl Runner {
                 }
             }
         }
-        (compute, sites)
+        compute
     }
 
     fn pick(&self, state: &mut ThreadState, len: u64) -> (VirtAddr, u64) {
@@ -846,6 +873,42 @@ mod tests {
         let mut scrubbed = tracked;
         scrubbed.request_latency = None;
         assert_eq!(scrubbed, plain);
+    }
+
+    /// Setting the default model explicitly reproduces the default run
+    /// byte for byte.
+    #[test]
+    fn default_latency_model_leaves_the_report_unchanged() {
+        let opts = RunOptions::new(ExecMode::NearPmMd, Mechanism::Logging, 32).with_threads(2);
+        let plain = Runner::new(Workload::Tpcc, opts.clone()).run().unwrap();
+        let explicit = Runner::new(Workload::Tpcc, opts.with_latency(LatencyModel::default()))
+            .run()
+            .unwrap();
+        assert_eq!(format!("{explicit:?}"), format!("{plain:?}"));
+    }
+
+    /// The model reaches the schedule: a slower command issue (the CPU's
+    /// posted write per offloaded primitive) lengthens a logging NearPM MD
+    /// run's crash-consistency time, and the run stays PPO-clean.
+    #[test]
+    fn doubled_command_issue_lengthens_logging_cc_time() {
+        let opts = RunOptions::new(ExecMode::NearPmMd, Mechanism::Logging, 32);
+        let default = Runner::new(Workload::Tpcc, opts.clone()).run().unwrap();
+        let base = LatencyModel::default();
+        let slower = LatencyModel {
+            ndp_cmd_issue_ns: 2.0 * base.ndp_cmd_issue_ns,
+            ..base
+        };
+        let slow = Runner::new(Workload::Tpcc, opts.with_latency(slower))
+            .run()
+            .unwrap();
+        assert!(
+            slow.cc_time > default.cc_time,
+            "cc time {:?} at 2x command issue vs {:?}",
+            slow.cc_time,
+            default.cc_time
+        );
+        assert!(slow.ppo_violations.is_empty(), "{:?}", slow.ppo_violations);
     }
 
     #[test]

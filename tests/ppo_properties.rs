@@ -51,7 +51,7 @@ proptest! {
         let mut sys = NearPmSystem::new(SystemConfig::nearpm_sd().with_capacity(32 << 20));
         let mut pool = ObjPool::create(&mut sys, "prop-kv", 16 << 20).unwrap();
         let mut map = PersistentHashMap::create(&mut sys, &mut pool, 256).unwrap();
-        let mut model = std::collections::HashMap::new();
+        let mut model = std::collections::BTreeMap::new();
         for (i, k) in keys.iter().enumerate() {
             let v = vec![(i % 251) as u8; VALUE_SIZE];
             map.put(&mut sys, &mut pool, *k, &v).unwrap();
