@@ -268,22 +268,16 @@ impl UndoLog {
         // Group entries by device, one commit command per device in device
         // order (the memory controller duplicates commands for objects
         // spanning devices).
-        let next_device = |after: Option<usize>| {
-            self.active
-                .iter()
-                .map(|e| e.slot.device)
-                .filter(|&d| after.is_none_or(|a| d > a))
-                .min()
-        };
-        let mut device = next_device(None);
-        while let Some(dev) = device {
-            device = next_device(Some(dev));
+        for dev in 0..sys.device_count() {
             let entries: Vec<VirtAddr> = self
                 .active
                 .iter()
                 .filter(|e| e.slot.device == dev)
                 .map(|e| e.slot.meta)
                 .collect();
+            if entries.is_empty() {
+                continue;
+            }
             sys.offload_into(
                 &mut self.commit_batch,
                 self.thread,

@@ -244,10 +244,7 @@ impl Trace {
         evict
     }
 
-    /// Allocates a fresh NDP-procedure id. Ids count up from zero, and the
-    /// checkers index their offload tables by them, so a trace should name
-    /// procedures by these ids: a table spans every id between the lowest
-    /// live procedure and the highest offloaded one.
+    /// Allocates a fresh NDP-procedure id.
     pub fn new_proc(&mut self) -> ProcId {
         let id = ProcId(self.next_proc);
         self.next_proc += 1;

@@ -285,9 +285,12 @@ impl IncrementalChecker {
     /// * (i) it is stamped at or after `w`;
     /// * (ii) if it is an NDP access naming a procedure, that procedure's
     ///   offload event is later too (or never recorded). The system meets
-    ///   this because one call records an offload and all its accesses.
+    ///   this because one call records an offload and all its accesses;
+    /// * (iii) if it is an offload event, its procedure has no earlier
+    ///   offload event. The system meets this because each offload takes a
+    ///   fresh id from [`Trace::new_proc`].
     ///
-    /// Under both, four rules are exact: the violation list and the
+    /// Under all three, four rules are exact: the violation list and the
     /// relaxed-persist count stay equal to the naive oracle's at every
     /// later prefix.
     ///
@@ -313,13 +316,14 @@ impl IncrementalChecker {
     /// 4. **Offload program orders of procedures below the lowest live
     ///    one** are dropped, where a live procedure is one that an NDP
     ///    mirror item surviving rule 2, or a parked access, names. The
-    ///    table is read for three kinds of procedure: a mirror item's (step
-    ///    A), a parked access's once its offload arrives, and a new NDP
-    ///    access's. The first two are live, so their entries are kept. By
-    ///    (ii) a later NDP access names a procedure whose offload is later
-    ///    too, so its entry is filled after this call (an offload below the
-    ///    kept window grows it back down). No later query reads a dropped
-    ///    entry.
+    ///    table is read for four kinds of procedure: a mirror item's (step
+    ///    A), a parked access's once its offload arrives, a new NDP
+    ///    access's, and a new offload's (is it the first?). The first two
+    ///    are live, so their entries are kept. By (ii) a later NDP access
+    ///    names a procedure whose offload is later too, and by (iii) a
+    ///    later offload names a procedure with no earlier one, so neither
+    ///    reads an entry that existed before this call. No later query
+    ///    reads a dropped entry.
     ///
     /// Everything else (the min-maps, recovery state, parked accesses and
     /// the recorded violations) is kept.
@@ -360,10 +364,10 @@ impl IncrementalChecker {
         .unwrap_or(u64::MAX)
     }
 
-    /// The offload table's procedure window (first id, entries) and the
+    /// The offload table's lowest procedure and entry count, and the
     /// lowest live procedure (tests check what rule 4 kept).
     #[cfg(test)]
-    pub(crate) fn offload_window(&self) -> ((u64, usize), u64) {
+    pub(crate) fn offload_window(&self) -> ((Option<u64>, usize), u64) {
         (self.index.offload_window(), self.lowest_live_proc())
     }
 

@@ -38,6 +38,8 @@
 //! already satisfy the offload order are proven clean without visiting a
 //! single item.
 
+use std::collections::BTreeMap;
+
 use crate::event::{Agent, EventKind, Interval, PpoEvent, ProcId, Sharing};
 use crate::minmap::MinMap;
 
@@ -576,7 +578,10 @@ impl IncrementalIntervalIndex {
 /// the writes it bounds.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FoldIndex {
-    offload_po: OffloadTable,
+    /// The CPU program order of each procedure's first offload event. The
+    /// checker's retention drops the procedures below the lowest live one
+    /// ([`FoldIndex::retire_offloads_below`]).
+    offload_po: BTreeMap<ProcId, u64>,
     cpu_shared_reads: IncrementalIntervalIndex,
     cpu_shared_writes: IncrementalIntervalIndex,
     cpu_shared_persists: IncrementalIntervalIndex,
@@ -585,56 +590,6 @@ pub(crate) struct FoldIndex {
     failure_ts: Option<u64>,
     all_writes: MinMap,
     all_persists: MinMap,
-}
-
-/// The CPU program order of each procedure's first offload event, indexed
-/// by procedure id. Ids come from one counter ([`crate::Trace::new_proc`]),
-/// so the table is a `Vec` window `[base, base + len)` over them rather
-/// than a hashed map, and the checker's retention trims it from the front
-/// ([`OffloadTable::retire_below`]).
-#[derive(Debug, Clone, Default)]
-struct OffloadTable {
-    /// Procedure id of `po[0]`.
-    base: u64,
-    /// Program order per procedure; [`OffloadTable::NONE`] while its offload
-    /// is unseen.
-    po: Vec<u64>,
-}
-
-impl OffloadTable {
-    /// Marks a procedure whose offload has not been folded.
-    const NONE: u64 = u64::MAX;
-
-    fn get(&self, proc: ProcId) -> Option<u64> {
-        let i = usize::try_from(proc.0.checked_sub(self.base)?).ok()?;
-        self.po.get(i).copied().filter(|&po| po != Self::NONE)
-    }
-
-    /// Records `po` unless the procedure already has an offload (the first
-    /// offload counts, as in the oracle). An id below the window grows it
-    /// back down with empty entries: only a later offload fills those, and
-    /// nothing reads an entry its own offload did not fill.
-    fn insert_first(&mut self, proc: ProcId, po: u64) {
-        if proc.0 < self.base {
-            let grow = (self.base - proc.0) as usize;
-            self.po.splice(0..0, std::iter::repeat_n(Self::NONE, grow));
-            self.base = proc.0;
-        }
-        let i = (proc.0 - self.base) as usize;
-        if i >= self.po.len() {
-            self.po.resize(i + 1, Self::NONE);
-        }
-        if self.po[i] == Self::NONE {
-            self.po[i] = po;
-        }
-    }
-
-    /// Drops the entries of every procedure below `floor`.
-    fn retire_below(&mut self, floor: u64) {
-        let cut = floor.saturating_sub(self.base).min(self.po.len() as u64);
-        self.po.drain(..cut as usize);
-        self.base += cut;
-    }
 }
 
 impl FoldIndex {
@@ -651,7 +606,7 @@ impl FoldIndex {
             match e.kind {
                 EventKind::Offload if e.agent == Agent::Cpu => {
                     if let Some(p) = e.proc {
-                        self.offload_po.insert_first(p, e.program_order);
+                        self.offload_po.entry(p).or_insert(e.program_order);
                     }
                 }
                 EventKind::Failure if self.failure_ts.is_none() => {
@@ -705,13 +660,14 @@ impl FoldIndex {
     /// Drops the offload program order of every procedure below `floor`
     /// (the checker's retention rule decides the floor).
     pub(crate) fn retire_offloads_below(&mut self, floor: u64) {
-        self.offload_po.retire_below(floor);
+        self.offload_po = self.offload_po.split_off(&ProcId(floor));
     }
 
-    /// The procedure-id window the offload table spans: first id, entries.
+    /// The offload table's lowest procedure and its entry count.
     #[cfg(test)]
-    pub(crate) fn offload_window(&self) -> (u64, usize) {
-        (self.offload_po.base, self.offload_po.po.len())
+    pub(crate) fn offload_window(&self) -> (Option<u64>, usize) {
+        let first = self.offload_po.keys().next().map(|p| p.0);
+        (first, self.offload_po.len())
     }
 
     /// Every shared CPU access's timestamp (tests read what retention
@@ -726,7 +682,7 @@ impl FoldIndex {
 
     /// CPU program-order index of the offload event of `proc`, if folded.
     pub(crate) fn offload_po(&self, proc: ProcId) -> Option<u64> {
-        self.offload_po.get(proc)
+        self.offload_po.get(&proc).copied()
     }
 
     /// Timestamp of the first failure event, if any.
@@ -1079,34 +1035,5 @@ mod tests {
         assert!(idx.written_before_failure(iv(0x100, 1)));
         assert!(idx.persisted_before_failure(iv(0x13f, 1)));
         assert!(!idx.written_before_failure(iv(0x140, 1)));
-    }
-
-    #[test]
-    fn offload_table_trims_from_the_front_and_grows_back_down() {
-        let mut t = OffloadTable::default();
-        for p in 0..6 {
-            t.insert_first(ProcId(p), 10 * p);
-        }
-        // The first offload of a procedure counts.
-        t.insert_first(ProcId(2), 99);
-        assert_eq!(t.get(ProcId(2)), Some(20));
-        assert_eq!(t.get(ProcId(6)), None);
-        t.retire_below(4);
-        assert_eq!((t.base, t.po.len()), (4, 2));
-        assert_eq!(t.get(ProcId(3)), None);
-        assert_eq!(t.get(ProcId(5)), Some(50));
-        // A floor past the end empties the window; ids past it append.
-        t.retire_below(u64::MAX);
-        assert_eq!((t.base, t.po.len()), (6, 0));
-        t.insert_first(ProcId(8), 80);
-        assert_eq!((t.base, t.po.len()), (6, 3));
-        assert_eq!(t.get(ProcId(7)), None);
-        // An offload below the window grows it back down with empty
-        // entries in between.
-        t.insert_first(ProcId(1), 11);
-        assert_eq!((t.base, t.po.len()), (1, 8));
-        assert_eq!(t.get(ProcId(1)), Some(11));
-        assert_eq!(t.get(ProcId(4)), None);
-        assert_eq!(t.get(ProcId(8)), Some(80));
     }
 }

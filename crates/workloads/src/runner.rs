@@ -12,8 +12,7 @@
 
 use nearpm_cc::{Checkpoint, Mechanism, RedoLog, ShadowPaging, UndoLog};
 use nearpm_core::{
-    ExecMode, LatencyModel, MediaConfig, NearPmSystem, PoolId, Result, RunReport, SystemConfig,
-    VirtAddr,
+    ExecMode, MediaConfig, NearPmSystem, PoolId, Result, RunReport, SystemConfig, VirtAddr,
 };
 use nearpm_sim::PM_PAGE;
 use rand::rngs::StdRng;
@@ -210,9 +209,6 @@ pub struct RunOptions {
     /// surface them as `RunReport::request_latency` (off by default;
     /// observation only — schedules stay byte-identical).
     pub track_latency: bool,
-    /// Latency and bandwidth parameters every task duration derives from
-    /// (the paper's FPGA prototype by default).
-    pub latency: LatencyModel,
 }
 
 impl Default for RunOptions {
@@ -231,7 +227,6 @@ impl Default for RunOptions {
             checker_workers: 1,
             compact_trace: false,
             track_latency: false,
-            latency: LatencyModel::default(),
         }
     }
 }
@@ -304,12 +299,6 @@ impl RunOptions {
     /// Enables per-operation latency tracking (observation only).
     pub fn with_latency_tracking(mut self, track: bool) -> Self {
         self.track_latency = track;
-        self
-    }
-
-    /// Overrides the latency model the run's system schedules with.
-    pub fn with_latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
         self
     }
 }
@@ -431,8 +420,7 @@ impl Runner {
             .with_decode_lanes(o.decode_lanes)
             .with_checker_workers(o.checker_workers)
             .with_trace_compaction(o.compact_trace)
-            .with_latency_tracking(o.track_latency)
-            .with_latency(o.latency.clone());
+            .with_latency_tracking(o.track_latency);
         if let Some(depth) = o.fifo_depth {
             config = config.with_fifo_depth(depth);
         }
@@ -873,42 +861,6 @@ mod tests {
         let mut scrubbed = tracked;
         scrubbed.request_latency = None;
         assert_eq!(scrubbed, plain);
-    }
-
-    /// Setting the default model explicitly reproduces the default run
-    /// byte for byte.
-    #[test]
-    fn default_latency_model_leaves_the_report_unchanged() {
-        let opts = RunOptions::new(ExecMode::NearPmMd, Mechanism::Logging, 32).with_threads(2);
-        let plain = Runner::new(Workload::Tpcc, opts.clone()).run().unwrap();
-        let explicit = Runner::new(Workload::Tpcc, opts.with_latency(LatencyModel::default()))
-            .run()
-            .unwrap();
-        assert_eq!(format!("{explicit:?}"), format!("{plain:?}"));
-    }
-
-    /// The model reaches the schedule: a slower command issue (the CPU's
-    /// posted write per offloaded primitive) lengthens a logging NearPM MD
-    /// run's crash-consistency time, and the run stays PPO-clean.
-    #[test]
-    fn doubled_command_issue_lengthens_logging_cc_time() {
-        let opts = RunOptions::new(ExecMode::NearPmMd, Mechanism::Logging, 32);
-        let default = Runner::new(Workload::Tpcc, opts.clone()).run().unwrap();
-        let base = LatencyModel::default();
-        let slower = LatencyModel {
-            ndp_cmd_issue_ns: 2.0 * base.ndp_cmd_issue_ns,
-            ..base
-        };
-        let slow = Runner::new(Workload::Tpcc, opts.with_latency(slower))
-            .run()
-            .unwrap();
-        assert!(
-            slow.cc_time > default.cc_time,
-            "cc time {:?} at 2x command issue vs {:?}",
-            slow.cc_time,
-            default.cc_time
-        );
-        assert!(slow.ppo_violations.is_empty(), "{:?}", slow.ppo_violations);
     }
 
     #[test]
