@@ -39,11 +39,12 @@ const THREADS: usize = 4;
 const CALIBRATION_OPS: usize = 4096;
 const SEED: u64 = 1;
 /// Ceiling on the process's peak resident memory after both legs. It sits
-/// between the measured peak (about 0.9 GiB) and the about 1.6 GiB the
-/// same run reaches when the checker keeps every shared access, NDP mirror
-/// and parked write for the whole run, so a return to state that grows with
-/// the run instead of with the events above the watermark fails.
-const PEAK_RSS_CEILING_MIB: f64 = 1280.0;
+/// above the measured peak (about 300 MiB) and below the about 820 MiB the
+/// same run reaches when the simulator keeps every task timing, busy
+/// interval and FIFO residency for the whole run, so a return to simulator
+/// or checker state that grows with the run instead of with what lies above
+/// the watermark fails.
+const PEAK_RSS_CEILING_MIB: f64 = 512.0;
 
 /// Host memory high-water mark of this process, in MiB (`VmHWM` from
 /// `/proc/self/status`).

@@ -25,7 +25,7 @@
 mod persist;
 mod report;
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 pub use persist::MANIFEST_NAME;
 pub use report::{LatencySummary, RunReport};
@@ -82,10 +82,11 @@ pub struct NearPmSystem {
     /// request arrived.
     pending_admission: Vec<Option<TaskId>>,
     /// Finish time of every posted offload handle not yet released, keyed
-    /// with its procedure so equal finishes stay distinct: the handle half
-    /// of [`NearPmSystem::watermark`]. `offload_into` adds, `release_batch`
-    /// and `release_batch_retired` remove.
-    posted: BTreeSet<(SimTime, ProcId)>,
+    /// with its procedure so equal finishes stay distinct, mapped to the
+    /// handle's final task: the handle half of [`NearPmSystem::watermark`]
+    /// and of the task floor. `offload_into` adds, `release_batch` and
+    /// `release_batch_retired` remove.
+    posted: BTreeMap<(SimTime, ProcId), TaskId>,
     /// Per-request latency histogram (populated only when
     /// `config.track_latency`; observation only — never feeds scheduling).
     latency_hist: LatencyHistogram,
@@ -151,7 +152,7 @@ impl NearPmSystem {
             cpu_tail: vec![None; config.cpu_threads],
             fifo_stall: vec![None; config.cpu_threads],
             pending_admission: vec![None; config.cpu_threads],
-            posted: BTreeSet::new(),
+            posted: BTreeMap::new(),
             latency_hist: LatencyHistogram::new(),
             devices,
             space,
@@ -712,7 +713,7 @@ impl NearPmSystem {
         }
 
         self.posted
-            .insert((self.graph.task_finish(exec.finish), proc));
+            .insert((self.graph.task_finish(exec.finish), proc), exec.finish);
         batch.push(OffloadHandle {
             proc,
             device,
@@ -901,30 +902,36 @@ impl NearPmSystem {
         released
     }
 
-    /// A simulated time W no trace event recorded from now on can be
-    /// stamped below: the minimum of every CPU thread's last-task finish
-    /// (zero while a thread has none) and the finish of every posted offload
-    /// handle not yet released. Each report hands it to the PPO checker,
-    /// which then drops the state no later event can pair with.
+    /// A simulated time W that bounds what the run adds from now on: every
+    /// later task with a non-zero duration depends on a task finishing at
+    /// or after W, so it starts at or after W, and no later trace event is
+    /// stamped below W. W is the minimum of every CPU thread's last-task
+    /// finish (zero while a thread has none) and the finish of every posted
+    /// offload handle not yet released. Each report hands it to the PPO
+    /// checker, which then drops the state no later event can pair with; a
+    /// compacting report also drops the busy intervals and FIFO-window
+    /// entries that end before it.
     ///
-    /// Why it holds. Every event is stamped at the finish of a task its own
-    /// primitive adds, except the failure marker, which takes one thread's
-    /// last task (at least W) or, with no CPU task at all, the end of time.
-    /// Task finishes never change once added, so it suffices that every new
-    /// stamped task finishes at or after W:
+    /// Why it holds. Task times never change once added, so it suffices to
+    /// go through the tasks a primitive can add:
     ///
-    /// * a CPU task (an access, a copy, `cmd-issue`, `sw-sync`) depends on
-    ///   its thread's last task;
+    /// * a CPU task (an access, a copy, compute or overhead, `cmd-issue`,
+    ///   `sw-sync`) depends on its thread's last task;
     /// * on the device, decode depends on the new `cmd-issue` task, issue on
-    ///   decode, and the unit micro-ops on issue, so NDP reads (stamped at
-    ///   issue) and writes and persists (stamped at the last micro-op)
-    ///   finish after `cmd-issue`;
+    ///   decode, and the unit micro-ops on issue;
     /// * `md-sync` depends only on its batch's handles, and
     ///   [`TaskGraph::add_arrival_ordered`] may place it in a gap before
-    ///   every thread's clock — thread clocks alone are not a bound. It
-    ///   finishes after every handle it syncs, and those are posted and not
-    ///   yet released (a release takes them out of the batch), so each
-    ///   finishes at or after W.
+    ///   every thread's clock — thread clocks alone are not a bound. Its
+    ///   handles are posted and not yet released (a release takes them out
+    ///   of the batch), so each finishes at or after W;
+    /// * the rest have zero duration: the open-loop arrival marker, pinned
+    ///   at its arrival wherever the clocks are, and barriers. Neither
+    ///   reserves a busy interval nor stamps an event.
+    ///
+    /// Every event is stamped at the finish of a task its own primitive
+    /// adds, so at or after that task's start, except the failure marker,
+    /// which takes one thread's last task (at least W) or, with no CPU task
+    /// at all, the end of time.
     ///
     /// W never falls: a thread's next task finishes after its last one, and
     /// a new handle finishes after its `cmd-issue` task. A batch cleared
@@ -935,8 +942,36 @@ impl NearPmSystem {
             .cpu_tail
             .iter()
             .map(|tail| tail.map_or(SimTime::ZERO, |t| self.graph.task_finish(t)));
-        let posted = self.posted.first().map(|&(finish, _)| finish);
+        let posted = self
+            .posted
+            .first_key_value()
+            .map(|(&(finish, _), _)| finish);
         tails.chain(posted).min().unwrap_or(SimTime::ZERO)
+    }
+
+    /// The oldest task the system can still name, and so read the timing
+    /// of: each thread's last task, pending FIFO stall and pending
+    /// admission marker, every posted handle not yet released, and each
+    /// device's FIFO-window and in-flight entries. Every task added from
+    /// now on depends only on these or on tasks added after them (a
+    /// mechanism names only handles of its own unreleased batches and the
+    /// sync tasks of the operation it is running). The graph's length when
+    /// the system holds no task.
+    pub(crate) fn task_floor(&self) -> usize {
+        let threads = self
+            .cpu_tail
+            .iter()
+            .chain(&self.fifo_stall)
+            .chain(&self.pending_admission)
+            .flatten()
+            .copied();
+        let devices = self.devices.iter().filter_map(NearPmDevice::oldest_task);
+        threads
+            .chain(self.posted.values().copied())
+            .chain(devices)
+            .map(TaskId::index)
+            .min()
+            .unwrap_or(self.graph.len())
     }
 
     // ------------------------------------------------------------------

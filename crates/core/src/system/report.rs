@@ -149,9 +149,10 @@ impl NearPmSystem {
     /// Records the closed-loop span latency of every task at index `>=
     /// from` — max finish minus min start over the span, the
     /// admission-to-retire time of the operation those tasks implement.
-    /// Pure observation over the timing columns (which survive trace
-    /// compaction in full); returns the latency, or `None` when tracking is
-    /// off or the span is empty.
+    /// Pure observation over the timing columns; a compacting report evicts
+    /// timings below the oldest task the system holds, so read a span before
+    /// the next report. Returns the latency, or `None` when tracking is off
+    /// or the span is empty.
     pub fn record_span_latency(&mut self, from: usize) -> Option<SimDuration> {
         if !self.config.track_latency || from >= self.graph.len() {
             return None;
@@ -285,19 +286,32 @@ impl NearPmSystem {
         // later event can pair with (see `watermark`). Every report does
         // this, compacting or not, so the report == report_oracle gates
         // cover it.
-        self.trace.retire_below(self.watermark());
+        let w = self.watermark();
+        self.trace.retire_below(w);
         if self.config.compact_trace {
             // Every report is a compaction point: the cached checker has
             // just folded the whole trace and never reads a folded event
             // again, so every event is dropped, and the task graph's
             // descriptive columns (never re-read by this incremental report
-            // path) are truncated wholesale. The report content is
-            // unaffected — `trace_events` counts retired and live events —
-            // so a compacting run's report stays byte-equal to a
-            // non-compacting one's.
+            // path) are truncated wholesale. The simulator then drops what
+            // no later step reads. Every request submitted from now on
+            // lands on the control path when its `cmd-issue` task finishes,
+            // at or after W, so FIFO-window entries retired by W never
+            // decide an admission again; busy intervals that end before W
+            // are behind every later task (`watermark`); and timings below
+            // the oldest task the system holds are never named again. The
+            // report content is unaffected — `trace_events` counts retired
+            // and live events — so a compacting run's report stays
+            // byte-equal to a non-compacting one's.
             self.trace.compact();
+            for dev in &mut self.devices {
+                dev.retire_window_before(w);
+            }
             let tasks = self.graph.len();
             self.graph.retire_tasks_before(tasks);
+            let floor = self.task_floor();
+            self.graph.retire_timings_before(floor);
+            self.graph.retire_busy_before(w);
         }
         report
     }
@@ -374,6 +388,22 @@ impl NearPmSystem {
             .sum()
     }
 
+    /// Drops every device's FIFO residency history that no window starting
+    /// at or after `floor` reads; afterwards [`NearPmSystem::fifo_occupancy_in`]
+    /// and [`NearPmSystem::fifo_admissions_in`] panic on a window starting
+    /// before `floor`. The open-loop driver calls it on compacting runs once
+    /// every window before `floor` is answered.
+    pub fn retire_fifo_history_before(&mut self, floor: SimTime) {
+        for dev in &mut self.devices {
+            dev.retire_fifo_history_before(floor);
+        }
+    }
+
+    /// FIFO residency-history entries held, summed over devices.
+    pub fn fifo_history_len(&self) -> usize {
+        self.devices.iter().map(|d| d.fifo_history_len()).sum()
+    }
+
     /// Number of PPO trace events recorded so far (diagnostics; lets
     /// sampling drivers pace themselves by event count without paying for a
     /// report).
@@ -446,6 +476,57 @@ mod tests {
         let base_report = base.report();
         assert!((base_report.speedup_over(&base_report) - 1.0).abs() < 1e-9);
         assert!((base_report.cc_speedup_over(&base_report) - 1.0).abs() < 1e-9);
+    }
+
+    /// A compacting report must keep the timing of a front-end task a later
+    /// admission can still stall on, even when the thread that posted it
+    /// has moved far ahead and its handle is released. Thread 1's clock
+    /// holds the watermark near zero while its last task is newer than the
+    /// offload's issue stage, so the task floor has to come from the
+    /// device's FIFO window. The run must schedule like a non-compacting
+    /// twin.
+    #[test]
+    fn compaction_keeps_the_fifo_window_tasks_a_later_admission_waits_for() {
+        use crate::batch::OffloadBatch;
+        use nearpm_device::NearPmOp;
+        use nearpm_pm::AddrRange;
+        let run = |compact: bool| {
+            let mut sys = NearPmSystem::new(
+                SystemConfig::nearpm_sd()
+                    .with_capacity(4 << 20)
+                    .with_cpu_threads(2)
+                    .with_fifo_depth(1)
+                    .with_trace_compaction(compact),
+            );
+            let pool = sys.create_pool("p", 1 << 20).unwrap();
+            let log = sys.alloc(pool, 16 << 10, 4096).unwrap();
+            sys.register_ndp_managed(AddrRange::new(log, 16 << 10));
+            let obj = sys.alloc(pool, 4096, 64).unwrap();
+            let undo = |slot: u64| NearPmOp::UndoLogCreate {
+                src: obj,
+                len: 64,
+                log_meta: log.offset(slot),
+                log_data: log.offset(slot + 64),
+                txn_id: 0,
+            };
+            let mut batch = OffloadBatch::new();
+            sys.offload_into(&mut batch, 0, pool, undo(0), &[]).unwrap();
+            sys.release_batch(&mut batch);
+            sys.cpu_compute(0, 10_000.0).unwrap();
+            sys.cpu_compute(1, 1.0).unwrap();
+            let first = sys.report();
+            sys.offload_into(&mut batch, 1, pool, undo(4096), &[])
+                .unwrap();
+            sys.release_batch(&mut batch);
+            (first, sys.report(), sys.watermark())
+        };
+        let (first, last, w) = run(true);
+        assert_eq!((first.clone(), last.clone(), w), run(false));
+        assert_eq!(first.fifo_stalls, 0);
+        assert_eq!(
+            last.fifo_stalls, 1,
+            "thread 1's command must find the FIFO full"
+        );
     }
 
     /// Recording a latency is a no-op unless the run tracks latencies, and a

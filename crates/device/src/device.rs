@@ -235,6 +235,35 @@ impl NearPmDevice {
         self.fifo.admissions_in(from, to)
     }
 
+    /// Drops the FIFO residency history no window starting at or after
+    /// `floor` reads ([`RequestFifo::retire_history_before`]).
+    pub fn retire_fifo_history_before(&mut self, floor: SimTime) {
+        self.fifo.retire_history_before(floor);
+    }
+
+    /// Number of FIFO residency-history entries held.
+    pub fn fifo_history_len(&self) -> usize {
+        self.fifo.history_len()
+    }
+
+    /// Drops the FIFO occupancy-window entries that retired at or before
+    /// `w`, given that every request submitted from now on lands on the
+    /// control path at or after `w` ([`RequestFifo::retire_window_before`]).
+    pub fn retire_window_before(&mut self, w: SimTime) {
+        self.fifo.retire_window_before(w);
+    }
+
+    /// The oldest task the device still holds and may hand out as a
+    /// dependency: a FIFO-window entry's front-end task or an in-flight
+    /// access's completion task.
+    pub fn oldest_task(&self) -> Option<TaskId> {
+        self.fifo
+            .oldest_task()
+            .into_iter()
+            .chain(self.inflight.oldest_task())
+            .min()
+    }
+
     /// The dispatcher's scheduling resource (decode lane 0).
     pub fn dispatcher_resource(&self) -> Resource {
         Resource::Dispatcher(self.config.id)

@@ -64,17 +64,22 @@ pub struct RequestFifo {
     /// slightly out of simulated-time order (the task graph is built thread
     /// by thread while the threads' clocks drift apart), so an entry may
     /// still determine the occupancy seen by a straggler arrival after a
-    /// later one was already admitted.
-    window: Vec<(TaskId, SimTime, SimTime)>,
-    /// Full `(arrival, retire)` residency history of every admitted request
-    /// — unlike `window`, never garbage-collected, so post-run analyses can
+    /// later one was already admitted. A deque, because garbage collection
+    /// drains its front.
+    window: VecDeque<(TaskId, SimTime, SimTime)>,
+    /// `(arrival, retire)` residency history of every admitted request —
+    /// unlike `window`, garbage-collected only on request
+    /// ([`RequestFifo::retire_history_before`]), so post-run analyses can
     /// ask "how full was the FIFO during `[from, to)`" for any window of the
     /// run (`fig_timeline`'s occupancy series).
     history: Vec<(SimTime, SimTime)>,
+    /// Windows starting before this time may no longer be queried: history
+    /// entries that retired before it were dropped.
+    history_floor: SimTime,
     /// Lazily (re)built prefix/range-max structure over `history` answering
     /// [`RequestFifo::occupancy_in`] in O(log m). Interior mutability keeps
     /// the query `&self` (the whole report path is read-only); the cell is
-    /// invalidated whenever `history` grows.
+    /// invalidated whenever `history` grows, and reset when it is trimmed.
     occupancy_index: RefCell<OccupancyIndex>,
     stall_time: SimDuration,
     stalls: u64,
@@ -195,8 +200,9 @@ impl RequestFifo {
             next_id: 0,
             accepted: 0,
             high_watermark: 0,
-            window: Vec::new(),
+            window: VecDeque::new(),
             history: Vec::new(),
+            history_floor: SimTime::ZERO,
             occupancy_index: RefCell::new(OccupancyIndex::default()),
             stall_time: SimDuration::ZERO,
             stalls: 0,
@@ -263,8 +269,9 @@ impl RequestFifo {
 
         // Live entries at `arrival`, in retire order (the window's order).
         let first_unretired = self.window.partition_point(|&(_, _, r)| r <= arrival);
-        let mut live_entries = self.window[first_unretired..]
-            .iter()
+        let mut live_entries = self
+            .window
+            .range(first_unretired..)
             .filter(|&&(_, admitted, _)| admitted <= arrival);
         let live = live_entries.clone().count();
         let admission = if live >= self.depth {
@@ -302,23 +309,79 @@ impl RequestFifo {
         self.history.push((arrival, retires_at));
     }
 
-    /// Highest modeled occupancy reached within the simulated-time window
-    /// `[from, to)`, capped at the physical depth (a stalled request waits
-    /// on the control path, not in the FIFO).
-    ///
-    /// Answered from a prefix/range-max structure over the full residency
-    /// history (the private `OccupancyIndex`): O(log m) per window after a
-    /// lazy O(m log m) build amortized over all queries since the history
-    /// last grew. The original O(m log m)-per-window line sweep is kept as
-    /// the test-only oracle `occupancy_in_sweep`.
-    pub fn occupancy_in(&self, from: SimTime, to: SimTime) -> usize {
-        if to <= from {
-            return 0;
+    /// Drops the occupancy-window entries whose front-end stage retired at
+    /// or before `w`. The caller vouches that every request admitted from
+    /// now on arrives at or after `w`: such an arrival counts only entries
+    /// that retire after it, so the dropped ones never decided an
+    /// admission again.
+    pub fn retire_window_before(&mut self, w: SimTime) {
+        let dropped = self.window.partition_point(|&(_, _, r)| r <= w);
+        self.window.drain(..dropped);
+    }
+
+    /// The oldest front-end task the occupancy window still holds (a later
+    /// admission may wait for it).
+    pub fn oldest_task(&self) -> Option<TaskId> {
+        self.window.iter().map(|&(task, _, _)| task).min()
+    }
+
+    /// Drops the residency-history entries that retired before `floor`,
+    /// after which windows starting before `floor` may not be queried. An
+    /// entry retired before a window starts neither arrived in it nor
+    /// occupied a slot during it, so [`RequestFifo::admissions_in`] and
+    /// [`RequestFifo::occupancy_in`] answer every window starting at or
+    /// after `floor` as before. Floors only move forward.
+    pub fn retire_history_before(&mut self, floor: SimTime) {
+        if floor <= self.history_floor {
+            return;
         }
+        self.history_floor = floor;
+        self.history.retain(|&(_, retire)| retire >= floor);
+        *self.occupancy_index.get_mut() = OccupancyIndex::default();
+    }
+
+    /// Number of residency-history entries held.
+    pub fn history_len(&self) -> usize {
+        self.history.len()
+    }
+
+    /// The occupancy index, rebuilt if the history grew since it was built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` lies below the history floor.
+    fn index_from(&self, from: SimTime) -> std::cell::RefMut<'_, OccupancyIndex> {
+        assert!(
+            from >= self.history_floor,
+            "FIFO window query from {from} is below the history floor {}",
+            self.history_floor
+        );
         let mut index = self.occupancy_index.borrow_mut();
         if index.built_len != self.history.len() {
             index.rebuild(&self.history);
         }
+        index
+    }
+
+    /// Highest modeled occupancy reached within the simulated-time window
+    /// `[from, to)`, capped at the physical depth (a stalled request waits
+    /// on the control path, not in the FIFO).
+    ///
+    /// Answered from a prefix/range-max structure over the residency
+    /// history (the private `OccupancyIndex`): O(log m) per window after a
+    /// lazy O(m log m) build amortized over all queries since the history
+    /// last changed. The original O(m log m)-per-window line sweep is kept
+    /// as the test-only oracle `occupancy_in_sweep`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-empty window starts below the floor of
+    /// [`RequestFifo::retire_history_before`].
+    pub fn occupancy_in(&self, from: SimTime, to: SimTime) -> usize {
+        if to <= from {
+            return 0;
+        }
+        let index = self.index_from(from);
         let max = index.max_occupancy_in(from.as_ps(), to.as_ps());
         (max.max(0) as usize).min(self.depth)
     }
@@ -330,14 +393,16 @@ impl RequestFifo {
     /// Answered in O(log m) from the sorted arrival-instant list of the
     /// lazily built `OccupancyIndex`; the test-only `admissions_in_sweep` is
     /// the O(m) differential oracle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-empty window starts below the floor of
+    /// [`RequestFifo::retire_history_before`].
     pub fn admissions_in(&self, from: SimTime, to: SimTime) -> usize {
         if to <= from {
             return 0;
         }
-        let mut index = self.occupancy_index.borrow_mut();
-        if index.built_len != self.history.len() {
-            index.rebuild(&self.history);
-        }
+        let index = self.index_from(from);
         index.arrivals.partition_point(|&a| a < to.as_ps())
             - index.arrivals.partition_point(|&a| a < from.as_ps())
     }
@@ -693,6 +758,102 @@ mod tests {
                 "round {round} full-history window"
             );
         }
+    }
+
+    /// Dropping the window entries retired by `w` changes no later
+    /// admission that arrives at or after `w`: the same slot dependency,
+    /// stall, high watermark and stall totals as an untrimmed clone.
+    #[test]
+    fn window_trim_keeps_later_admissions_exact() {
+        use nearpm_sim::{Region, Resource, TaskGraph};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(19);
+        for round in 0..30 {
+            let mut g = TaskGraph::new();
+            let mut clone = RequestFifo::new(rng.gen_range(1usize..5));
+            let mut trimmed = clone.clone();
+            let mut w = 0u64;
+            for _ in 0..200 {
+                if rng.gen_range(0..8) == 0 {
+                    w += rng.gen_range(0u64..600);
+                    trimmed.retire_window_before(SimTime::from_ps(w));
+                }
+                let arrival = SimTime::from_ps(w + rng.gen_range(0u64..2_000));
+                assert_eq!(
+                    trimmed.admit(arrival),
+                    clone.admit(arrival),
+                    "round {round}"
+                );
+                let task = g.add(
+                    "ndp-issue",
+                    Resource::Cpu(0),
+                    SimDuration::ZERO,
+                    Region::CcOffload,
+                    &[],
+                );
+                let retire = arrival + SimDuration::from_ps(rng.gen_range(0u64..1_500));
+                trimmed.record_front_end(task, arrival, retire);
+                clone.record_front_end(task, arrival, retire);
+            }
+            assert_eq!(trimmed.high_watermark(), clone.high_watermark());
+            assert_eq!(trimmed.stalls(), clone.stalls());
+            assert_eq!(trimmed.stall_time(), clone.stall_time());
+            assert!(trimmed.window.len() < clone.window.len(), "round {round}");
+            assert!(trimmed.oldest_task() >= clone.oldest_task());
+        }
+    }
+
+    /// A history trimmed below a floor answers every window starting at or
+    /// after the floor like an untrimmed clone, also after more entries
+    /// arrive.
+    #[test]
+    fn trimmed_history_answers_like_an_untrimmed_clone() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        for round in 0..40 {
+            let mut clone = RequestFifo::new(rng.gen_range(1usize..6));
+            let mut trimmed = clone.clone();
+            let mut floor = 0u64;
+            for _ in 0..rng.gen_range(1usize..150) {
+                if rng.gen_range(0..10) == 0 {
+                    floor += rng.gen_range(0u64..500);
+                    trimmed.retire_history_before(SimTime::from_ps(floor));
+                }
+                // Arrivals may still land below the floor: an entry that
+                // retires before it is irrelevant to every allowed window.
+                let arrival = rng.gen_range(floor.saturating_sub(300)..floor + 2_000);
+                let entry = (
+                    SimTime::from_ps(arrival),
+                    SimTime::from_ps(arrival + rng.gen_range(0u64..400)),
+                );
+                trimmed.history.push(entry);
+                clone.history.push(entry);
+                let from = SimTime::from_ps(floor + rng.gen_range(0u64..2_500));
+                let to = from + SimDuration::from_ps(rng.gen_range(0u64..2_500));
+                assert_eq!(
+                    trimmed.occupancy_in(from, to),
+                    clone.occupancy_in(from, to),
+                    "round {round} window [{from}, {to})"
+                );
+                assert_eq!(
+                    trimmed.admissions_in(from, to),
+                    clone.admissions_in(from, to),
+                    "round {round} window [{from}, {to})"
+                );
+            }
+            assert!(trimmed.history_len() <= clone.history_len());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is below the history floor")]
+    fn history_query_below_its_floor_panics() {
+        let mut f = RequestFifo::new(2);
+        f.history.push((SimTime::ZERO, SimTime::from_ns(1.0)));
+        f.retire_history_before(SimTime::from_ns(5.0));
+        f.admissions_in(SimTime::from_ns(4.0), SimTime::from_ns(6.0));
     }
 
     /// The indexed per-window admission count must agree with the O(m) scan

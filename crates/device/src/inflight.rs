@@ -173,6 +173,12 @@ impl InFlightTable {
         }
     }
 
+    /// The oldest completion task any tracked access names (a later
+    /// conflicting access may wait for it).
+    pub fn oldest_task(&self) -> Option<TaskId> {
+        self.slots.iter().flatten().map(|e| e.completes_at).min()
+    }
+
     /// Drops every tracked access. The in-flight table is volatile device
     /// state: on a power failure nothing in it survives, so a crash clears it
     /// wholesale rather than releasing request by request.

@@ -73,24 +73,39 @@ impl Item {
 /// Entries are sorted by interval start; a segment tree over the sorted array
 /// stores, per node, the maximum interval end (for pruning) and the node's
 /// entries re-sorted by end with suffix minima and maxima of `value` (for
-/// the max-value screen and the order-violation walk).
+/// the max-value screen and the order-violation walk). Every node's run
+/// lives in one shared vector, so a build allocates a fixed number of
+/// vectors however many nodes it makes.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct IntervalIndex {
     items: Vec<Item>,
-    /// Per segment-tree node `i` covering `ranges[i]`: entries sorted by
-    /// interval end, paired with the minimum and maximum `value` of the
-    /// suffix starting at that position.
-    node_ends: Vec<Vec<(u64, u64, u64)>>,
-    node_max_end: Vec<u64>,
-    /// Per node: the minimum and maximum `aux` payload of its items. For the
-    /// CPU-side shared indexes `aux` is the access's program order, so these
-    /// bounds let a walk decide "every item here precedes / follows this
-    /// offload" without touching the items.
-    node_min_aux: Vec<u64>,
-    node_max_aux: Vec<u64>,
-    node_range: Vec<(usize, usize)>,
-    node_children: Vec<Option<(usize, usize)>>,
-    root: Option<usize>,
+    /// Segment-tree nodes, children before their parent; the root is last.
+    nodes: Vec<Node>,
+    /// Every node's compressed end-sorted run, concatenated: entries sorted
+    /// by interval end, each paired with the minimum and maximum `value` of
+    /// the node's items ending at or after it.
+    runs: Vec<(u64, u64, u64)>,
+}
+
+/// One segment-tree node of an [`IntervalIndex`].
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// The node covers `items[lo..hi]`.
+    lo: usize,
+    hi: usize,
+    /// Its compressed run is `runs[run_start..run_end]`.
+    run_start: usize,
+    run_end: usize,
+    /// Largest interval end among its items.
+    max_end: u64,
+    /// The minimum and maximum `aux` payload of its items. For the CPU-side
+    /// shared indexes `aux` is the access's program order, so these bounds
+    /// let a walk decide "every item here precedes / follows this offload"
+    /// without touching the items.
+    min_aux: u64,
+    max_aux: u64,
+    /// Left and right child; `None` for a leaf.
+    children: Option<(usize, usize)>,
 }
 
 /// Below this size a node is a leaf and queries scan it directly.
@@ -105,24 +120,23 @@ impl IntervalIndex {
         debug_assert!(items
             .windows(2)
             .all(|w| (w[0].start, w[0].id) <= (w[1].start, w[1].id)));
+        let n = items.len();
         let mut idx = IntervalIndex {
             items,
-            node_ends: Vec::new(),
-            node_max_end: Vec::new(),
-            node_min_aux: Vec::new(),
-            node_max_aux: Vec::new(),
-            node_range: Vec::new(),
-            node_children: Vec::new(),
-            root: None,
+            // Leaves hold 9 to 16 items, and a binary tree has fewer than
+            // twice as many nodes as leaves; the leaves' runs alone hold up
+            // to one entry per item.
+            nodes: Vec::with_capacity(2 * n.div_ceil(LEAF_SIZE / 2)),
+            runs: Vec::with_capacity(n),
         };
-        if !idx.items.is_empty() {
-            let root = idx.build_node(0, idx.items.len());
-            idx.root = Some(root);
+        if n > 0 {
+            idx.build_node(0, n);
         }
         idx
     }
 
-    /// Builds the node over `items[lo..hi]`.
+    /// Builds the node over `items[lo..hi]` after its children and returns
+    /// its position.
     ///
     /// The end-sorted runs are **compressed**: one entry per *distinct*
     /// interval end, holding the min/max `value` over all items of the node
@@ -139,60 +153,51 @@ impl IntervalIndex {
     /// bandwidth is proportional to the compressed sizes, not the item
     /// count times depth.
     fn build_node(&mut self, lo: usize, hi: usize) -> usize {
-        let node = self.node_range.len();
-        self.node_range.push((lo, hi));
-        self.node_ends.push(Vec::new());
-        self.node_max_end.push(0);
-        self.node_min_aux.push(u64::MAX);
-        self.node_max_aux.push(0);
-        self.node_children.push(None);
-
-        let (children, ends) = if hi - lo > LEAF_SIZE {
+        let (children, min_aux, max_aux, run_start) = if hi - lo > LEAF_SIZE {
             let mid = (lo + hi) / 2;
             let l = self.build_node(lo, mid);
             let r = self.build_node(mid, hi);
-            let merged = merge_compressed_runs(&self.node_ends[l], &self.node_ends[r]);
-            self.node_min_aux[node] = self.node_min_aux[l].min(self.node_min_aux[r]);
-            self.node_max_aux[node] = self.node_max_aux[l].max(self.node_max_aux[r]);
-            (Some((l, r)), merged)
+            let (ln, rn) = (self.nodes[l], self.nodes[r]);
+            let run_start = self.runs.len();
+            merge_compressed_runs(
+                &mut self.runs,
+                (ln.run_start, ln.run_end),
+                (rn.run_start, rn.run_end),
+            );
+            let (min_aux, max_aux) = (ln.min_aux.min(rn.min_aux), ln.max_aux.max(rn.max_aux));
+            (Some((l, r)), min_aux, max_aux, run_start)
         } else {
-            let mut raw: Vec<(u64, u64)> = self.items[lo..hi]
-                .iter()
-                .map(|it| (it.end, it.value))
-                .collect();
-            raw.sort_unstable();
-            let mut run: Vec<(u64, u64, u64)> = Vec::new();
-            let mut min_from_here = u64::MAX;
-            let mut max_from_here = 0u64;
-            for &(end, value) in raw.iter().rev() {
-                min_from_here = min_from_here.min(value);
-                max_from_here = max_from_here.max(value);
-                match run.last_mut() {
-                    Some(e) if e.0 == end => {
-                        e.1 = min_from_here;
-                        e.2 = max_from_here;
-                    }
-                    _ => run.push((end, min_from_here, max_from_here)),
-                }
-            }
-            run.reverse();
-            (None, run)
+            let items = &self.items[lo..hi];
+            let min_aux = items.iter().map(|it| it.aux).min().unwrap_or(u64::MAX);
+            let max_aux = items.iter().map(|it| it.aux).max().unwrap_or(0);
+            let run_start = self.runs.len();
+            self.runs
+                .extend(items.iter().map(|it| (it.end, it.value, it.value)));
+            compress_leaf_run(&mut self.runs, run_start);
+            (None, min_aux, max_aux, run_start)
         };
+        let run_end = self.runs.len();
+        self.nodes.push(Node {
+            lo,
+            hi,
+            run_start,
+            run_end,
+            max_end: self.runs[run_end - 1].0,
+            min_aux,
+            max_aux,
+            children,
+        });
+        self.nodes.len() - 1
+    }
 
-        let max_end = ends.last().map(|e| e.0).unwrap_or(0);
-        if children.is_none() {
-            let (mut min_aux, mut max_aux) = (u64::MAX, 0u64);
-            for it in &self.items[lo..hi] {
-                min_aux = min_aux.min(it.aux);
-                max_aux = max_aux.max(it.aux);
-            }
-            self.node_min_aux[node] = min_aux;
-            self.node_max_aux[node] = max_aux;
-        }
-        self.node_ends[node] = ends;
-        self.node_max_end[node] = max_end;
-        self.node_children[node] = children;
-        node
+    /// The root node's position (`None` for an empty index).
+    fn root(&self) -> Option<usize> {
+        self.nodes.len().checked_sub(1)
+    }
+
+    /// A node's compressed end-sorted run.
+    fn run(&self, node: &Node) -> &[(u64, u64, u64)] {
+        &self.runs[node.run_start..node.run_end]
     }
 
     /// Number of indexed intervals.
@@ -204,8 +209,8 @@ impl IntervalIndex {
     /// end-sorted run (its first entry aggregates the whole node); `None`
     /// for an empty index.
     fn value_bounds(&self) -> Option<(u64, u64)> {
-        self.root.map(|root| {
-            let (_, min, max) = self.node_ends[root][0];
+        self.root().map(|root| {
+            let (_, min, max) = self.run(&self.nodes[root])[0];
             (min, max)
         })
     }
@@ -213,7 +218,7 @@ impl IntervalIndex {
     /// Minimum `aux` over every item, read off the root; `None` for an
     /// empty index.
     fn min_aux(&self) -> Option<u64> {
-        self.root.map(|root| self.node_min_aux[root])
+        self.root().map(|root| self.nodes[root].min_aux)
     }
 
     /// Consumes the index, returning its (start-sorted) items. Used by the
@@ -228,34 +233,40 @@ impl IntervalIndex {
         self.items.partition_point(|it| it.start < bound)
     }
 
+    /// The root and the start-condition prefix of a query, or `None` when
+    /// no item can overlap it.
+    fn query_root(&self, query: Interval) -> Option<(usize, usize)> {
+        if query.len == 0 {
+            return None;
+        }
+        let root = self.root()?;
+        let prefix = self.prefix_end(query.end());
+        (prefix > 0).then_some((root, prefix))
+    }
+
     /// Calls `f` with every indexed [`Item`] overlapping `query` — the full
     /// item (interval, value, and aux payload) streams out, so the
     /// incremental checker can evaluate pairs without re-fetching events
     /// from the trace. Items come in interval-start-sorted order, *not*
     /// trace order.
     fn for_each_overlap_item<F: FnMut(&Item)>(&self, query: Interval, mut f: F) {
-        if query.len == 0 || self.items.is_empty() {
-            return;
+        if let Some((root, prefix)) = self.query_root(query) {
+            self.walk_overlap(root, prefix, query.start, &mut f);
         }
-        let prefix = self.prefix_end(query.end());
-        if prefix == 0 {
-            return;
-        }
-        self.walk_overlap(self.root.unwrap(), prefix, query.start, &mut f);
     }
 
     fn walk_overlap<F: FnMut(&Item)>(&self, node: usize, prefix: usize, qs: u64, f: &mut F) {
-        let (lo, hi) = self.node_range[node];
-        if lo >= prefix || self.node_max_end[node] <= qs {
+        let n = &self.nodes[node];
+        if n.lo >= prefix || n.max_end <= qs {
             return;
         }
-        match self.node_children[node] {
+        match n.children {
             Some((l, r)) => {
                 self.walk_overlap(l, prefix, qs, f);
                 self.walk_overlap(r, prefix, qs, f);
             }
             None => {
-                for it in &self.items[lo..hi.min(prefix)] {
+                for it in &self.items[n.lo..n.hi.min(prefix)] {
                     if it.end > qs {
                         f(it);
                     }
@@ -270,31 +281,25 @@ impl IntervalIndex {
     /// screen (`max > t`), and an empty overlap set answers that exactly
     /// like an all-`0` one.
     fn max_value_overlapping(&self, query: Interval) -> u64 {
-        if query.len == 0 || self.items.is_empty() {
-            return 0;
-        }
-        let prefix = self.prefix_end(query.end());
-        if prefix == 0 {
-            return 0;
-        }
-        self.walk_max(self.root.unwrap(), prefix, query.start)
+        self.query_root(query)
+            .map_or(0, |(root, prefix)| self.walk_max(root, prefix, query.start))
     }
 
     fn walk_max(&self, node: usize, prefix: usize, qs: u64) -> u64 {
-        let (lo, hi) = self.node_range[node];
-        if lo >= prefix || self.node_max_end[node] <= qs {
+        let n = &self.nodes[node];
+        if n.lo >= prefix || n.max_end <= qs {
             return 0;
         }
-        if hi <= prefix {
-            let ends = &self.node_ends[node];
+        if n.hi <= prefix {
+            let ends = self.run(n);
             let pos = ends.partition_point(|&(end, _, _)| end <= qs);
             return ends.get(pos).map(|&(_, _, max)| max).unwrap_or(0);
         }
-        match self.node_children[node] {
+        match n.children {
             Some((l, r)) => self
                 .walk_max(l, prefix, qs)
                 .max(self.walk_max(r, prefix, qs)),
-            None => self.items[lo..hi.min(prefix)]
+            None => self.items[n.lo..n.hi.min(prefix)]
                 .iter()
                 .filter(|it| it.end > qs)
                 .map(|it| it.value)
@@ -324,14 +329,9 @@ impl IntervalIndex {
         ndp_ts: u64,
         f: &mut F,
     ) {
-        if query.len == 0 || self.items.is_empty() {
-            return;
+        if let Some((root, prefix)) = self.query_root(query) {
+            self.walk_violations(root, prefix, query.start, off_po, ndp_ts, f);
         }
-        let prefix = self.prefix_end(query.end());
-        if prefix == 0 {
-            return;
-        }
-        self.walk_violations(self.root.unwrap(), prefix, query.start, off_po, ndp_ts, f);
     }
 
     fn walk_violations<F: FnMut(&Item)>(
@@ -343,35 +343,35 @@ impl IntervalIndex {
         ndp_ts: u64,
         f: &mut F,
     ) {
-        let (lo, hi) = self.node_range[node];
-        if lo >= prefix || self.node_max_end[node] <= qs {
+        let n = &self.nodes[node];
+        if n.lo >= prefix || n.max_end <= qs {
             return;
         }
-        if hi <= prefix {
+        if n.hi <= prefix {
             // Whole node satisfies the start condition: if every item is on
             // one side of the offload, one suffix-aggregate lookup decides
             // whether any overlapping item can violate.
-            if self.node_max_aux[node] < off_po {
-                let ends = &self.node_ends[node];
+            if n.max_aux < off_po {
+                let ends = self.run(n);
                 let pos = ends.partition_point(|&(end, _, _)| end <= qs);
                 if ends.get(pos).map(|&(_, _, max)| max).unwrap_or(0) <= ndp_ts {
                     return;
                 }
-            } else if self.node_min_aux[node] >= off_po {
-                let ends = &self.node_ends[node];
+            } else if n.min_aux >= off_po {
+                let ends = self.run(n);
                 let pos = ends.partition_point(|&(end, _, _)| end <= qs);
                 if ends.get(pos).map(|&(_, min, _)| min).unwrap_or(u64::MAX) >= ndp_ts {
                     return;
                 }
             }
         }
-        match self.node_children[node] {
+        match n.children {
             Some((l, r)) => {
                 self.walk_violations(l, prefix, qs, off_po, ndp_ts, f);
                 self.walk_violations(r, prefix, qs, off_po, ndp_ts, f);
             }
             None => {
-                for it in &self.items[lo..hi.min(prefix)] {
+                for it in &self.items[n.lo..n.hi.min(prefix)] {
                     let violates = if it.aux < off_po {
                         it.value > ndp_ts
                     } else {
@@ -405,38 +405,64 @@ fn merge_sorted_items(a: Vec<Item>, b: Vec<Item>) -> Vec<Item> {
     out
 }
 
-/// Merges two compressed end-sorted runs (one entry per distinct end,
-/// aggregates over the suffix `end >= entry.0` of its own run) into the
-/// compressed run of their union. Walking both runs from the largest end
-/// down, the most recently passed entry of each side is exactly that side's
-/// aggregate over the suffix of the merged end — so one linear pass with two
-/// carried aggregates produces the parent run.
-fn merge_compressed_runs(l: &[(u64, u64, u64)], r: &[(u64, u64, u64)]) -> Vec<(u64, u64, u64)> {
-    let mut out = Vec::with_capacity(l.len() + r.len());
-    let (mut i, mut j) = (l.len(), r.len());
+/// Compresses the leaf run `runs[start..]`, one `(end, value, value)`
+/// entry per item, in place: sorts it by end, then keeps one entry per
+/// distinct end carrying the minimum and maximum value of every item ending
+/// at or after it. Walking from the largest end down, each kept entry is
+/// written at or after the position just read, so nothing unread is
+/// overwritten.
+fn compress_leaf_run(runs: &mut Vec<(u64, u64, u64)>, start: usize) {
+    runs[start..].sort_unstable();
+    let len = runs.len();
+    let mut write = len;
+    let (mut min, mut max) = (u64::MAX, 0u64);
+    for read in (start..len).rev() {
+        let (end, value, _) = runs[read];
+        min = min.min(value);
+        max = max.max(value);
+        if write < len && runs[write].0 == end {
+            runs[write] = (end, min, max);
+        } else {
+            write -= 1;
+            runs[write] = (end, min, max);
+        }
+    }
+    runs.copy_within(write..len, start);
+    runs.truncate(start + (len - write));
+}
+
+/// Appends to `runs` the compressed run of the union of two compressed
+/// end-sorted runs held in it, `l` and `r` (`(start, end)` positions; one
+/// entry per distinct end, aggregates over the suffix `end >= entry.0` of
+/// its own run). Walking both runs from the largest end down, the most
+/// recently passed entry of each side is exactly that side's aggregate over
+/// the suffix of the merged end — so one linear pass with two carried
+/// aggregates produces the parent run.
+fn merge_compressed_runs(runs: &mut Vec<(u64, u64, u64)>, l: (usize, usize), r: (usize, usize)) {
+    let out = runs.len();
+    let (mut i, mut j) = (l.1, r.1);
     let (mut lmin, mut lmax) = (u64::MAX, 0u64);
     let (mut rmin, mut rmax) = (u64::MAX, 0u64);
-    while i > 0 || j > 0 {
-        let e = match (i > 0, j > 0) {
-            (true, true) => l[i - 1].0.max(r[j - 1].0),
-            (true, false) => l[i - 1].0,
-            (false, true) => r[j - 1].0,
-            (false, false) => unreachable!(),
+    while i > l.0 || j > r.0 {
+        let left = (i > l.0).then(|| runs[i - 1]);
+        let right = (j > r.0).then(|| runs[j - 1]);
+        let e = match (left, right) {
+            (Some(a), Some(b)) => a.0.max(b.0),
+            (Some(a), None) => a.0,
+            (None, Some(b)) => b.0,
+            (None, None) => unreachable!(),
         };
-        if i > 0 && l[i - 1].0 == e {
-            lmin = l[i - 1].1;
-            lmax = l[i - 1].2;
+        if let Some(a) = left.filter(|a| a.0 == e) {
+            (lmin, lmax) = (a.1, a.2);
             i -= 1;
         }
-        if j > 0 && r[j - 1].0 == e {
-            rmin = r[j - 1].1;
-            rmax = r[j - 1].2;
+        if let Some(b) = right.filter(|b| b.0 == e) {
+            (rmin, rmax) = (b.1, b.2);
             j -= 1;
         }
-        out.push((e, lmin.min(rmin), lmax.max(rmax)));
+        runs.push((e, lmin.min(rmin), lmax.max(rmax)));
     }
-    out.reverse();
-    out
+    runs[out..].reverse();
 }
 
 /// An interval index that supports batched appends: a logarithmic collection

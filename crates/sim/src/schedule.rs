@@ -63,12 +63,21 @@ pub(crate) fn partition_point_from_back<T>(slice: &[T], mut pred: impl FnMut(&T)
 /// starts from the newest end) and O(d) to splice and re-sum. Busy
 /// intervals are produced in roughly increasing simulated time, so `d`
 /// stays small however many intervals the set holds.
+///
+/// `retire_before` (reached through
+/// [`TaskGraph::retire_busy_before`](crate::TaskGraph::retire_busy_before))
+/// drops the intervals that end before a floor and keeps their coverage as the prefix sums' base, so totals and
+/// every query at or after the floor answer as before; inserts and queries
+/// below the floor panic.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalSet {
     /// Disjoint intervals sorted by start; no two touch (`end < next start`).
     intervals: Vec<(SimTime, SimTime)>,
-    /// `prefix[i]` = total covered time of `intervals[..i]`, in ps.
+    /// `prefix[i]` = total covered time of every interval before
+    /// `intervals[i]`, dropped ones included, in ps.
     prefix: Vec<u64>,
+    /// Every dropped interval ended before this time.
+    floor: SimTime,
 }
 
 impl IntervalSet {
@@ -83,6 +92,7 @@ impl IntervalSet {
         if end <= start {
             return;
         }
+        self.assert_at_or_above_floor(start);
         if self.prefix.is_empty() {
             // A default-constructed set has no sentinel prefix entry yet.
             self.prefix.push(0);
@@ -116,7 +126,33 @@ impl IntervalSet {
         }
     }
 
-    /// The merged intervals, sorted by start.
+    /// Drops every interval that ends before `floor`, keeping their covered
+    /// time in the prefix sums' base. The kept intervals are the untrimmed
+    /// set's suffix, and an interval inserted at or after `floor` never
+    /// touches a dropped one, so [`IntervalSet::total`] and every
+    /// [`IntervalSet::covered_in`] at or after `floor` answer as they would
+    /// have untrimmed. Floors only move forward.
+    pub(crate) fn retire_before(&mut self, floor: SimTime) {
+        if floor <= self.floor {
+            return;
+        }
+        self.floor = floor;
+        let dropped = self.intervals.partition_point(|&(_, end)| end < floor);
+        self.intervals.drain(..dropped);
+        self.prefix.drain(..dropped);
+    }
+
+    /// Panics if `t` lies below the floor of `retire_before`.
+    fn assert_at_or_above_floor(&self, t: SimTime) {
+        assert!(
+            t >= self.floor,
+            "busy-interval query at {t} is below the set's floor {}",
+            self.floor
+        );
+    }
+
+    /// The resident merged intervals, sorted by start: every interval
+    /// unless `retire_before` dropped some.
     pub fn intervals(&self) -> &[(SimTime, SimTime)] {
         &self.intervals
     }
@@ -129,6 +165,7 @@ impl IntervalSet {
     /// Covered time in `[0, t)` — O(log n) via the prefix sums, O(log d)
     /// for a `t` that `d` intervals end after.
     fn covered_before(&self, t: SimTime) -> SimDuration {
+        self.assert_at_or_above_floor(t);
         let k = partition_point_from_back(&self.intervals, |&(s, _)| s < t);
         // `get` keeps a default-constructed (never-inserted) set queryable.
         let mut ps = self.prefix.get(k).copied().unwrap_or(0);
@@ -142,6 +179,11 @@ impl IntervalSet {
     }
 
     /// Covered time in `[from, to)` — O(log n).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` or `to` lies below the set's floor (see
+    /// [`TaskGraph::retire_busy_before`](crate::TaskGraph::retire_busy_before)).
     pub fn covered_in(&self, from: SimTime, to: SimTime) -> SimDuration {
         self.covered_before(to)
             .saturating_sub(self.covered_before(from))
@@ -191,6 +233,14 @@ impl Timeline {
         for &(s, e) in &self.scratch {
             self.overlap += other.covered_in(s, e);
         }
+    }
+
+    /// Drops both unions' intervals that end before `floor`
+    /// (`IntervalSet::retire_before`). The overlap total and the horizon
+    /// are running values and stay as they are.
+    pub(crate) fn retire_before(&mut self, floor: SimTime) {
+        self.cpu.retire_before(floor);
+        self.ndp.retire_before(floor);
     }
 
     /// Union timeline of all CPU threads.
@@ -299,6 +349,7 @@ pub mod oracle {
             IntervalSet {
                 intervals: merged,
                 prefix,
+                floor: SimTime::ZERO,
             }
         }
     }
@@ -890,6 +941,54 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A set trimmed below a floor answers like an untrimmed clone for
+    /// every insert and query at or after the floor: the same coverage
+    /// deltas, total and windowed coverage, and the clone's intervals minus
+    /// those that ended before the floor.
+    #[test]
+    fn trimmed_interval_set_answers_like_an_untrimmed_clone() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(13);
+        for round in 0..40 {
+            let mut trimmed = IntervalSet::default();
+            let mut clone = IntervalSet::default();
+            let mut floor = 0u64;
+            for _ in 0..rng.gen_range(1usize..80) {
+                if rng.gen_range(0..6) == 0 {
+                    floor += rng.gen_range(0u64..600);
+                    trimmed.retire_before(SimTime::from_ps(floor));
+                }
+                let s = SimTime::from_ps(floor + rng.gen_range(0u64..1_500));
+                let e = s + SimDuration::from_ps(rng.gen_range(0u64..300));
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                trimmed.insert(s, e, &mut got);
+                clone.insert(s, e, &mut want);
+                assert_eq!(got, want, "round {round}: coverage delta of [{s}, {e})");
+                assert_eq!(trimmed.total(), clone.total());
+                let f = SimTime::from_ps(floor);
+                let kept = clone.intervals().partition_point(|&(_, end)| end < f);
+                assert_eq!(trimmed.intervals(), &clone.intervals()[kept..]);
+                let from = f + SimDuration::from_ps(rng.gen_range(0u64..2_000));
+                let to = from + SimDuration::from_ps(rng.gen_range(0u64..2_000));
+                assert_eq!(trimmed.covered_in(from, to), clone.covered_in(from, to));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is below the set's floor")]
+    fn interval_set_query_below_its_floor_panics() {
+        let mut set = IntervalSet::default();
+        set.insert(
+            SimTime::from_ns(1.0),
+            SimTime::from_ns(2.0),
+            &mut Vec::new(),
+        );
+        set.retire_before(SimTime::from_ns(5.0));
+        set.covered_in(SimTime::from_ns(4.0), SimTime::from_ns(6.0));
     }
 
     /// Prefix replay under all three adders — in-order, arrival-ordered and

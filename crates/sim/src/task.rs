@@ -137,7 +137,8 @@ struct ResourceState {
     /// schedule overlapping tasks, so it is rejected.
     discipline: Option<bool>,
     /// Busy intervals (sorted by start, disjoint) of a resource scheduled in
-    /// *arrival order* via [`TaskGraph::add_arrival_ordered`].
+    /// *arrival order* via [`TaskGraph::add_arrival_ordered`]. Those ending
+    /// before the floor of [`TaskGraph::retire_busy_before`] are dropped.
     arrival_busy: Vec<(SimTime, SimTime)>,
 }
 
@@ -200,10 +201,14 @@ pub struct TaskGraph {
     /// Flat dependency arena: every task's dependency list, concatenated in
     /// insertion order.
     dep_pool: Vec<TaskId>,
-    /// Incremental start time of each task (same index as the field arrays).
+    /// Incremental start time of each task at or above the timing floor
+    /// (`starts[i]` is task `timing_floor + i`).
     starts: Vec<SimTime>,
-    /// Incremental finish time of each task.
+    /// Incremental finish time of each task at or above the timing floor.
     finishes: Vec<SimTime>,
+    /// Number of leading tasks whose timing entries were evicted by
+    /// [`TaskGraph::retire_timings_before`]; reading one panics.
+    timing_floor: usize,
     /// Scheduling state of every resource that has carried a task, fetched
     /// once per added task.
     per_resource: FxHashMap<Resource, ResourceState>,
@@ -215,9 +220,8 @@ pub struct TaskGraph {
     timeline: Timeline,
     /// Number of leading tasks whose descriptive columns (labels, resources,
     /// durations, regions, dependencies) were evicted by
-    /// [`TaskGraph::retire_tasks_before`]. The timing columns (`starts`,
-    /// `finishes`) are kept in full — new tasks may depend on arbitrarily
-    /// old ones — so scheduling is unaffected.
+    /// [`TaskGraph::retire_tasks_before`]. Scheduling reads only the timing
+    /// columns, so it is unaffected.
     retired: usize,
     /// Dependency-pool entries dropped for retired tasks (`dep_offsets`
     /// values stay absolute; subtract this on access).
@@ -248,10 +252,10 @@ impl TaskGraph {
 
     /// Evicts the descriptive columns (labels, resources, durations,
     /// regions, dependency lists) of tasks with id `< floor`, returning how
-    /// many were evicted. The timing columns survive in full, so
-    /// [`TaskGraph::task_finish`] / scheduling against old dependencies keep
-    /// working; [`TaskGraph::task`] and [`TaskGraph::tasks`] only cover the
-    /// live suffix afterwards, so whole-graph rescans
+    /// many were evicted. Scheduling reads only the timing columns, which
+    /// [`TaskGraph::retire_timings_before`] trims separately;
+    /// [`TaskGraph::task`] and [`TaskGraph::tasks`] only cover the live
+    /// suffix afterwards, so whole-graph rescans
     /// (`schedule::oracle::aggregate`) must not be used on a retired graph.
     /// All report aggregates are maintained incrementally and stay exact.
     pub fn retire_tasks_before(&mut self, floor: usize) -> usize {
@@ -274,6 +278,67 @@ impl TaskGraph {
         self.dep_pool_base += cut;
         self.retired += evict;
         evict
+    }
+
+    /// Evicts the start and finish times of tasks with id `< floor`,
+    /// returning how many were evicted. The caller vouches that no task
+    /// below `floor` is ever named again: as a dependency, or to
+    /// [`TaskGraph::task_start`], [`TaskGraph::task_finish`],
+    /// [`TaskGraph::max_finish_since`] or [`TaskGraph::min_start_since`].
+    /// Each of those panics on a task below the floor rather than return a
+    /// wrong time. Floors only move forward; a stale floor is a no-op.
+    pub fn retire_timings_before(&mut self, floor: usize) -> usize {
+        let evict = floor
+            .saturating_sub(self.timing_floor)
+            .min(self.starts.len());
+        self.starts.drain(..evict);
+        self.finishes.drain(..evict);
+        self.timing_floor += evict;
+        evict
+    }
+
+    /// Drops every busy interval that ends before `w` from the
+    /// arrival-ordered busy lists and from the CPU/NDP union sets, which
+    /// keep the dropped coverage as their prefix sums' base. Afterwards the
+    /// union sets' windowed queries panic below `w`.
+    /// The caller vouches that every task added from now on with a
+    /// non-zero duration depends on a task finishing at or after `w`.
+    /// Such a task's gap search starts at or after `w`, past every dropped
+    /// interval, and its union pieces start there too, so schedules,
+    /// totals and the overlap stay exact.
+    pub fn retire_busy_before(&mut self, w: SimTime) {
+        for state in self.per_resource.values_mut() {
+            let dropped = state.arrival_busy.partition_point(|&(_, end)| end < w);
+            state.arrival_busy.drain(..dropped);
+        }
+        self.timeline.retire_before(w);
+    }
+
+    /// Number of tasks whose timing entries are still resident.
+    pub fn resident_timings(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Number of busy intervals resident in the arrival-ordered busy lists.
+    pub fn resident_busy_intervals(&self) -> usize {
+        self.per_resource
+            .values()
+            .map(|state| state.arrival_busy.len())
+            .sum()
+    }
+
+    /// Position of task `i` in the timing columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is below the timing floor.
+    fn timing_index(&self, i: usize) -> usize {
+        assert!(
+            i >= self.timing_floor,
+            "task {i} is below the task floor {}: its timing was evicted",
+            self.timing_floor
+        );
+        i - self.timing_floor
     }
 
     /// The dependency slice of task `i` (absolute id) inside the flat arena.
@@ -319,7 +384,7 @@ impl TaskGraph {
                 d,
                 id
             );
-            ready = ready.max(self.finishes[d.0]);
+            ready = ready.max(self.finishes[self.timing_index(d.0)]);
         }
         ready
     }
@@ -455,12 +520,16 @@ impl TaskGraph {
     }
 
     /// Latest finish time among tasks with id `>= from` — O(len - from) over
-    /// the timing columns, which survive [`TaskGraph::retire_tasks_before`].
-    /// This is how a driver reads one request's commit-retire time from the
-    /// task span the request added, without rescanning the whole graph.
-    /// [`SimTime::ZERO`] when the range is empty.
+    /// the timing columns. This is how a driver reads one request's
+    /// commit-retire time from the task span the request added, without
+    /// rescanning the whole graph. [`SimTime::ZERO`] when the range is
+    /// empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-empty range starts below the timing floor.
     pub fn max_finish_since(&self, from: usize) -> SimTime {
-        self.finishes[from.min(self.finishes.len())..]
+        self.finishes[self.span_start(from)..]
             .iter()
             .copied()
             .max()
@@ -470,23 +539,45 @@ impl TaskGraph {
     /// Earliest start time among tasks with id `>= from` (the span
     /// counterpart of [`TaskGraph::max_finish_since`]). [`SimTime::ZERO`]
     /// when the range is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-empty range starts below the timing floor.
     pub fn min_start_since(&self, from: usize) -> SimTime {
-        self.starts[from.min(self.starts.len())..]
+        self.starts[self.span_start(from)..]
             .iter()
             .copied()
             .min()
             .unwrap_or(SimTime::ZERO)
     }
 
+    /// Position in the timing columns of the span of tasks with id `>=
+    /// from`: their length when the span is empty.
+    fn span_start(&self, from: usize) -> usize {
+        if from >= self.len() {
+            self.starts.len()
+        } else {
+            self.timing_index(from)
+        }
+    }
+
     /// Scheduled start time of a task (list-scheduling semantics, maintained
     /// incrementally as tasks are added).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task is below the timing floor.
     pub fn task_start(&self, id: TaskId) -> SimTime {
-        self.starts[id.0]
+        self.starts[self.timing_index(id.0)]
     }
 
     /// Scheduled finish time of a task.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task is below the timing floor.
     pub fn task_finish(&self, id: TaskId) -> SimTime {
-        self.finishes[id.0]
+        self.finishes[self.timing_index(id.0)]
     }
 
     /// The time at which `resource` becomes free: the finish time of the last
@@ -812,6 +903,145 @@ mod tests {
         let m = g.add_pinned_marker("arrival", disp, SimTime::from_ns(3.0), Region::CcSync);
         assert_eq!(g.task_start(m), SimTime::from_ns(3.0));
         assert_eq!(g.resource_available(disp), g.task_finish(a));
+    }
+
+    /// Trimming timings below a task floor and busy intervals below a time
+    /// `w` changes nothing for tasks that depend on a task finishing at or
+    /// after `w`: a trimmed graph schedules every later task, and answers
+    /// every total, utilization and windowed query at or after `w`, like an
+    /// untrimmed clone, while holding only a suffix of its state.
+    #[test]
+    fn trimmed_graph_schedules_like_an_untrimmed_clone() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let in_order = [
+            Resource::Cpu(0),
+            Resource::Cpu(1),
+            Resource::NdpUnit { device: 0, unit: 0 },
+        ];
+        let arrival = [
+            Resource::Dispatcher(0),
+            Resource::IssueQueue { device: 0, unit: 0 },
+            Resource::NdpUnit { device: 0, unit: 1 },
+        ];
+        let mut rng = StdRng::seed_from_u64(5);
+        for round in 0..12 {
+            let mut trimmed = TaskGraph::new();
+            let mut anchor = trimmed.add(
+                "anchor",
+                Resource::Cpu(0),
+                ns(1.0),
+                Region::Application,
+                &[],
+            );
+            let mut clone = trimmed.clone();
+            let mut w = SimTime::ZERO;
+            for step in 0..300 {
+                let mut deps = vec![anchor];
+                let floor = trimmed.timing_floor;
+                for _ in 0..rng.gen_range(0..3) {
+                    deps.push(TaskId(rng.gen_range(floor..trimmed.len())));
+                }
+                deps.sort_unstable();
+                deps.dedup();
+                let duration = SimDuration::from_ps(rng.gen_range(0..3_000));
+                let region = Region::all()[rng.gen_range(0..9usize)];
+                let id = if rng.gen_bool(0.5) {
+                    let r = arrival[rng.gen_range(0..arrival.len())];
+                    clone.add_arrival_ordered("t", r, duration, region, &deps);
+                    trimmed.add_arrival_ordered("t", r, duration, region, &deps)
+                } else {
+                    let r = in_order[rng.gen_range(0..in_order.len())];
+                    clone.add("t", r, duration, region, &deps);
+                    trimmed.add("t", r, duration, region, &deps)
+                };
+                assert_eq!(
+                    trimmed.task_start(id),
+                    clone.task_start(id),
+                    "round {round}"
+                );
+                assert_eq!(
+                    trimmed.task_finish(id),
+                    clone.task_finish(id),
+                    "round {round}"
+                );
+                if step % 25 == 24 {
+                    // Every later task depends on the newest task, so it
+                    // depends on a task finishing at or after its finish.
+                    anchor = id;
+                    w = trimmed.task_finish(id);
+                    trimmed.retire_timings_before(id.index());
+                    trimmed.retire_busy_before(w);
+                }
+            }
+            assert_eq!(trimmed.makespan(), clone.makespan());
+            for r in Region::all() {
+                assert_eq!(trimmed.region_work(r), clone.region_work(r));
+            }
+            for &r in in_order.iter().chain(&arrival) {
+                assert_eq!(trimmed.utilization(r), clone.utilization(r));
+            }
+            let (t, c) = (trimmed.timeline(), clone.timeline());
+            assert_eq!(t.overlap(), c.overlap());
+            assert_eq!(t.horizon(), c.horizon());
+            for (ts, cs) in [(t.cpu(), c.cpu()), (t.ndp(), c.ndp())] {
+                assert_eq!(ts.total(), cs.total());
+                let kept = cs.intervals().partition_point(|&(_, end)| end < w);
+                assert_eq!(ts.intervals(), &cs.intervals()[kept..]);
+                for _ in 0..50 {
+                    let from = w + SimDuration::from_ps(rng.gen_range(0..20_000));
+                    let to = from + SimDuration::from_ps(rng.gen_range(0..20_000));
+                    assert_eq!(ts.covered_in(from, to), cs.covered_in(from, to));
+                }
+            }
+            let from = trimmed.timing_floor;
+            assert!(from > 0 && trimmed.resident_timings() == trimmed.len() - from);
+            assert_eq!(trimmed.max_finish_since(from), clone.max_finish_since(from));
+            assert_eq!(trimmed.min_start_since(from), clone.min_start_since(from));
+            assert!(trimmed.resident_busy_intervals() < clone.resident_busy_intervals());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "task 1 is below the task floor 2")]
+    fn dependency_below_the_task_floor_panics() {
+        let mut g = TaskGraph::new();
+        let _a = g.add("a", Resource::Cpu(0), ns(1.0), Region::Application, &[]);
+        let b = g.add("b", Resource::Cpu(0), ns(1.0), Region::Application, &[]);
+        let _c = g.add("c", Resource::Cpu(0), ns(1.0), Region::Application, &[]);
+        assert_eq!(g.retire_timings_before(2), 2);
+        g.add("d", Resource::Cpu(0), ns(1.0), Region::Application, &[b]);
+    }
+
+    #[test]
+    fn timing_reads_below_the_task_floor_panic() {
+        let mut g = TaskGraph::new();
+        let a = g.add("a", Resource::Cpu(0), ns(1.0), Region::Application, &[]);
+        let b = g.add("b", Resource::Cpu(0), ns(1.0), Region::Application, &[]);
+        g.retire_timings_before(b.index());
+        assert_eq!(g.task_start(b), SimTime::from_ns(1.0));
+        // An empty span past the end still answers ZERO.
+        assert_eq!(g.max_finish_since(g.len()), SimTime::ZERO);
+        let reads: [&dyn Fn(&TaskGraph); 4] = [
+            &|g| {
+                g.task_start(a);
+            },
+            &|g| {
+                g.task_finish(a);
+            },
+            &|g| {
+                g.max_finish_since(a.index());
+            },
+            &|g| {
+                g.min_start_since(a.index());
+            },
+        ];
+        for read in reads {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| read(&g)))
+                .expect_err("a read below the floor must panic");
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains("task 0 is below the task floor 1"), "{msg}");
+        }
     }
 
     #[test]

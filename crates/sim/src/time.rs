@@ -26,6 +26,9 @@ impl SimTime {
     /// The origin of simulated time.
     pub const ZERO: SimTime = SimTime(0);
 
+    /// The end of simulated time: later than every instant a run reaches.
+    pub const MAX: SimTime = SimTime(u64::MAX);
+
     /// Creates a time from raw picoseconds.
     pub const fn from_ps(ps: u64) -> Self {
         SimTime(ps)

@@ -412,6 +412,43 @@ struct WindowAccum {
     hist: LatencyHistogram,
     exact: Option<Vec<SimDuration>>,
     report: Option<RunReport>,
+    /// `(fifo_admissions, fifo_occupancy)` once answered.
+    fifo: Option<(usize, usize)>,
+}
+
+/// Answers the FIFO counters of the windows from `*answered` on, oldest
+/// first, whose end lies at or below `settled`, and returns where the first
+/// unanswered window starts (`None` when every window is answered). A
+/// window ends at the next window's first arrival, or at `run_end` for the
+/// last one (`None` while the run goes on).
+///
+/// A window ending at or below the system's watermark is final: every
+/// request submitted later lands on the control path at or after the
+/// watermark (`NearPmSystem::watermark`), so it neither arrives in the
+/// window nor occupies a FIFO slot during it.
+fn answer_windows(
+    sys: &NearPmSystem,
+    windows: &mut [WindowAccum],
+    answered: &mut usize,
+    settled: SimTime,
+    run_end: Option<SimTime>,
+) -> Option<SimTime> {
+    while let Some(from) = windows.get(*answered).and_then(|w| w.first_arrival) {
+        let next = windows.get(*answered + 1).map(|w| w.first_arrival);
+        let Some(to) = next.map_or(run_end, |first| first) else {
+            return Some(from);
+        };
+        let to = to.max(from);
+        if to > settled {
+            return Some(from);
+        }
+        windows[*answered].fifo = Some((
+            sys.fifo_admissions_in(from, to),
+            sys.fifo_occupancy_in(from, to),
+        ));
+        *answered += 1;
+    }
+    None
 }
 
 /// Runs `options.operations` requests of the workload as open-loop traffic
@@ -423,10 +460,17 @@ struct WindowAccum {
 /// ([`NearPmSystem::admit_request_at`](nearpm_core::NearPmSystem::admit_request_at))
 /// so service — including any FIFO-full stall of the host control path —
 /// cannot begin earlier, execute the operation through the shared
-/// [`Runner`] op flow, and record `retire − arrival` into the histogram. All accounting is incremental
-/// (span extrema over the timing columns, O(log n) FIFO window queries) —
-/// no full-trace rescans, so million-op runs stay in the gate budget with
-/// trace compaction on.
+/// [`Runner`] op flow, and record `retire − arrival` into the histogram.
+/// All accounting is incremental (span extrema over the request's own
+/// tasks, O(log n) FIFO window queries) — no full-trace rescans, so
+/// million-op runs stay in the gate budget with trace compaction on.
+///
+/// Each window's FIFO counters are read at the first window close at which
+/// the system's watermark has passed the window's end, and the last
+/// windows' after the run; both modes take this one path. A compacting run
+/// then drops the FIFO history only answered windows read, so with the
+/// system's own eviction at every report its simulator state stays bounded
+/// by what lies above the watermark.
 pub fn run_open_loop(options: &OpenLoopOptions) -> Result<OpenLoopReport> {
     run_open_loop_observed(options, |_, _| {}).map(|(report, _sys)| report)
 }
@@ -460,8 +504,10 @@ pub fn run_open_loop_observed(
             hist: LatencyHistogram::new(),
             exact: o.keep_exact.then(Vec::new),
             report: None,
+            fifo: None,
         })
         .collect();
+    let mut answered = 0usize;
 
     // Modeled host backlog: dispatch (service-start) instants of admitted
     // requests, min-first. An entry still present when a later request
@@ -484,14 +530,22 @@ pub fn run_open_loop_observed(
         }
 
         let w = req * wcount / n;
-        if w != current_window {
-            // Window closed: snapshot the incremental report (this is also
-            // the compaction point when trace compaction is on).
-            windows[current_window].report = Some(sys.report());
-            current_window = w;
-        }
         if windows[w].first_arrival.is_none() {
             windows[w].first_arrival = Some(arrival);
+        }
+        if w != current_window {
+            // Window closed: snapshot the incremental report (this is also
+            // the compaction point when trace compaction is on), then answer
+            // the FIFO counters of every window the watermark has passed.
+            // A compacting run then drops the FIFO history that only
+            // answered windows read.
+            windows[current_window].report = Some(sys.report());
+            current_window = w;
+            let unanswered =
+                answer_windows(&sys, &mut windows, &mut answered, sys.watermark(), None);
+            if o.compact_trace {
+                sys.retire_fifo_history_before(unanswered.unwrap_or(SimTime::MAX));
+            }
         }
 
         // Earliest-available server, ties to the lowest index.
@@ -528,8 +582,15 @@ pub fn run_open_loop_observed(
     let hist = sys.latency_histogram().clone();
     let makespan_end = SimTime::from_ps(report.makespan.as_ps());
 
-    // Materialize the window series: bounds from consecutive first
-    // arrivals, FIFO counters from the O(log m) windowed queries.
+    // The run is over, so every remaining window is final; the last one
+    // ends at the makespan.
+    answer_windows(
+        &sys,
+        &mut windows,
+        &mut answered,
+        SimTime::MAX,
+        Some(makespan_end),
+    );
     let bounds: Vec<SimTime> = windows
         .iter()
         .map(|w| w.first_arrival.unwrap_or(SimTime::ZERO))
@@ -540,11 +601,12 @@ pub fn run_open_loop_observed(
         .map(|(i, acc)| {
             let from = bounds[i];
             let to = bounds.get(i + 1).copied().unwrap_or(makespan_end).max(from);
+            let (fifo_admissions, fifo_occupancy) = acc.fifo.expect("every window answered");
             LatencyWindow {
                 from,
                 to,
-                fifo_admissions: sys.fifo_admissions_in(from, to),
-                fifo_occupancy: sys.fifo_occupancy_in(from, to),
+                fifo_admissions,
+                fifo_occupancy,
                 hist: acc.hist,
                 exact: acc.exact,
                 report: acc.report.expect("every window closed"),

@@ -1,14 +1,21 @@
-//! The system's watermark is a true lower bound on every later trace event.
+//! The system's watermark is a true lower bound on every later trace event
+//! and every later busy task.
 //!
 //! `NearPmSystem::watermark` is the time below which no event recorded
 //! after a report can be stamped; each report hands it to the PPO checker,
-//! which drops what no later event can pair with. A watermark that is too
-//! high makes the checker forget state a later event needed, and the
-//! report == report_oracle gates cannot see that on the clean runs they
-//! cover. So this test checks the bound itself: it reports at seeded points
-//! of each run, recording `(trace_events, watermark())`, and then asserts on
-//! the run's full, uncompacted trace that no event at or after each
-//! sample's index is stamped below that sample's watermark.
+//! which drops what no later event can pair with. It is also the time every
+//! later task with a non-zero duration waits for: each depends on a task
+//! finishing at or after it, so a compacting report drops the busy
+//! intervals that end before it. A watermark that is too high makes the
+//! checker forget state a later event needed, or the scheduler forget a
+//! busy interval a later task would have queued behind, and the report ==
+//! report_oracle gates cannot see that on the clean runs they cover. So
+//! this test checks the bound itself: it reports at seeded points of each
+//! run, recording `(trace_events, task_count, watermark())`, and then
+//! asserts on the run's full, uncompacted trace and graph that no event at
+//! or after each sample's event index is stamped below that sample's
+//! watermark, and that every non-zero-duration task at or after its task
+//! index depends on a task finishing at or after it, and so starts there.
 //!
 //! It covers all four mechanisms in NearPM MD and SD at 1 and 4 threads,
 //! closed loop and open loop above the knee (fig22's shape). A watermark
@@ -32,11 +39,18 @@ const OPEN_REQUESTS: usize = 160;
 /// service rate: fig22's highest point, well past the knee.
 const ABOVE_KNEE: f64 = 4.0;
 
-/// Reports at seeded points of a run and records `(trace_events,
-/// watermark)` after each.
+/// One report's position in the run and the watermark it read.
+#[derive(Debug, Clone, Copy)]
+struct Sample {
+    events: usize,
+    tasks: usize,
+    watermark: u64,
+}
+
+/// Reports at seeded points of a run and records a [`Sample`] after each.
 struct Sampler {
     rng: StdRng,
-    samples: Vec<(usize, u64)>,
+    samples: Vec<Sample>,
 }
 
 impl Sampler {
@@ -50,14 +64,18 @@ impl Sampler {
     fn observe(&mut self, sys: &mut NearPmSystem) {
         if self.rng.gen_bool(0.25) {
             let events = sys.report().trace_events;
-            self.samples.push((events, sys.watermark().as_ps()));
+            self.samples.push(Sample {
+                events,
+                tasks: sys.task_count(),
+                watermark: sys.watermark().as_ps(),
+            });
         }
     }
 }
 
-/// Asserts every sample's watermark against the run's full trace, and that
-/// the watermark never falls and advances over the run.
-fn assert_watermark_holds(sys: &mut NearPmSystem, samples: &[(usize, u64)], ctx: &str) {
+/// Asserts every sample's watermark against the run's full trace and task
+/// graph, and that the watermark never falls and advances over the run.
+fn assert_watermark_holds(sys: &mut NearPmSystem, samples: &[Sample], ctx: &str) {
     let (_, trace): (_, Trace) = sys.report_with_trace();
     assert_eq!(trace.retired(), 0, "{ctx}: the trace must be uncompacted");
     let events = trace.events();
@@ -66,19 +84,56 @@ fn assert_watermark_holds(sys: &mut NearPmSystem, samples: &[(usize, u64)], ctx:
     for (i, e) in events.iter().enumerate().rev() {
         later[i] = later[i + 1].min(e.timestamp_ps);
     }
-    for &(at, w) in samples {
+    // `ready[i]` = the earliest latest-dependency finish, and `starts[i]`
+    // the earliest start, among non-zero-duration tasks `i..`.
+    let graph = sys.graph();
+    assert_eq!(
+        graph.resident_tasks(),
+        graph.len(),
+        "{ctx}: uncompacted graph"
+    );
+    let mut ready = vec![u64::MAX; graph.len() + 1];
+    let mut starts = vec![u64::MAX; graph.len() + 1];
+    let tasks: Vec<_> = graph.tasks().collect();
+    for (i, task) in tasks.iter().enumerate().rev() {
+        (ready[i], starts[i]) = (ready[i + 1], starts[i + 1]);
+        if !task.duration.is_zero() {
+            let dep_ready = task
+                .deps
+                .iter()
+                .map(|&d| graph.task_finish(d).as_ps())
+                .max()
+                .unwrap_or(0);
+            ready[i] = ready[i].min(dep_ready);
+            starts[i] = starts[i].min(graph.task_start(task.id).as_ps());
+        }
+    }
+    for s in samples {
+        let w = s.watermark;
         assert!(
-            later[at] >= w,
-            "{ctx}: an event at or after index {at} is stamped at {} ps, below the \
+            later[s.events] >= w,
+            "{ctx}: an event at or after index {} is stamped at {} ps, below the \
              watermark {w} ps that the report at that index read",
-            later[at]
+            s.events,
+            later[s.events]
+        );
+        assert!(
+            ready[s.tasks] >= w && starts[s.tasks] >= w,
+            "{ctx}: a busy task at or after task {} depends on tasks finishing by {} ps \
+             and starts at {} ps, below the watermark {w} ps",
+            s.tasks,
+            ready[s.tasks],
+            starts[s.tasks]
         );
     }
     assert!(samples.len() >= 2, "{ctx}: too few samples");
     for pair in samples.windows(2) {
-        assert!(pair[1].1 >= pair[0].1, "{ctx}: the watermark fell");
+        assert!(
+            pair[1].watermark >= pair[0].watermark,
+            "{ctx}: the watermark fell"
+        );
     }
-    let (first, last) = (samples[0].1, samples[samples.len() - 1].1);
+    let (first, last) = (samples[0].watermark, samples[samples.len() - 1].watermark);
     assert!(last > first, "{ctx}: the watermark never advanced");
 }
 
