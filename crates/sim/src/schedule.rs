@@ -66,9 +66,9 @@ pub(crate) fn partition_point_from_back<T>(slice: &[T], mut pred: impl FnMut(&T)
 ///
 /// `retire_before` (reached through
 /// [`TaskGraph::retire_busy_before`](crate::TaskGraph::retire_busy_before))
-/// drops the intervals that end before a floor and keeps their coverage as the prefix sums' base, so totals and
-/// every query at or after the floor answer as before; inserts and queries
-/// below the floor panic.
+/// drops the intervals that end before a floor and keeps their coverage as
+/// the prefix sums' base, so totals and every query at or after the floor
+/// answer as before; inserts and queries below the floor panic.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalSet {
     /// Disjoint intervals sorted by start; no two touch (`end < next start`).

@@ -412,8 +412,8 @@ struct WindowAccum {
     hist: LatencyHistogram,
     exact: Option<Vec<SimDuration>>,
     report: Option<RunReport>,
-    /// `(fifo_admissions, fifo_occupancy)` once answered.
-    fifo: Option<(usize, usize)>,
+    /// `(to, fifo_admissions, fifo_occupancy)` once answered.
+    fifo: Option<(SimTime, usize, usize)>,
 }
 
 /// Answers the FIFO counters of the windows from `*answered` on, oldest
@@ -443,6 +443,7 @@ fn answer_windows(
             return Some(from);
         }
         windows[*answered].fifo = Some((
+            to,
             sys.fifo_admissions_in(from, to),
             sys.fifo_occupancy_in(from, to),
         ));
@@ -591,19 +592,12 @@ pub fn run_open_loop_observed(
         SimTime::MAX,
         Some(makespan_end),
     );
-    let bounds: Vec<SimTime> = windows
-        .iter()
-        .map(|w| w.first_arrival.unwrap_or(SimTime::ZERO))
-        .collect();
     let windows = windows
         .into_iter()
-        .enumerate()
-        .map(|(i, acc)| {
-            let from = bounds[i];
-            let to = bounds.get(i + 1).copied().unwrap_or(makespan_end).max(from);
-            let (fifo_admissions, fifo_occupancy) = acc.fifo.expect("every window answered");
+        .map(|acc| {
+            let (to, fifo_admissions, fifo_occupancy) = acc.fifo.expect("every window answered");
             LatencyWindow {
-                from,
+                from: acc.first_arrival.expect("every window admitted a request"),
                 to,
                 fifo_admissions,
                 fifo_occupancy,
