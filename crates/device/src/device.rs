@@ -236,7 +236,11 @@ impl NearPmDevice {
     }
 
     /// Drops the FIFO residency history no window starting at or after
-    /// `floor` reads ([`RequestFifo::retire_history_before`]).
+    /// `floor` reads: the entries that retired before it. An entry retired
+    /// before a window starts neither arrived in it nor held a slot during
+    /// it. Afterwards [`NearPmDevice::fifo_occupancy_in`] and
+    /// [`NearPmDevice::fifo_admissions_in`] panic on a window starting
+    /// before `floor`. Floors only move forward.
     pub fn retire_fifo_history_before(&mut self, floor: SimTime) {
         self.fifo.retire_history_before(floor);
     }
@@ -248,7 +252,8 @@ impl NearPmDevice {
 
     /// Drops the FIFO occupancy-window entries that retired at or before
     /// `w`, given that every request submitted from now on lands on the
-    /// control path at or after `w` ([`RequestFifo::retire_window_before`]).
+    /// control path at or after `w`: such an admission counts only entries
+    /// that retire after it.
     pub fn retire_window_before(&mut self, w: SimTime) {
         self.fifo.retire_window_before(w);
     }

@@ -69,7 +69,7 @@ pub struct RequestFifo {
     window: VecDeque<(TaskId, SimTime, SimTime)>,
     /// `(arrival, retire)` residency history of every admitted request —
     /// unlike `window`, garbage-collected only on request
-    /// ([`RequestFifo::retire_history_before`]), so post-run analyses can
+    /// (`retire_history_before`), so post-run analyses can
     /// ask "how full was the FIFO during `[from, to)`" for any window of the
     /// run (`fig_timeline`'s occupancy series).
     history: Vec<(SimTime, SimTime)>,
@@ -314,14 +314,14 @@ impl RequestFifo {
     /// now on arrives at or after `w`: such an arrival counts only entries
     /// that retire after it, so the dropped ones never decided an
     /// admission again.
-    pub fn retire_window_before(&mut self, w: SimTime) {
+    pub(crate) fn retire_window_before(&mut self, w: SimTime) {
         let dropped = self.window.partition_point(|&(_, _, r)| r <= w);
         self.window.drain(..dropped);
     }
 
     /// The oldest front-end task the occupancy window still holds (a later
     /// admission may wait for it).
-    pub fn oldest_task(&self) -> Option<TaskId> {
+    pub(crate) fn oldest_task(&self) -> Option<TaskId> {
         self.window.iter().map(|&(task, _, _)| task).min()
     }
 
@@ -331,7 +331,7 @@ impl RequestFifo {
     /// occupied a slot during it, so [`RequestFifo::admissions_in`] and
     /// [`RequestFifo::occupancy_in`] answer every window starting at or
     /// after `floor` as before. Floors only move forward.
-    pub fn retire_history_before(&mut self, floor: SimTime) {
+    pub(crate) fn retire_history_before(&mut self, floor: SimTime) {
         if floor <= self.history_floor {
             return;
         }
@@ -341,7 +341,7 @@ impl RequestFifo {
     }
 
     /// Number of residency-history entries held.
-    pub fn history_len(&self) -> usize {
+    pub(crate) fn history_len(&self) -> usize {
         self.history.len()
     }
 
@@ -375,8 +375,8 @@ impl RequestFifo {
     ///
     /// # Panics
     ///
-    /// Panics if a non-empty window starts below the floor of
-    /// [`RequestFifo::retire_history_before`].
+    /// Panics if a non-empty window starts below the history floor (see
+    /// [`NearPmDevice::retire_fifo_history_before`](crate::NearPmDevice::retire_fifo_history_before)).
     pub fn occupancy_in(&self, from: SimTime, to: SimTime) -> usize {
         if to <= from {
             return 0;
@@ -396,8 +396,8 @@ impl RequestFifo {
     ///
     /// # Panics
     ///
-    /// Panics if a non-empty window starts below the floor of
-    /// [`RequestFifo::retire_history_before`].
+    /// Panics if a non-empty window starts below the history floor (see
+    /// [`NearPmDevice::retire_fifo_history_before`](crate::NearPmDevice::retire_fifo_history_before)).
     pub fn admissions_in(&self, from: SimTime, to: SimTime) -> usize {
         if to <= from {
             return 0;

@@ -175,7 +175,7 @@ impl InFlightTable {
 
     /// The oldest completion task any tracked access names (a later
     /// conflicting access may wait for it).
-    pub fn oldest_task(&self) -> Option<TaskId> {
+    pub(crate) fn oldest_task(&self) -> Option<TaskId> {
         self.slots.iter().flatten().map(|e| e.completes_at).min()
     }
 
