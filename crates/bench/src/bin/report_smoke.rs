@@ -22,15 +22,15 @@
 //! strict prefix of the final run against an oracle that rescans that
 //! prefix from scratch, a large invocation doubles as the prefix-replay
 //! test for the whole observe path. After the run, the final trace is
-//! folded from scratch in one batch at several worker counts (including the
-//! degenerate 1): every violation list and relaxed-persist count must equal
-//! the report's, and the count must equal the naive oracle's.
+//! folded from scratch in one batch: its violation list and relaxed-persist
+//! count must equal the report's, and the count must equal the naive
+//! oracle's.
 //!
 //! A second leg then drives the **same** deterministic run with streaming
-//! trace compaction on (and the checker's worker pool engaged), sampling at
-//! the same cadence: its final report must be byte-equal to the first leg's,
-//! while its resident trace stays bounded far below the full event count —
-//! the memory half of the ten-million-event tier.
+//! trace compaction on, sampling at the same cadence: its final report must
+//! be byte-equal to the first leg's, while its resident trace stays bounded
+//! far below the full event count — the memory half of the
+//! ten-million-event tier.
 //!
 //! Exits nonzero on any mismatch or a missed speedup.
 //!
@@ -60,11 +60,6 @@ const BASE_SAMPLES: usize = 128;
 /// still catches an accidental O(n)-per-sample regression on the
 /// incremental path).
 const BASE_REQUIRED_SPEEDUP: f64 = 10.0;
-const FOLD_WORKERS: [usize; 3] = [1, 2, 4];
-/// Worker count the compaction leg hands the incremental checker — the
-/// parallel fold must stay report-equal to the serial fold inside a live
-/// sampled run, not just on detached traces.
-const COMPACTION_LEG_WORKERS: usize = 2;
 /// The compaction leg's peak post-compaction resident trace must stay below
 /// this fraction of the full event count. Compaction retires every event
 /// the checker has folded, so the measured peak is 0 at every tier. The 1/4
@@ -162,25 +157,22 @@ fn main() {
     drop(sys); // the compaction leg below builds its own 10M-event system
 
     // A from-scratch one-batch fold of the full final trace must reproduce
-    // the report's violation list and relaxed-persist count byte for byte,
-    // at every worker count.
-    for workers in FOLD_WORKERS {
-        let t2 = Instant::now();
-        let mut fold = IncrementalChecker::new();
-        fold.set_workers(workers);
-        let violations = fold.check(&trace);
-        let fold_check = t2.elapsed();
-        assert_eq!(
-            violations, final_report.ppo_violations,
-            "one-batch fold ({workers} workers) diverged from the report"
-        );
-        assert_eq!(
-            fold.relaxed_persist_count(&trace),
-            final_report.relaxed_persists,
-            "one-batch fold ({workers} workers) relaxed_persists diverged from the report"
-        );
-        println!("one-batch fold, {workers} worker(s): {fold_check:?}");
-    }
+    // the report's violation list and relaxed-persist count byte for byte.
+    let t2 = Instant::now();
+    let mut fold = IncrementalChecker::new();
+    let violations = fold.check(&trace);
+    let fold_check = t2.elapsed();
+    assert_eq!(
+        violations, final_report.ppo_violations,
+        "one-batch fold diverged from the report"
+    );
+    assert_eq!(
+        fold.relaxed_persist_count(&trace),
+        final_report.relaxed_persists,
+        "one-batch fold relaxed_persists diverged from the report"
+    );
+    println!("one-batch fold: {fold_check:?}");
+    drop(fold);
     let t3 = Instant::now();
     let oracle_relaxed = oracle::relaxed_persist_count(&trace);
     let relaxed_check = t3.elapsed();
@@ -193,8 +185,7 @@ fn main() {
     drop(trace);
 
     // Compaction leg: the same deterministic run with streaming trace
-    // compaction on and the checker's worker pool engaged. Same sampling
-    // cadence (each sample is a compaction point), final report byte-equal,
+    // compaction on. Same sampling cadence (each sample is a compaction point), final report byte-equal,
     // resident trace bounded far below the full event count.
     let compact_start = Instant::now();
     let mut next_sample_at = target_events / samples;
@@ -205,10 +196,7 @@ fn main() {
     let mut sys = drive_fig20_system_configured(
         THREADS,
         target_events,
-        |c| {
-            c.with_trace_compaction(true)
-                .with_checker_workers(COMPACTION_LEG_WORKERS)
-        },
+        |c| c.with_trace_compaction(true),
         |sys, _txn| {
             if sys.trace_events() < next_sample_at {
                 return;

@@ -312,9 +312,8 @@ pub fn drive_fig20_system(
 
 /// [`drive_fig20_system`] with a hook over the [`SystemConfig`] before the
 /// system is built — how the `report_smoke` gate drives the **same**
-/// deterministic run a second time with streaming trace compaction (and a
-/// checker worker pool) enabled, so the two runs' final reports can be
-/// compared byte for byte.
+/// deterministic run a second time with streaming trace compaction
+/// enabled, so the two runs' final reports can be compared byte for byte.
 pub fn drive_fig20_system_configured(
     threads: usize,
     target_events: usize,

@@ -7,47 +7,40 @@
 //! produce through the full `NearPmSystem` — in every execution mode, from
 //! the serial CPU baseline to the pipelined NearPM MD front-end, including
 //! a crash/recovery segment — must yield **identical violation lists** from
-//! the system's report, a one-batch fold of the whole trace at several
-//! worker counts (including the degenerate 1), and the naive rescanning
-//! oracle. The report's incrementally maintained `relaxed_persists` column
-//! is held to the same standard.
+//! the system's report, a one-batch fold of the whole trace, and the naive
+//! rescanning oracle. The report's incrementally maintained
+//! `relaxed_persists` column is held to the same standard.
 
 use nearpm_cc::{Checkpoint, RedoLog, ShadowPaging, UndoLog};
 use nearpm_core::{ExecMode, NearPmSystem, PoolId, Region, RunReport, SystemConfig, VirtAddr};
 use nearpm_ppo::invariants::oracle;
 use nearpm_ppo::{IncrementalChecker, Trace};
 
-const WORKERS: [usize; 3] = [1, 2, 4];
-
 fn setup(mode: ExecMode) -> (NearPmSystem, PoolId) {
     let mut sys = NearPmSystem::new(SystemConfig::for_mode(mode).with_capacity(32 << 20));
-    let pool = sys.create_pool("par-diff", 16 << 20).unwrap();
+    let pool = sys.create_pool("check-diff", 16 << 20).unwrap();
     (sys, pool)
 }
 
-/// Asserts the report, the one-batch fold at every worker count, and the
-/// naive oracle agree on `trace`, violation lists and relaxed-persist
-/// counts alike.
+/// Asserts the report, the one-batch fold, and the naive oracle agree on
+/// `trace`, violation lists and relaxed-persist counts alike.
 fn assert_checkers_agree(trace: &Trace, report: &RunReport, context: &str) {
     let naive = oracle::check_all(trace);
     assert_eq!(
         report.ppo_violations, naive,
         "report vs oracle diverged: {context}"
     );
-    for workers in WORKERS {
-        let mut fold = IncrementalChecker::new();
-        fold.set_workers(workers);
-        assert_eq!(
-            fold.check(trace),
-            report.ppo_violations,
-            "one-batch fold ({workers} workers) vs report diverged: {context}"
-        );
-        assert_eq!(
-            fold.relaxed_persist_count(trace),
-            report.relaxed_persists,
-            "one-batch fold ({workers} workers) vs report relaxed_persists: {context}"
-        );
-    }
+    let mut fold = IncrementalChecker::new();
+    assert_eq!(
+        fold.check(trace),
+        report.ppo_violations,
+        "one-batch fold vs report diverged: {context}"
+    );
+    assert_eq!(
+        fold.relaxed_persist_count(trace),
+        report.relaxed_persists,
+        "one-batch fold vs report relaxed_persists: {context}"
+    );
     assert_eq!(
         report.relaxed_persists,
         oracle::relaxed_persist_count(trace),

@@ -80,9 +80,6 @@ pub struct SystemConfig {
     /// Storage engine backing the PM media (heap by default; file-backed
     /// for durable, process-restartable runs).
     pub media: MediaConfig,
-    /// Worker threads for the PPO checker's batch pair sweeps (`<= 1` runs
-    /// the serial fold; any count yields the identical violation list).
-    pub checker_workers: usize,
     /// Stream-compact the PPO trace: at every report, the events the cached
     /// checker has folded are dropped (it never reads them again), bounding
     /// the resident trace on long self-monitoring runs. Off by default —
@@ -111,7 +108,6 @@ impl SystemConfig {
             latency: LatencyModel::default(),
             decode_lanes: 1,
             media: MediaConfig::default(),
-            checker_workers: 1,
             compact_trace: false,
             track_latency: false,
         }
@@ -186,12 +182,6 @@ impl SystemConfig {
         self
     }
 
-    /// Overrides the PPO checker's worker count (serial fold by default).
-    pub fn with_checker_workers(mut self, workers: usize) -> Self {
-        self.checker_workers = workers.max(1);
-        self
-    }
-
     /// Enables streaming trace compaction (off by default; incompatible
     /// with whole-trace oracles such as `report_oracle` / `check_all`).
     pub fn with_trace_compaction(mut self, compact: bool) -> Self {
@@ -250,19 +240,9 @@ mod tests {
     #[test]
     fn checker_knobs_default_off() {
         let c = SystemConfig::nearpm_md();
-        assert_eq!(c.checker_workers, 1);
         assert!(!c.compact_trace);
         assert!(!c.track_latency);
         assert!(c.clone().with_latency_tracking(true).track_latency);
-        let c = c.with_checker_workers(4).with_trace_compaction(true);
-        assert_eq!(c.checker_workers, 4);
-        assert!(c.compact_trace);
-        // Worker count never drops below one.
-        assert_eq!(
-            SystemConfig::baseline()
-                .with_checker_workers(0)
-                .checker_workers,
-            1
-        );
+        assert!(c.with_trace_compaction(true).compact_trace);
     }
 }

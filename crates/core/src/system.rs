@@ -146,8 +146,6 @@ impl NearPmSystem {
                 })
             })
             .collect();
-        let mut trace = TraceBuilder::new(config.devices.max(1));
-        trace.set_workers(config.checker_workers);
         Ok(NearPmSystem {
             cpu_tail: vec![None; config.cpu_threads],
             fifo_stall: vec![None; config.cpu_threads],
@@ -159,7 +157,7 @@ impl NearPmSystem {
             pools,
             cache: CpuCache::new(),
             graph: TaskGraph::new(),
-            trace,
+            trace: TraceBuilder::new(config.devices.max(1)),
             ndp_managed: Vec::new(),
             next_txn: 0,
             crashed: false,

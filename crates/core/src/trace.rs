@@ -103,13 +103,6 @@ impl TraceBuilder {
         self.checker.relaxed_persist_count(&self.trace)
     }
 
-    /// Sets the worker count for the checker's batch pair sweeps (`<= 1`
-    /// selects the serial fold; any count yields the identical violation
-    /// list).
-    pub fn set_workers(&mut self, workers: usize) {
-        self.checker.set_workers(workers);
-    }
-
     /// Drops the checker state no event recorded from now on can pair with,
     /// given that every such event is stamped at or after `w` and that an
     /// offload and its NDP accesses are recorded together

@@ -14,10 +14,10 @@
 //!   can violate an old NDP event). NDP accesses whose procedure has no
 //!   offload yet are parked with a `MissingOffload` verdict and re-checked
 //!   in full if the offload arrives in a later batch. Neither direction
-//!   enumerates comparable pairs on clean traces: the CPU→NDP sweep screens
+//!   enumerates comparable pairs on clean traces: the CPU→NDP check screens
 //!   each access with one max-value overlap query (every mirrored NDP event
 //!   predates every new CPU access in program order, so a violation needs
-//!   an overlapping NDP timestamp above the CPU one), and the NDP→CPU sweep
+//!   an overlapping NDP timestamp above the CPU one), and the NDP→CPU check
 //!   uses the violation-pruned index walk
 //!   ([`FoldIndex::for_each_comparable_cpu_order_violation`])
 //!   that proves subtrees clean from per-node aux/value bounds. Zipfian
@@ -41,7 +41,36 @@
 //!   interval index), and a failure event arriving late re-evaluates all of
 //!   them once.
 //!
-//! Three properties of the fold matter for long runs:
+//! Each batch is walked three times, or four once a failure is folded:
+//!
+//! 1. [`FoldIndex::extend`] folds the batch into the CPU indexes, the
+//!    offload table, the persist and write min-maps and the failure, so
+//!    every step below reads them post-fold.
+//! 2. One classification pass handles each event once:
+//!    * the relaxed-persist counter lowers its CPU-access threshold and
+//!      counts or stores each NDP-managed persist against it;
+//!    * **step A** checks a new shared CPU access against the NDP mirror
+//!      indexes and the parked procedures, both still as they were before
+//!      the batch (the mirror inserts and step C come after the pass, and
+//!      `extend` leaves the offload entry of every unparked mirror item as
+//!      it was);
+//!    * **step D** checks a new shared NDP access against the post-fold CPU
+//!      indexes and offload table, or parks it;
+//!    * it collects the mirror items, the recovery reads, and the
+//!      procedures the batch offloads that have parked accesses.
+//!
+//!    The mirror and recovery items are then inserted, and **step C**
+//!    re-checks those procedures' parked accesses like step D.
+//! 3. **Step E** (Invariant 3) walks the NDP writes, persists and syncs in
+//!    trace order against the post-fold per-agent persist maps.
+//! 4. **Step F** (Invariant 4) walks the batch only when a failure was
+//!    folded before it: each new recovery read, and each recovery read a
+//!    pre-failure write or persist overlaps (the recovery-read index),
+//!    takes its verdict from the post-fold write and persist min-maps. The
+//!    batch that folds the failure re-evaluates every recovery read once
+//!    instead.
+//!
+//! Two properties of the fold matter for long runs:
 //!
 //! * **The fold is self-contained.** Every fact a pair evaluation needs
 //!   travels with the indexed [`Item`] (interval, timestamp, CPU program
@@ -53,15 +82,6 @@
 //!   event out from under the checker
 //!   ([`crate::event::Trace::retire_through`] up to
 //!   [`IncrementalChecker::consumed`]).
-//! * **The pair enumeration shards across workers.** The two batch-scoped
-//!   pair sweeps — new CPU accesses against the mirrored NDP indexes, and
-//!   (re-checked + new) NDP accesses against the full CPU indexes — are
-//!   partitioned into contiguous work-list chunks executed on a
-//!   [`WorkerPool`], with per-job outcome lists applied serially **in job
-//!   order**. Jobs only read index state frozen for the batch, so the
-//!   folded violation list is element-for-element equal to the serial fold
-//!   at every batch split and worker count; `workers <= 1` (the default)
-//!   runs the sweeps on the calling thread.
 //! * **The per-access state is retired below a watermark.** Given a time
 //!   below which no later event can be stamped,
 //!   [`IncrementalChecker::retire_below`] drops the shared CPU accesses,
@@ -80,13 +100,12 @@
 //! assert equality at every prefix; trace resets are detected via the
 //! trace's generation counter.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
 use crate::event::{Agent, EventKind, Interval, PpoEvent, ProcId, Sharing, Trace};
 use crate::index::{FoldIndex, IncrementalIntervalIndex, Item};
 use crate::invariants::PpoViolation;
-use crate::pool::WorkerPool;
 
 /// Key of a compared pair: the two event indices whose order matches the
 /// oracle's reporting order. `MissingOffload` entries use a zero second
@@ -129,23 +148,6 @@ struct WriteFact {
     ts: u64,
 }
 
-/// Outcome of evaluating one NDP shared access against the CPU indexes —
-/// computed read-only (possibly on a worker thread), applied serially in
-/// work-list order so parallel folds mutate state in the serial order.
-enum NdpOutcome {
-    /// The access's procedure has no offload event yet: park it.
-    Park(ProcId),
-    /// Ordering verdicts against comparable CPU accesses (possibly empty).
-    Violations(Vec<(u32, PpoViolation)>),
-    /// The access has no procedure: the oracle skips it entirely.
-    Skip,
-}
-
-/// One entry of the Step-A work list: a new shared CPU access with the
-/// facts pair evaluation needs (event id, kind, interval, timestamp,
-/// program order).
-type CpuWork = (u32, EventKind, Interval, u64, u64);
-
 /// Incremental whole-trace PPO checker: `check` folds only the events
 /// appended since the previous call and returns the same violation list a
 /// from-scratch [`crate::check_all`] would.
@@ -160,10 +162,6 @@ pub struct IncrementalChecker {
     consumed: usize,
     /// Trace generation the state was built from (reset detection).
     generation: u64,
-    /// Worker threads for the batch pair sweeps; `<= 1` runs the serial
-    /// fold. Survives [`IncrementalChecker::reset`] — it is configuration,
-    /// not trace state.
-    workers: usize,
 
     // --- Invariants 1/2 ---
     /// Shared NDP accesses mirrored per kind, so a new CPU access can find
@@ -175,10 +173,9 @@ pub struct IncrementalChecker {
     ndp_shared_persists: IncrementalIntervalIndex,
     /// Shared NDP accesses whose procedure has no offload event yet, by
     /// procedure, with the facts needed to re-check them in full when the
-    /// offload arrives.
+    /// offload arrives. A procedure is parked only while the offload table
+    /// has no entry for it, and then every access of it is parked.
     parked_no_offload: BTreeMap<ProcId, Vec<(u32, AccessFact)>>,
-    /// Membership view of `parked_no_offload` for skip tests.
-    parked_events: BTreeSet<u32>,
     /// Ordering verdicts, keyed (NDP event, CPU event).
     ordering: BTreeMap<PairKey, PpoViolation>,
 
@@ -221,7 +218,7 @@ pub struct IncrementalChecker {
 }
 
 impl IncrementalChecker {
-    /// Creates an empty checker (serial fold).
+    /// Creates an empty checker.
     pub fn new() -> Self {
         IncrementalChecker::default()
     }
@@ -231,24 +228,10 @@ impl IncrementalChecker {
         self.consumed
     }
 
-    /// Sets the worker count for the batch pair sweeps. `workers <= 1`
-    /// selects the serial fold; any count produces the identical violation
-    /// list.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers;
-    }
-
-    /// Worker threads the fold's pair sweeps run on (at least 1).
-    pub fn workers(&self) -> usize {
-        self.workers.max(1)
-    }
-
     /// Drops all cached trace state (used when the trace it mirrors is
-    /// reset). The `workers` configuration survives.
+    /// reset).
     pub fn reset(&mut self) {
-        let workers = self.workers;
         *self = IncrementalChecker::default();
-        self.workers = workers;
     }
 
     /// Checks all four invariants over `trace`, folding only the events
@@ -404,141 +387,76 @@ impl IncrementalChecker {
     }
 
     /// Folds the events with absolute ids `lo..trace.len()` into every
-    /// invariant's state.
+    /// invariant's state, in the passes the module doc lists.
     fn fold(&mut self, trace: &Trace, lo: usize) {
         let retired = trace.retired();
         assert!(
             lo >= retired,
             "trace compacted past the checker watermark (retired {retired}, consumed {lo})"
         );
-        let events = trace.events();
-        // Offset of the first new event in the live slice; `retired + off`
-        // recovers an absolute id. New events are always resident (owners
-        // retire at most what was consumed), old events are never
-        // dereferenced.
-        let base = lo - retired;
+        // New events are always resident (owners retire at most what was
+        // consumed); events older than the batch are never dereferenced.
+        let batch = &trace.events()[lo - retired..];
         let failure_before = self.index.failure_ts();
-        let pool = WorkerPool::new(self.workers.max(1));
+        self.index.extend(batch, lo);
 
-        // Relaxed-persist counter: lower the CPU-access threshold first
-        // (counting the already-indexed persists the lowered threshold newly
-        // passes), then count the batch's NDP-managed persists against the
-        // new threshold — together that reproduces the whole-trace count.
-        let old_min = self.rpc_min_cpu_ts;
-        let mut new_min = old_min;
-        for e in &events[base..] {
-            if e.agent == Agent::Cpu
-                && matches!(e.kind, EventKind::Write | EventKind::Read)
-                && e.program_order > 0
-                && new_min.is_none_or(|m| e.timestamp_ps < m)
-            {
-                new_min = Some(e.timestamp_ps);
-            }
-        }
-        if new_min != old_min {
-            let nm = new_min.expect("threshold only appears or decreases");
-            if let Some(above) = nm.checked_add(1) {
-                let passed = self.rpc_persists.split_off(&above);
-                self.rpc_count += passed.values().map(|&mult| mult as usize).sum::<usize>();
-            }
-            self.rpc_min_cpu_ts = new_min;
-        }
-        for e in &events[base..] {
-            if e.agent.is_ndp() && e.kind == EventKind::Persist && e.sharing == Sharing::NdpManaged
-            {
-                if self.rpc_min_cpu_ts.is_some_and(|m| m < e.timestamp_ps) {
-                    self.rpc_count += 1;
-                } else {
-                    *self.rpc_persists.entry(e.timestamp_ps).or_insert(0) += 1;
-                }
-            }
-        }
-
-        // Procedures whose *first* offload event arrives in this batch:
-        // their parked accesses become checkable below. Sorted and
-        // deduplicated once — a million-offload batch makes
-        // `Vec::contains` quadratic.
-        let mut gained: Vec<ProcId> = Vec::new();
-        for e in &events[base..] {
-            if e.kind == EventKind::Offload && e.agent == Agent::Cpu {
-                if let Some(p) = e.proc {
-                    if self.index.offload_po(p).is_none() {
-                        gained.push(p);
-                    }
-                }
-            }
-        }
-        gained.sort_unstable();
-        gained.dedup();
-
-        // Step A — new CPU shared accesses against the *pre-batch* NDP-side
-        // indexes (pairs old-NDP × new-CPU; pairs where both events are new
-        // are produced exactly once, in step D). Parked NDP events are
-        // skipped: they are either re-checked in full in step C (offload
-        // arrived) or stay MissingOffload, matching the oracle. The work
-        // list is evaluated read-only (sharded over the pool when workers
-        // > 1) and the verdicts applied in work-list order.
-        let mut cpu_work: Vec<CpuWork> = Vec::new();
-        for (off, e) in events.iter().enumerate().skip(base) {
-            if e.agent != Agent::Cpu || e.sharing != Sharing::Shared || e.interval.len == 0 {
-                continue;
-            }
-            if !matches!(
-                e.kind,
-                EventKind::Read | EventKind::Write | EventKind::Persist
-            ) {
-                continue;
-            }
-            cpu_work.push((
-                (retired + off) as u32,
-                e.kind,
-                e.interval,
-                e.timestamp_ps,
-                e.program_order,
-            ));
-        }
-        if !cpu_work.is_empty() {
-            let index = &self.index;
-            let reads = &self.ndp_shared_reads;
-            let writes = &self.ndp_shared_writes;
-            let persists = &self.ndp_shared_persists;
-            let parked = &self.parked_events;
-            let eval = move |chunk: &[CpuWork]| {
-                evaluate_cpu_chunk(index, reads, writes, persists, parked, chunk)
-            };
-            let verdicts = run_chunked(&pool, &cpu_work, eval);
-            for (key, v) in verdicts.into_iter().flatten() {
-                self.ordering.insert(key, v);
-            }
-        }
-
-        // Step B — fold the batch into every index.
-        self.index.extend(&events[base..], lo);
-        let mut ndp_reads: Vec<Item> = Vec::new();
-        let mut ndp_writes: Vec<Item> = Vec::new();
-        let mut ndp_persists: Vec<Item> = Vec::new();
+        // The classification pass. The relaxed-persist threshold falls as
+        // CPU accesses arrive and each NDP-managed persist is counted or
+        // stored against its running value; lowering it to its final value
+        // after the pass counts the stored persists it newly passes, which
+        // reproduces the whole-trace count because the threshold only falls.
+        let mut rpc_min = self.rpc_min_cpu_ts;
+        let (mut ndp_reads, mut ndp_writes, mut ndp_persists) =
+            (Vec::new(), Vec::new(), Vec::new());
         let mut recovery_new: Vec<Item> = Vec::new();
-        for (off, e) in events.iter().enumerate().skip(base) {
-            if e.interval.len == 0 {
-                continue;
-            }
-            let id = (retired + off) as u32;
-            if e.agent.is_ndp() && e.sharing == Sharing::Shared {
-                let item = Item {
-                    start: e.interval.start,
-                    end: e.interval.end(),
-                    value: e.timestamp_ps,
-                    aux: e.proc.map(|p| p.0).unwrap_or(NO_PROC),
-                    id,
-                };
+        let mut unparked: Vec<ProcId> = Vec::new();
+        for (id, e) in (lo as u32..).zip(batch) {
+            let access = e.interval.len > 0
+                && e.sharing == Sharing::Shared
+                && matches!(
+                    e.kind,
+                    EventKind::Read | EventKind::Write | EventKind::Persist
+                );
+            if e.agent == Agent::Cpu {
                 match e.kind {
-                    EventKind::Read => ndp_reads.push(item),
-                    EventKind::Write => ndp_writes.push(item),
-                    EventKind::Persist => ndp_persists.push(item),
+                    EventKind::Offload => {
+                        unparked.extend(e.proc.filter(|p| self.parked_no_offload.contains_key(p)))
+                    }
+                    EventKind::Read | EventKind::Write
+                        if e.program_order > 0 && rpc_min.is_none_or(|m| e.timestamp_ps < m) =>
+                    {
+                        rpc_min = Some(e.timestamp_ps);
+                    }
                     _ => {}
                 }
+                if access {
+                    self.check_cpu_access(id, e);
+                }
+            } else {
+                if e.kind == EventKind::Persist && e.sharing == Sharing::NdpManaged {
+                    if rpc_min.is_some_and(|m| m < e.timestamp_ps) {
+                        self.rpc_count += 1;
+                    } else {
+                        *self.rpc_persists.entry(e.timestamp_ps).or_insert(0) += 1;
+                    }
+                }
+                if access {
+                    let item = Item {
+                        start: e.interval.start,
+                        end: e.interval.end(),
+                        value: e.timestamp_ps,
+                        aux: e.proc.map(|p| p.0).unwrap_or(NO_PROC),
+                        id,
+                    };
+                    match e.kind {
+                        EventKind::Read => ndp_reads.push(item),
+                        EventKind::Write => ndp_writes.push(item),
+                        _ => ndp_persists.push(item),
+                    }
+                    self.check_ndp_access(id, AccessFact::of(e));
+                }
             }
-            if e.kind == EventKind::RecoveryRead {
+            if e.kind == EventKind::RecoveryRead && e.interval.len > 0 {
                 recovery_new.push(Item {
                     start: e.interval.start,
                     end: e.interval.end(),
@@ -549,68 +467,26 @@ impl IncrementalChecker {
                 self.recovery_reads.push((id, e.interval, e.agent));
             }
         }
+        if rpc_min != self.rpc_min_cpu_ts {
+            let nm = rpc_min.expect("threshold only appears or decreases");
+            if let Some(above) = nm.checked_add(1) {
+                let passed = self.rpc_persists.split_off(&above);
+                self.rpc_count += passed.values().map(|&mult| mult as usize).sum::<usize>();
+            }
+            self.rpc_min_cpu_ts = rpc_min;
+        }
         self.ndp_shared_reads.insert_batch(ndp_reads);
         self.ndp_shared_writes.insert_batch(ndp_writes);
         self.ndp_shared_persists.insert_batch(ndp_persists);
         self.recovery_idx.insert_batch(recovery_new);
 
-        // Steps C and D share one work list evaluated against the full
-        // (post-fold) CPU indexes, in the serial order: first the parked
-        // accesses of procedures that gained their offload (drop their
-        // MissingOffload verdicts now), then the batch's new NDP shared
-        // accesses in trace order.
-        let mut ndp_work: Vec<(u32, AccessFact)> = Vec::new();
-        for p in &gained {
-            let Some(list) = self.parked_no_offload.remove(p) else {
-                continue;
-            };
-            for (ndp_id, fact) in list {
-                self.parked_events.remove(&ndp_id);
+        // Step C — the parked accesses of procedures whose offload arrived
+        // in this batch drop their MissingOffload verdicts and are checked
+        // like step D's (a procedure offloaded twice is drained once).
+        for p in unparked {
+            for (ndp_id, fact) in self.parked_no_offload.remove(&p).into_iter().flatten() {
                 self.ordering.remove(&(ndp_id, 0));
-                ndp_work.push((ndp_id, fact));
-            }
-        }
-        for (off, e) in events.iter().enumerate().skip(base) {
-            if !e.agent.is_ndp() || e.sharing != Sharing::Shared || e.interval.len == 0 {
-                continue;
-            }
-            if !matches!(
-                e.kind,
-                EventKind::Read | EventKind::Write | EventKind::Persist
-            ) {
-                continue;
-            }
-            ndp_work.push(((retired + off) as u32, AccessFact::of(e)));
-        }
-        if !ndp_work.is_empty() {
-            let index = &self.index;
-            let eval = move |chunk: &[(u32, AccessFact)]| {
-                chunk
-                    .iter()
-                    .map(|(_, fact)| evaluate_ndp_access(index, fact))
-                    .collect::<Vec<_>>()
-            };
-            let outcomes = run_chunked(&pool, &ndp_work, eval);
-            for ((ndp_id, fact), outcome) in
-                ndp_work.into_iter().zip(outcomes.into_iter().flatten())
-            {
-                match outcome {
-                    NdpOutcome::Skip => {}
-                    NdpOutcome::Park(proc) => {
-                        self.parked_no_offload
-                            .entry(proc)
-                            .or_default()
-                            .push((ndp_id, fact));
-                        self.parked_events.insert(ndp_id);
-                        self.ordering
-                            .insert((ndp_id, 0), PpoViolation::MissingOffload { proc });
-                    }
-                    NdpOutcome::Violations(vs) => {
-                        for (cpu_id, v) in vs {
-                            self.ordering.insert((ndp_id, cpu_id), v);
-                        }
-                    }
-                }
+                self.check_ndp_access(ndp_id, fact);
             }
         }
 
@@ -619,11 +495,10 @@ impl IncrementalChecker {
         // the post-fold whole-trace earliest-persist key, so within-batch
         // persist placement is already accounted; persists from *later*
         // batches can only lower a key, which syncs discover lazily.
-        for (off, e) in events.iter().enumerate().skip(base) {
+        for (id, e) in (lo as u32..).zip(batch) {
             if !e.agent.is_ndp() {
                 continue;
             }
-            let id = (retired + off) as u32;
             match e.kind {
                 EventKind::Write if e.interval.len > 0 => {
                     let key = self
@@ -735,10 +610,10 @@ impl IncrementalChecker {
                 self.evaluate_recovery(r, interval, agent);
             }
         } else {
-            for (off, e) in events.iter().enumerate().skip(base) {
+            for (id, e) in (lo as u32..).zip(batch) {
                 match e.kind {
                     EventKind::RecoveryRead if e.interval.len > 0 => {
-                        self.evaluate_recovery((retired + off) as u32, e.interval, e.agent);
+                        self.evaluate_recovery(id, e.interval, e.agent);
                     }
                     EventKind::Write | EventKind::Persist
                         if e.interval.len > 0 && e.timestamp_ps <= failure =>
@@ -777,39 +652,16 @@ impl IncrementalChecker {
             self.recovery_violations.remove(&r);
         }
     }
-}
 
-/// Shards `work` into up to `pool.workers()` contiguous chunks, evaluates
-/// them on the pool, and returns the per-chunk outputs **in work-list
-/// order** — concatenated they equal what one serial pass over `work` would
-/// produce. One worker (or a single-entry list) runs on the calling thread.
-fn run_chunked<T: Sync, R: Send, F>(pool: &WorkerPool, work: &[T], eval: F) -> Vec<R>
-where
-    F: Fn(&[T]) -> R + Send + Sync,
-{
-    let jobs = pool.workers().min(work.len());
-    if jobs <= 1 {
-        return vec![eval(work)];
-    }
-    let chunk = work.len().div_ceil(jobs);
-    let eval = &eval;
-    pool.scoped_map(work.chunks(chunk).map(|c| move || eval(c)).collect())
-}
-
-/// Evaluates a chunk of new shared CPU accesses against the mirrored
-/// NDP-side indexes (Step A), read-only: verdicts stream out of the item
-/// walk — interval, timestamp, and procedure id all travel with the
-/// [`Item`] — so no event is fetched from the trace.
-fn evaluate_cpu_chunk(
-    index: &FoldIndex,
-    ndp_reads: &IncrementalIntervalIndex,
-    ndp_writes: &IncrementalIntervalIndex,
-    ndp_persists: &IncrementalIntervalIndex,
-    parked: &BTreeSet<u32>,
-    chunk: &[CpuWork],
-) -> Vec<(PairKey, PpoViolation)> {
-    let mut out = Vec::new();
-    for &(cpu_id, kind, interval, cpu_ts, cpu_po) in chunk {
+    /// Step A: checks a new shared CPU access against the NDP mirror
+    /// indexes, which hold only accesses folded in earlier batches. Pairs
+    /// of a CPU and an NDP access of the same batch are step D's. Mirror
+    /// items of a parked procedure are skipped: if its offload arrives in
+    /// this batch, step C re-checks them in full against the post-fold CPU
+    /// indexes, which hold this access; otherwise they stay
+    /// `MissingOffload`, as in the oracle. Every fact a verdict needs
+    /// travels with the [`Item`], so no event is fetched from the trace.
+    fn check_cpu_access(&mut self, cpu_id: u32, e: &PpoEvent) {
         // Every mirrored NDP item's procedure was offloaded in an earlier
         // batch (parked accesses are skipped below, and program order is
         // assigned in trace-append order), so `off_po < cpu_po` holds for
@@ -819,37 +671,38 @@ fn evaluate_cpu_chunk(
         // therefore cannot contribute a violation — skip its enumeration
         // entirely, which turns clean-trace checking from Θ(comparable
         // pairs) into one O(log² n) aggregate query per mirror.
+        let (interval, cpu_ts) = (e.interval, e.timestamp_ps);
         let mut hits: Vec<Item> = Vec::new();
         let mut collect = |idx: &IncrementalIntervalIndex| {
             if idx.max_value_overlapping(interval) > cpu_ts {
                 idx.for_each_overlap_item(interval, |it| hits.push(*it));
             }
         };
-        match kind {
-            EventKind::Persist => collect(ndp_persists),
+        match e.kind {
+            EventKind::Persist => collect(&self.ndp_shared_persists),
             EventKind::Write => {
-                collect(ndp_writes);
-                collect(ndp_reads);
+                collect(&self.ndp_shared_writes);
+                collect(&self.ndp_shared_reads);
             }
-            EventKind::Read => collect(ndp_writes),
+            EventKind::Read => collect(&self.ndp_shared_writes),
             _ => {}
         }
         for it in hits {
-            if it.aux == NO_PROC || parked.contains(&it.id) {
+            let proc = ProcId(it.aux);
+            if it.aux == NO_PROC || self.parked_no_offload.contains_key(&proc) {
                 continue;
             }
-            let proc = ProcId(it.aux);
-            let Some(off_po) = index.offload_po(proc) else {
+            let Some(off_po) = self.index.offload_po(proc) else {
                 continue;
             };
-            let cpu_before_offload = cpu_po < off_po;
+            let cpu_before_offload = e.program_order < off_po;
             let ok = if cpu_before_offload {
                 cpu_ts <= it.value
             } else {
                 it.value <= cpu_ts
             };
             if !ok {
-                out.push((
+                self.ordering.insert(
                     (it.id, cpu_id),
                     PpoViolation::SharedOrderViolation {
                         proc,
@@ -859,55 +712,59 @@ fn evaluate_cpu_chunk(
                         ndp_ts: it.value,
                         cpu_before_offload,
                     },
-                ));
+                );
             }
         }
     }
-    out
-}
 
-/// Evaluates one NDP shared access against the full CPU indexes (Steps C
-/// and D), read-only — the mutation the outcome implies is applied by the
-/// caller in work-list order.
-///
-/// The pair loop is the fold's hottest code — on dense traces one NDP
-/// access can be comparable with hundreds of CPU accesses — so the
-/// per-access facts (its procedure's offload program order, its timestamp)
-/// are resolved once up front and the verdicts stream straight out of the
-/// item walk, with the CPU side's interval, timestamp, and program order
-/// carried by the [`Item`] itself: no `events[]` fetch per pair.
-fn evaluate_ndp_access(index: &FoldIndex, fact: &AccessFact) -> NdpOutcome {
-    let Some(proc) = fact.proc else {
-        return NdpOutcome::Skip;
-    };
-    let Some(off_po) = index.offload_po(proc) else {
-        return NdpOutcome::Park(proc);
-    };
-    let mut violating: Vec<(u32, PpoViolation)> = Vec::new();
-    // The pruned walk yields exactly the comparable CPU accesses whose
-    // (program order, timestamp) contradicts the offload order — on clean
-    // traces it proves whole subtrees violation-free from per-node
-    // aggregates instead of enumerating every comparable pair.
-    index.for_each_comparable_cpu_order_violation(
-        fact.kind,
-        fact.interval,
-        off_po,
-        fact.ts,
-        |cpu| {
-            violating.push((
-                cpu.id,
-                PpoViolation::SharedOrderViolation {
-                    proc,
-                    cpu_interval: cpu.interval(),
-                    ndp_interval: fact.interval,
-                    cpu_ts: cpu.value,
-                    ndp_ts: fact.ts,
-                    cpu_before_offload: cpu.aux < off_po,
-                },
-            ));
-        },
-    );
-    NdpOutcome::Violations(violating)
+    /// Steps C and D: checks a shared NDP access against the post-fold CPU
+    /// indexes, or parks it with a `MissingOffload` verdict while its
+    /// procedure has no offload. An access with no procedure is skipped,
+    /// as the oracle skips it.
+    ///
+    /// The pair walk is the fold's hottest code — on dense traces one NDP
+    /// access can be comparable with hundreds of CPU accesses — so the
+    /// procedure's offload program order is resolved once up front and the
+    /// verdicts stream straight out of the walk, with the CPU side's
+    /// interval, timestamp, and program order carried by the [`Item`]
+    /// itself: no `events[]` fetch per pair. The walk yields exactly the
+    /// comparable CPU accesses whose (program order, timestamp) contradicts
+    /// the offload order, proving whole subtrees violation-free from
+    /// per-node aggregates on clean traces.
+    fn check_ndp_access(&mut self, ndp_id: u32, fact: AccessFact) {
+        let Some(proc) = fact.proc else {
+            return;
+        };
+        let Some(off_po) = self.index.offload_po(proc) else {
+            self.parked_no_offload
+                .entry(proc)
+                .or_default()
+                .push((ndp_id, fact));
+            self.ordering
+                .insert((ndp_id, 0), PpoViolation::MissingOffload { proc });
+            return;
+        };
+        let ordering = &mut self.ordering;
+        self.index.for_each_comparable_cpu_order_violation(
+            fact.kind,
+            fact.interval,
+            off_po,
+            fact.ts,
+            |cpu| {
+                ordering.insert(
+                    (ndp_id, cpu.id),
+                    PpoViolation::SharedOrderViolation {
+                        proc,
+                        cpu_interval: cpu.interval(),
+                        ndp_interval: fact.interval,
+                        cpu_ts: cpu.value,
+                        ndp_ts: fact.ts,
+                        cpu_before_offload: cpu.aux < off_po,
+                    },
+                );
+            },
+        );
+    }
 }
 
 #[cfg(test)]

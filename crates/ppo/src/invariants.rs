@@ -26,8 +26,8 @@
 //! incrementally at every report. The original quadratic scans are kept in
 //! [`oracle`] (compiled under `cfg(test)` or the `oracle` feature) as the
 //! sole independent reference; differential tests assert that the fold
-//! reports identical violation lists on randomized traces, at every prefix,
-//! batch split, and worker count.
+//! reports identical violation lists on randomized traces, at every prefix
+//! and batch split.
 
 use crate::event::{Agent, Interval, ProcId, Trace};
 use crate::incremental::IncrementalChecker;

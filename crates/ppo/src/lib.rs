@@ -56,7 +56,6 @@ mod incremental;
 mod index;
 pub mod invariants;
 mod minmap;
-mod pool;
 
 pub use event::{Agent, EventKind, Interval, PpoEvent, ProcId, Sharing, SyncId, Trace};
 pub use incremental::IncrementalChecker;

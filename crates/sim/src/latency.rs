@@ -22,10 +22,6 @@ pub const PM_PAGE: u64 = 4096;
 pub struct LatencyModel {
     /// Latency of a CPU load that misses to the emulated PM (ns).
     pub pm_read_latency_ns: f64,
-    /// Latency for a write to reach the PM persistence domain (ns).
-    pub pm_write_latency_ns: f64,
-    /// Latency of a CPU load served from DRAM (ns).
-    pub dram_latency_ns: f64,
     /// Latency of a CPU load served from the last-level cache (ns).
     pub llc_latency_ns: f64,
 
@@ -89,8 +85,6 @@ impl Default for LatencyModel {
     fn default() -> Self {
         LatencyModel {
             pm_read_latency_ns: 436.0,
-            pm_write_latency_ns: 436.0,
-            dram_latency_ns: 82.0,
             llc_latency_ns: 22.0,
 
             cpu_pm_read_gbps: 6.0,

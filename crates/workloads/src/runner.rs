@@ -199,9 +199,6 @@ pub struct RunOptions {
     pub media: MediaConfig,
     /// Decode lanes per device front-end (1 in the prototype).
     pub decode_lanes: usize,
-    /// Worker threads for the PPO checker's batch pair sweeps (serial fold
-    /// when `<= 1`; any count yields the identical violation list).
-    pub checker_workers: usize,
     /// Stream-compact the PPO trace at every report/sample (off by
     /// default; incompatible with whole-trace oracles).
     pub compact_trace: bool,
@@ -224,7 +221,6 @@ impl Default for RunOptions {
             seed: 1,
             media: MediaConfig::default(),
             decode_lanes: 1,
-            checker_workers: 1,
             compact_trace: false,
             track_latency: false,
         }
@@ -281,12 +277,6 @@ impl RunOptions {
     /// Overrides the decode-lane count of every device front-end.
     pub fn with_decode_lanes(mut self, lanes: usize) -> Self {
         self.decode_lanes = lanes.max(1);
-        self
-    }
-
-    /// Overrides the PPO checker's worker count (serial fold by default).
-    pub fn with_checker_workers(mut self, workers: usize) -> Self {
-        self.checker_workers = workers.max(1);
         self
     }
 
@@ -418,7 +408,6 @@ impl Runner {
             .with_capacity(Self::CAPACITY)
             .with_media(o.media.clone())
             .with_decode_lanes(o.decode_lanes)
-            .with_checker_workers(o.checker_workers)
             .with_trace_compaction(o.compact_trace)
             .with_latency_tracking(o.track_latency);
         if let Some(depth) = o.fifo_depth {

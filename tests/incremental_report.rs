@@ -128,9 +128,7 @@ fn sampled_run_matches_unsampled_run_field_for_field() {
 /// Streaming trace compaction is pure memory management: a run that evicts
 /// retired events at every sample must produce the same in-run series and
 /// the same final report, field for field, as a run that retains its whole
-/// trace — while actually holding fewer events resident. The compacting run
-/// also engages the checker's worker pool, so the parallel incremental fold
-/// is exercised inside a live sampled run, not just on detached traces.
+/// trace — while actually holding fewer events resident.
 #[test]
 fn compacting_run_report_is_byte_equal_to_retaining_runs() {
     for m in Mechanism::all() {
@@ -138,10 +136,7 @@ fn compacting_run_report_is_byte_equal_to_retaining_runs() {
             .with_threads(2)
             .with_seed(9);
         let retaining = Runner::new(Workload::Hashmap, options.clone());
-        let compacting = Runner::new(
-            Workload::Hashmap,
-            options.with_trace_compaction(true).with_checker_workers(2),
-        );
+        let compacting = Runner::new(Workload::Hashmap, options.with_trace_compaction(true));
         let (plain_samples, plain_final, _) = retaining.run_sampled(5).unwrap();
         let (samples, fin, sys) = compacting.run_sampled(5).unwrap();
         assert_eq!(fin, plain_final, "{m:?}: compaction changed the report");
@@ -159,29 +154,6 @@ fn compacting_run_report_is_byte_equal_to_retaining_runs() {
             sys.trace_events(),
             "{m:?}: compaction lost events"
         );
-    }
-}
-
-/// The checker worker pool is pure parallelism: every worker count produces
-/// the identical report.
-#[test]
-fn checker_worker_counts_leave_reports_unchanged() {
-    let base = Runner::new(
-        Workload::Btree,
-        RunOptions::new(ExecMode::NearPmMd, Mechanism::Logging, 24).with_threads(2),
-    )
-    .run()
-    .unwrap();
-    for workers in [2usize, 4, 8] {
-        let report = Runner::new(
-            Workload::Btree,
-            RunOptions::new(ExecMode::NearPmMd, Mechanism::Logging, 24)
-                .with_threads(2)
-                .with_checker_workers(workers),
-        )
-        .run()
-        .unwrap();
-        assert_eq!(report, base, "{workers} workers changed the report");
     }
 }
 
